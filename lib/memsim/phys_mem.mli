@@ -1,7 +1,12 @@
-(** Raw physical memory: a flat byte array with typed accessors.
+(** Raw physical memory: a demand-zero byte region with typed accessors.
 
     All offsets are byte offsets from the start of the region.  Out-of-range
-    access raises [Invalid_argument]. *)
+    access raises [Invalid_argument].
+
+    Storage is a sequence of fixed 4 KB granules.  A granule costs nothing
+    until its first store: until then it aliases one shared zero granule, so
+    reading it returns 0 and allocates nothing.  An access that straddles two
+    granules is correct but takes a slower path. *)
 
 type t
 
@@ -27,7 +32,5 @@ val get_int : t -> int -> int
 
 val set_int : t -> int -> int -> unit
 
-val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
 val read_bytes : t -> off:int -> len:int -> bytes
 val write_bytes : t -> off:int -> bytes -> unit
-val fill : t -> off:int -> len:int -> char -> unit

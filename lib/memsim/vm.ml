@@ -1,12 +1,17 @@
 open Mp_util
 
-type view = { base : int; prot : Prot.t array; fixed : bool }
+(* [prot] starts as the table shared by every view mapped with the same
+   initial protection; the view's first change copies it ([shared] false
+   from then on). *)
+type view = { base : int; mutable prot : Prot.t array; mutable shared : bool; fixed : bool }
 
 type t = {
-  obj : Memobject.t;
+  mem : Phys_mem.t;
   mutable views : view array;
+  mutable tables : (Prot.t * Prot.t array) list;  (* shared tables, never written *)
   page_size : int;
   vpages : int;
+  size : int;  (* bytes spanned by each view *)
   stride : int;  (* distance between consecutive view bases *)
   first_base : int;
   mutable handler : (fault -> unit) option;
@@ -26,10 +31,12 @@ let create obj =
   let size = Memobject.size obj in
   (* One guard page between views catches stray pointer arithmetic. *)
   {
-    obj;
+    mem = Memobject.mem obj;
     views = [||];
+    tables = [];
     page_size;
     vpages = Memobject.pages obj;
+    size;
     stride = size + page_size;
     first_base = page_size;
     handler = None;
@@ -37,14 +44,22 @@ let create obj =
   }
 
 let view_count t = Array.length t.views
-let view_size t = Memobject.size t.obj
+let view_size t = t.size
 let page_size t = t.page_size
 let vpages_per_view t = t.vpages
+
+let shared_table t prot =
+  match List.assoc_opt prot t.tables with
+  | Some table -> table
+  | None ->
+    let table = Array.make t.vpages prot in
+    t.tables <- (prot, table) :: t.tables;
+    table
 
 let map_view ?(fixed = false) t initial =
   let index = Array.length t.views in
   let base = t.first_base + (index * t.stride) in
-  let view = { base; prot = Array.make t.vpages initial; fixed } in
+  let view = { base; prot = shared_table t initial; shared = true; fixed } in
   t.views <- Array.append t.views [| view |];
   index
 
@@ -57,22 +72,34 @@ let view t i =
 let view_base t i = (view t i).base
 
 let address t ~view:i off =
-  if off < 0 || off >= view_size t then invalid_arg "Vm.address: offset out of range";
+  if off < 0 || off >= t.size then invalid_arg "Vm.address: offset out of range";
   (view t i).base + off
 
-let translate t addr =
+(* The view index of [addr]; raises [Bad_address] outside every view. *)
+let view_of t addr =
   let rel = addr - t.first_base in
   if rel < 0 then raise (Bad_address addr);
   let idx = rel / t.stride in
-  let off = rel mod t.stride in
-  if idx >= Array.length t.views || off >= view_size t then raise (Bad_address addr);
+  if idx >= Array.length t.views || rel - (idx * t.stride) >= t.size then
+    raise (Bad_address addr);
+  idx
+
+let translate t addr =
+  let idx = view_of t addr in
+  let off = addr - t.views.(idx).base in
   (idx, off / t.page_size, off)
 
 let protect t ~view:i ~vpage prot =
   let v = view t i in
   if v.fixed then invalid_arg "Vm.protect: view protection is fixed";
   if vpage < 0 || vpage >= t.vpages then invalid_arg "Vm.protect: bad vpage";
-  v.prot.(vpage) <- prot
+  if v.prot.(vpage) <> prot then begin
+    if v.shared then begin
+      v.prot <- Array.copy v.prot;
+      v.shared <- false
+    end;
+    v.prot.(vpage) <- prot
+  end
 
 let protect_range t ~view:i ~phys_off ~len prot =
   if len <= 0 then invalid_arg "Vm.protect_range: non-positive length";
@@ -93,43 +120,40 @@ let protection_at t addr =
 let set_fault_handler t handler = t.handler <- Some handler
 let counters t = t.counters
 
-(* Check that every vpage covered by [addr, addr+len) allows [access]; on a
-   violation call the handler and retry, as the hardware would re-execute the
-   faulting instruction. *)
-let ensure_access t addr len access =
-  let idx, _, phys_off = translate t addr in
-  let v = view t idx in
-  let first = phys_off / t.page_size in
-  let last = (phys_off + len - 1) / t.page_size in
-  if last >= t.vpages then raise (Bad_address (addr + len - 1));
-  let faulting_vpage () =
-    let rec go vp =
-      if vp > last then None
-      else if not (Prot.allows v.prot.(vp) access) then Some vp
-      else go (vp + 1)
-    in
-    go first
-  in
-  let rec retry n =
-    match faulting_vpage () with
-    | None -> ()
-    | Some vp ->
-      let fault =
-        { addr; access; view = idx; vpage = vp; phys_off = vp * t.page_size }
-      in
-      Stats.Counters.incr t.counters
-        (match access with Prot.Read -> "fault.read" | Prot.Write -> "fault.write");
-      (match t.handler with
-      | None -> raise (Access_violation fault)
-      | Some h ->
-        if n >= max_fault_retries then raise (Fault_storm fault);
-        h fault);
-      retry (n + 1)
-  in
-  retry 0;
-  phys_off
+(* Call the handler for the first vpage of [first, last] that forbids
+   [access], and retry, as the hardware would re-execute the faulting
+   instruction. *)
+let rec fault_until_allowed t addr access idx v first last n =
+  let vp = ref first in
+  while !vp <= last && Prot.allows v.prot.(!vp) access do
+    incr vp
+  done;
+  if !vp <= last then begin
+    let vpage = !vp in
+    let fault = { addr; access; view = idx; vpage; phys_off = vpage * t.page_size } in
+    Stats.Counters.incr t.counters
+      (match access with Prot.Read -> "fault.read" | Prot.Write -> "fault.write");
+    (match t.handler with
+    | None -> raise (Access_violation fault)
+    | Some h ->
+      if n >= max_fault_retries then raise (Fault_storm fault);
+      h fault);
+    fault_until_allowed t addr access idx v first last (n + 1)
+  end
 
-let mem t = Memobject.mem t.obj
+(* The physical offset of [addr, addr+len) once every vpage it covers allows
+   [access].  An access within one vpage that is allowed returns without
+   allocating. *)
+let ensure_access t addr len access =
+  let idx = view_of t addr in
+  let v = t.views.(idx) in
+  let off = addr - v.base in
+  let first = off / t.page_size in
+  let last = (off + len - 1) / t.page_size in
+  if last >= t.vpages then raise (Bad_address (addr + len - 1));
+  if first <> last || not (Prot.allows v.prot.(first) access) then
+    fault_until_allowed t addr access idx v first last 0;
+  off
 
 let read_access t addr len =
   Stats.Counters.incr t.counters "access.read";
@@ -139,25 +163,14 @@ let write_access t addr len =
   Stats.Counters.incr t.counters "access.write";
   ensure_access t addr len Prot.Write
 
-let read_u8 t addr = Phys_mem.get_u8 (mem t) (read_access t addr 1)
-let write_u8 t addr v = Phys_mem.set_u8 (mem t) (write_access t addr 1) v
-let read_i32 t addr = Phys_mem.get_i32 (mem t) (read_access t addr 4)
-let write_i32 t addr v = Phys_mem.set_i32 (mem t) (write_access t addr 4) v
-let read_f64 t addr = Phys_mem.get_f64 (mem t) (read_access t addr 8)
-let write_f64 t addr v = Phys_mem.set_f64 (mem t) (write_access t addr 8) v
-let read_int t addr = Phys_mem.get_int (mem t) (read_access t addr 8)
-let write_int t addr v = Phys_mem.set_int (mem t) (write_access t addr 8) v
+let read_u8 t addr = Phys_mem.get_u8 t.mem (read_access t addr 1)
+let write_u8 t addr v = Phys_mem.set_u8 t.mem (write_access t addr 1) v
+let read_i32 t addr = Phys_mem.get_i32 t.mem (read_access t addr 4)
+let write_i32 t addr v = Phys_mem.set_i32 t.mem (write_access t addr 4) v
+let read_f64 t addr = Phys_mem.get_f64 t.mem (read_access t addr 8)
+let write_f64 t addr v = Phys_mem.set_f64 t.mem (write_access t addr 8) v
+let read_int t addr = Phys_mem.get_int t.mem (read_access t addr 8)
+let write_int t addr v = Phys_mem.set_int t.mem (write_access t addr 8) v
 
-let read_bytes t addr len =
-  let off = read_access t addr len in
-  Phys_mem.read_bytes (mem t) ~off ~len
-
-let write_bytes t addr b =
-  let off = write_access t addr (Bytes.length b) in
-  Phys_mem.write_bytes (mem t) ~off b
-
-let priv_read_bytes t ~off ~len = Phys_mem.read_bytes (mem t) ~off ~len
-let priv_write_bytes t ~off b = Phys_mem.write_bytes (mem t) ~off b
-
-let priv_blit_in t ~src ~src_off ~dst_off ~len =
-  Phys_mem.blit ~src ~src_off ~dst:(mem t) ~dst_off ~len
+let priv_read_bytes t ~off ~len = Phys_mem.read_bytes t.mem ~off ~len
+let priv_write_bytes t ~off b = Phys_mem.write_bytes t.mem ~off b

@@ -38,7 +38,9 @@ val map_view : ?fixed:bool -> t -> Prot.t -> int
 (** Map a new view of the whole memory object with the given initial
     protection on all vpages; returns the view index.  [fixed] (default
     false) marks the view's protection immutable — used for the privileged
-    view ({!map_privileged_view}). *)
+    view ({!map_privileged_view}).  Views mapped with the same initial
+    protection share one protection table until their first {!protect}
+    changes a vpage, which gives that view its own copy. *)
 
 val map_privileged_view : t -> int
 (** [map_view ~fixed:true t Read_write]. *)
@@ -74,7 +76,10 @@ val set_fault_handler : t -> (fault -> unit) -> unit
 val counters : t -> Mp_util.Stats.Counters.t
 (** ["fault.read"], ["fault.write"], ["access.read"], ["access.write"]. *)
 
-(** {2 Typed access through views (protection-checked)} *)
+(** {2 Typed access through views (protection-checked)}
+
+    An access that lies within one vpage whose protection allows it
+    allocates nothing beyond its boxed result ([read_f64], [read_i32]). *)
 
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
@@ -84,8 +89,6 @@ val read_f64 : t -> int -> float
 val write_f64 : t -> int -> float -> unit
 val read_int : t -> int -> int
 val write_int : t -> int -> int -> unit
-val read_bytes : t -> int -> int -> bytes
-val write_bytes : t -> int -> bytes -> unit
 
 (** {2 Privileged access (bypasses protection, physical offsets)}
 
@@ -94,4 +97,3 @@ val write_bytes : t -> int -> bytes -> unit
 
 val priv_read_bytes : t -> off:int -> len:int -> bytes
 val priv_write_bytes : t -> off:int -> bytes -> unit
-val priv_blit_in : t -> src:Phys_mem.t -> src_off:int -> dst_off:int -> len:int -> unit

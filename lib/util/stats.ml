@@ -61,15 +61,12 @@ module Counters = struct
 
   let create () : t = Hashtbl.create 32
 
-  let cell t name =
-    match Hashtbl.find_opt t name with
-    | Some r -> r
-    | None ->
-      let r = ref 0 in
-      Hashtbl.add t name r;
-      r
+  (* One lookup, and no allocation once the key exists. *)
+  let add t name k =
+    match Hashtbl.find t name with
+    | r -> r := !r + k
+    | exception Not_found -> Hashtbl.add t name (ref k)
 
-  let add t name k = cell t name := !(cell t name) + k
   let incr t name = add t name 1
   let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 

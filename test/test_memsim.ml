@@ -31,11 +31,149 @@ let test_phys_mem_bounds () =
        false
      with Invalid_argument _ -> true)
 
-let test_phys_mem_blit () =
-  let a = Phys_mem.create 16 and b = Phys_mem.create 16 in
-  Phys_mem.write_bytes a ~off:0 (Bytes.of_string "hello world!!..!");
-  Phys_mem.blit ~src:a ~src_off:6 ~dst:b ~dst_off:2 ~len:5;
-  Alcotest.(check string) "blit" "world" (Bytes.to_string (Phys_mem.read_bytes b ~off:2 ~len:5))
+let granule = 4096
+
+let test_phys_mem_bytes_roundtrip () =
+  let m = Phys_mem.create (3 * granule) in
+  (* spans the end of granule 0, all of granule 1 and the start of 2 *)
+  let data = Bytes.init (granule + 40) (fun i -> Char.chr (i land 0xFF)) in
+  Phys_mem.write_bytes m ~off:(granule - 20) data;
+  Alcotest.(check bytes) "roundtrip" data
+    (Phys_mem.read_bytes m ~off:(granule - 20) ~len:(Bytes.length data));
+  Alcotest.(check bytes) "untouched prefix" (Bytes.make 8 '\000')
+    (Phys_mem.read_bytes m ~off:(granule - 28) ~len:8)
+
+(* Words allocated by [f ()], net of what measuring allocates.  Emptying
+   the minor heap first makes [Gc.counters] exact: OCaml 5.1 miscounts the
+   words allocated since the last minor collection. *)
+let allocated_words f =
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let measure f =
+    let w0 = words () in
+    f ();
+    words () -. w0
+  in
+  measure f -. measure ignore
+
+(* Random typed stores, loads and byte copies, biased towards granule
+   boundaries, must match a flat [Bytes] reference. *)
+type op =
+  | Set_u8 of int * int
+  | Set_i32 of int * int32
+  | Set_i64 of int * int64
+  | Set_f64 of int * float
+  | Set_int of int * int
+  | Write of int * string
+  | Load of int
+  | Read of int * int
+
+let model_size = (3 * granule) + 100
+
+let qcheck_phys_mem_model =
+  let open QCheck in
+  let offset w =
+    Gen.(
+      oneof
+        [
+          int_range 0 (model_size - w);
+          map2
+            (fun g d -> max 0 (min (model_size - w) ((g * granule) + d)))
+            (int_range 1 3) (int_range (-10) 10);
+        ])
+  in
+  let op =
+    Gen.(
+      frequency
+        [
+          (1, map2 (fun o v -> Set_u8 (o, v)) (offset 1) (int_range 0 255));
+          (1, map2 (fun o v -> Set_i32 (o, v)) (offset 4) ui32);
+          (1, map2 (fun o v -> Set_i64 (o, v)) (offset 8) ui64);
+          (1, map2 (fun o v -> Set_f64 (o, v)) (offset 8) float);
+          (1, map2 (fun o v -> Set_int (o, v)) (offset 8) int);
+          ( 1,
+            int_range 0 40 >>= fun len ->
+            map2 (fun o s -> Write (o, s)) (offset len) (string_size (return len)) );
+          (3, map (fun o -> Load o) (offset 8));
+          ( 1,
+            int_range 0 (granule + 16) >>= fun len ->
+            map (fun o -> Read (o, len)) (offset len) );
+        ])
+  in
+  Test.make ~name:"phys mem: random accesses match a flat reference" ~count:200
+    (make Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      let m = Phys_mem.create model_size and r = Bytes.make model_size '\000' in
+      let same_load o =
+        Phys_mem.get_u8 m o = Bytes.get_uint8 r o
+        && Phys_mem.get_i32 m o = Bytes.get_int32_le r o
+        && Phys_mem.get_i64 m o = Bytes.get_int64_le r o
+        && Int64.bits_of_float (Phys_mem.get_f64 m o) = Bytes.get_int64_le r o
+        && Phys_mem.get_int m o = Int64.to_int (Bytes.get_int64_le r o)
+      in
+      List.for_all
+        (function
+          | Set_u8 (o, v) ->
+            Phys_mem.set_u8 m o v;
+            Bytes.set_uint8 r o v;
+            true
+          | Set_i32 (o, v) ->
+            Phys_mem.set_i32 m o v;
+            Bytes.set_int32_le r o v;
+            true
+          | Set_i64 (o, v) ->
+            Phys_mem.set_i64 m o v;
+            Bytes.set_int64_le r o v;
+            true
+          | Set_f64 (o, v) ->
+            Phys_mem.set_f64 m o v;
+            Bytes.set_int64_le r o (Int64.bits_of_float v);
+            true
+          | Set_int (o, v) ->
+            Phys_mem.set_int m o v;
+            Bytes.set_int64_le r o (Int64.of_int v);
+            true
+          | Write (o, s) ->
+            Phys_mem.write_bytes m ~off:o (Bytes.of_string s);
+            Bytes.blit_string s 0 r o (String.length s);
+            true
+          | Load o -> same_load o
+          | Read (o, len) -> Bytes.equal (Phys_mem.read_bytes m ~off:o ~len) (Bytes.sub r o len))
+        ops
+      && Bytes.equal (Phys_mem.read_bytes m ~off:0 ~len:model_size) r)
+
+(* Guards the shared zero granule: a store must land in the region's own
+   granule, never in the one fresh regions alias. *)
+let test_phys_mem_fresh_is_zero () =
+  let a = Phys_mem.create (4 * granule) in
+  Phys_mem.set_int a 8 (-1);
+  Phys_mem.set_f64 a (granule - 4) 1.5;
+  Phys_mem.set_u8 a (2 * granule) 7;
+  Phys_mem.write_bytes a ~off:((3 * granule) - 3) (Bytes.of_string "abcdef");
+  let b = Phys_mem.create (4 * granule) in
+  Alcotest.(check bytes) "fresh region reads zero" (Bytes.make (4 * granule) '\000')
+    (Phys_mem.read_bytes b ~off:0 ~len:(4 * granule));
+  Alcotest.(check int) "first region kept its store" (-1) (Phys_mem.get_int a 8)
+
+let test_untouched_read_allocates_nothing () =
+  let size = 16 lsl 20 in
+  let m = ref None in
+  let create = allocated_words (fun () -> m := Some (Phys_mem.create size)) in
+  let m = Option.get !m in
+  let reads =
+    allocated_words (fun () ->
+        for i = 0 to 9_999 do
+          ignore (Sys.opaque_identity (Phys_mem.get_int m ((i * 4104) land (size - 8))))
+        done)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "create: %.0f words, at most two per granule" create)
+    true
+    (create <= float_of_int (2 * size / granule));
+  Alcotest.(check (float 0.0)) "reads" 0.0 reads
 
 let test_memobject_rounding () =
   let o = Memobject.create ~size:5000 () in
@@ -169,6 +307,57 @@ let test_privileged_access_bypasses_protection () =
        false
      with Vm.Access_violation _ -> true)
 
+(* Views mapped with one initial protection share a table until a view's
+   first protect copies it. *)
+let test_protect_copies_shared_table () =
+  let vm = mk_vm () in
+  let v0 = Vm.map_view vm Prot.No_access in
+  let v1 = Vm.map_view vm Prot.No_access in
+  let pv = Vm.map_privileged_view vm in
+  let v2 = Vm.map_view vm Prot.Read_write in
+  Vm.protect vm ~view:v0 ~vpage:1 Prot.Read_write;
+  Vm.protect vm ~view:v2 ~vpage:2 Prot.No_access;
+  let v3 = Vm.map_view vm Prot.No_access in
+  Alcotest.(check check_prot) "v0 changed" Prot.Read_write (Vm.protection vm ~view:v0 ~vpage:1);
+  Alcotest.(check check_prot) "v2 changed" Prot.No_access (Vm.protection vm ~view:v2 ~vpage:2);
+  for vpage = 0 to Vm.vpages_per_view vm - 1 do
+    Alcotest.(check check_prot) "v1 unchanged" Prot.No_access (Vm.protection vm ~view:v1 ~vpage);
+    Alcotest.(check check_prot) "later view unchanged" Prot.No_access
+      (Vm.protection vm ~view:v3 ~vpage);
+    Alcotest.(check check_prot) "privileged stays rw" Prot.Read_write
+      (Vm.protection vm ~view:pv ~vpage)
+  done;
+  Alcotest.(check bool) "v1 still faults" true
+    (try
+       ignore (Vm.read_u8 vm (Vm.address vm ~view:v1 4096));
+       false
+     with Vm.Access_violation f -> f.view = v1)
+
+let test_vm_hits_allocate_nothing () =
+  let vm = mk_vm () in
+  let v = Vm.map_view vm Prot.Read_write in
+  let addr i = Vm.address vm ~view:v ((i land 1023) * 8) in
+  (* the first accesses materialize the granules and create the access
+     counters; only later hits count *)
+  for i = 0 to 1023 do
+    Vm.write_f64 vm (addr i) 0.5;
+    ignore (Vm.read_int vm (addr i))
+  done;
+  let writes =
+    allocated_words (fun () ->
+        for i = 0 to 9_999 do
+          Vm.write_f64 vm (addr i) 1.0
+        done)
+  in
+  let reads =
+    allocated_words (fun () ->
+        for i = 0 to 9_999 do
+          ignore (Sys.opaque_identity (Vm.read_int vm (addr i)))
+        done)
+  in
+  Alcotest.(check (float 0.0)) "write_f64 hits" 0.0 writes;
+  Alcotest.(check (float 0.0)) "read_int hits" 0.0 reads
+
 let test_protect_range () =
   let vm = mk_vm () in
   let v0 = Vm.map_view vm Prot.No_access in
@@ -285,7 +474,11 @@ let suite =
     Alcotest.test_case "prot allows" `Quick test_prot_allows;
     Alcotest.test_case "phys mem roundtrip" `Quick test_phys_mem_typed_roundtrip;
     Alcotest.test_case "phys mem bounds" `Quick test_phys_mem_bounds;
-    Alcotest.test_case "phys mem blit" `Quick test_phys_mem_blit;
+    Alcotest.test_case "phys mem bytes roundtrip" `Quick test_phys_mem_bytes_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_phys_mem_model;
+    Alcotest.test_case "phys mem fresh is zero" `Quick test_phys_mem_fresh_is_zero;
+    Alcotest.test_case "untouched read allocates nothing" `Quick
+      test_untouched_read_allocates_nothing;
     Alcotest.test_case "memobject rounding" `Quick test_memobject_rounding;
     Alcotest.test_case "views disjoint" `Quick test_views_disjoint_bases;
     Alcotest.test_case "views alias memory" `Quick test_views_alias_same_memory;
@@ -297,6 +490,8 @@ let suite =
     Alcotest.test_case "privileged view fixed" `Quick test_privileged_view_fixed;
     Alcotest.test_case "privileged bypass" `Quick test_privileged_access_bypasses_protection;
     Alcotest.test_case "protect range" `Quick test_protect_range;
+    Alcotest.test_case "protect copies shared table" `Quick test_protect_copies_shared_table;
+    Alcotest.test_case "vm hits allocate nothing" `Quick test_vm_hits_allocate_nothing;
     Alcotest.test_case "cache basic" `Quick suite_cache;
     Alcotest.test_case "cache lru" `Quick test_cache_lru_eviction;
     Alcotest.test_case "cache capacity" `Quick test_cache_capacity;

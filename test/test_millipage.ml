@@ -387,6 +387,16 @@ let test_many_minipages_stress () =
   Alcotest.(check (float 0.001)) "sum correct" expected !sum;
   Alcotest.(check bool) "views bounded" true (Dsm.views_used dsm <= 32)
 
+(* Memory objects are demand-zero and views share protection tables, so
+   building a DSM costs kilowords, not the 16 MB object per host it maps. *)
+let test_create_allocation () =
+  let words =
+    Test_memsim.allocated_words (fun () ->
+        let e = Engine.create () in
+        ignore (Sys.opaque_identity (Dsm.create e ~hosts:4 ~config:Dsm.Config.default ())))
+  in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words < 200k" words) true (words < 200_000.0)
+
 let suite =
   [
     Alcotest.test_case "read sharing" `Quick test_read_sharing;
@@ -411,4 +421,5 @@ let suite =
     Alcotest.test_case "breakdown accounting" `Quick test_breakdown_accounted;
     Alcotest.test_case "wrong view rejected" `Quick test_wrong_view_access_rejected;
     Alcotest.test_case "many minipages stress" `Quick test_many_minipages_stress;
+    Alcotest.test_case "create allocation" `Quick test_create_allocation;
   ]
