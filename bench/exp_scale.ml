@@ -1,6 +1,6 @@
 (** Scale trajectory: SOR across host counts with the mpprof profiler
-    attached.  For each host count the sweep records profiler throughput
-    (events/sec of wall-clock), simulated completion time, and the per-host
+    attached.  For each host count the sweep records the wall-clock time,
+    the profiled event count, simulated completion time, and the per-host
     protocol-cost account, then writes the whole trajectory to
     [BENCH_scale.json] (set MP_BENCH_DIR to relocate it) so CI can diff the
     cost curve PR-over-PR. *)
@@ -120,9 +120,6 @@ let run_one ~hosts =
       List.map (fun (name, c) -> (name, false_sharing_run ~hosts c)) fs_modes;
   }
 
-let ev_per_sec r =
-  if r.r_wall_s <= 0.0 then 0.0 else float_of_int r.r_events /. r.r_wall_s
-
 let totals r =
   List.fold_left
     (fun (m, b) (_, c) -> (m + Profile.host_msgs c, b + Profile.host_bytes c))
@@ -131,18 +128,16 @@ let totals r =
 let max_host_msgs r =
   List.fold_left (fun acc (_, c) -> max acc (Profile.host_msgs c)) 0 r.r_hosts_cost
 
-(* Volatile (machine-speed) fields sit on their own lines so the --check
-   drift diff can drop exactly those lines and compare the rest verbatim. *)
+(* The volatile (machine-speed) field sits on its own line so the --check
+   drift diff can drop exactly that line and compare the rest verbatim. *)
 let json_of_run b r =
   let msgs, bytes = totals r in
   Buffer.add_string b
     (Printf.sprintf
        "    { \"hosts\": %d, \"end_us\": %.1f, \"events\": %d,\n\
        \      \"verified\": %b, \"msgs\": %d, \"bytes\": %d,\n\
-       \      \"wall_s\": %.3f,\n\
-       \      \"events_per_sec\": %.0f,\n"
-       r.r_hosts r.r_end_us r.r_events r.r_verified msgs bytes r.r_wall_s
-       (ev_per_sec r));
+       \      \"wall_s\": %.3f,\n"
+       r.r_hosts r.r_end_us r.r_events r.r_verified msgs bytes r.r_wall_s);
   Buffer.add_string b "      \"patterns\": { ";
   List.iteri
     (fun i (name, n) ->
@@ -212,7 +207,7 @@ let contains line sub =
   let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
   m > 0 && go 0
 
-let volatile line = contains line "\"wall_s\"" || contains line "\"events_per_sec\""
+let volatile line = contains line "\"wall_s\""
 
 let run_hosts_of line =
   (* a run-opening line looks like: `    { "hosts": 16, "end_us": ...` *)
@@ -304,7 +299,6 @@ let run ?(max_hosts = 64) ?(check = false) () =
           Tab.fu r.r_end_us;
           Printf.sprintf "%.3f" r.r_wall_s;
           string_of_int r.r_events;
-          Printf.sprintf "%.0f" (ev_per_sec r);
           string_of_int msgs;
           string_of_int bytes;
           string_of_int (max_host_msgs r);
@@ -319,14 +313,14 @@ let run ?(max_hosts = 64) ?(check = false) () =
   Tab.print
     ~header:
       [
-        "hosts"; "sim time us"; "wall s"; "events"; "ev/s"; "msgs"; "bytes";
+        "hosts"; "sim time us"; "wall s"; "events"; "msgs"; "bytes";
         "max host msgs"; "fs sc"; "fs rc"; "fs adaptive"; "verified";
       ]
     rows;
   Harness.note
-    "'ev/s' is profiler streaming throughput (typed events per wall-clock \
-     second); 'max host msgs' the hottest host's message count — the gap to \
-     msgs/hosts measures protocol skew.  The 'fs *' columns are message \
+    "'events' counts the typed events the profiler streamed; 'max host msgs' \
+     is the hottest host's message count — the gap to msgs/hosts measures \
+     protocol skew.  The 'fs *' columns are message \
      counts of the falsely-shared synthetic under each consistency mode \
      ('sw' = mode switches the adaptive governor performed).";
   if check then check_json results else write_json results;

@@ -577,8 +577,9 @@ let rec transport_arm t tr ~chan ~src ~dst ~seq ~timeout =
                 retransmissions"
                src dst seq t.config.net.Config.Net.max_retries);
         Stats.Counters.incr t.counters "transport.retransmits";
-        Obs.retransmit (obs t) ~time:(rnow t) ~host:src ~dst ~seq ~attempt:e.tries
-          ~label:(Proto.describe e.tx_body);
+        if Obs.enabled (obs t) then
+          Obs.retransmit (obs t) ~time:(rnow t) ~host:src ~dst ~seq ~attempt:e.tries
+            ~label:(Proto.describe e.tx_body);
         Fabric.send t.fabric ~src ~dst ~bytes:e.tx_bytes
           (Proto.Data { seq; body = e.tx_body });
         transport_arm t tr ~chan ~src ~dst ~seq
@@ -973,10 +974,11 @@ let manager_request t ~home ~req_id ~from ~access ~addr =
   end
   else begin
     Stats.Counters.incr t.counters "manager.dup_requests";
-    Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:home ~span:req_id ~src:from
-      ~seq:(-1)
-      ~label:(Printf.sprintf "REQUEST(%s @%d)" (Proto.access_to_string access) addr)
-      ()
+    if Obs.enabled (obs t) then
+      Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:home ~span:req_id ~src:from
+        ~seq:(-1)
+        ~label:(Printf.sprintf "REQUEST(%s @%d)" (Proto.access_to_string access) addr)
+        ()
   end
 
 let manager_push t ~home ~req_id ~from ~mp_id data =
@@ -1005,9 +1007,10 @@ let manager_inval_reply t ~home ~req_id ~mp_id ~from =
     (* stale: the write this inval belonged to already went through *)
     if Directory.completed t.dirs.(home) ~req_id then begin
       Stats.Counters.incr t.counters "manager.stale_inval_replies";
-      Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:home ~span:req_id
-        ~src:from ~seq:(-1)
-        ~label:(Printf.sprintf "INVALIDATE_REPLY(mp%d)" mp_id) ()
+      if Obs.enabled (obs t) then
+        Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:home ~span:req_id
+          ~src:from ~seq:(-1)
+          ~label:(Printf.sprintf "INVALIDATE_REPLY(mp%d)" mp_id) ()
     end
     else failwith "millipage: unexpected INVALIDATE_REPLY"
 
@@ -1031,9 +1034,10 @@ let manager_ack t ~home ~req_id ~mp_id ~from =
   if Directory.completed t.dirs.(home) ~req_id then begin
     (* a retransmitted ack for an operation that already closed: tolerate *)
     Stats.Counters.incr t.counters "manager.stale_acks";
-    Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:home ~span:req_id ~src:from
-      ~seq:(-1)
-      ~label:(Printf.sprintf "ACK(mp%d)" mp_id) ()
+    if Obs.enabled (obs t) then
+      Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:home ~span:req_id ~src:from
+        ~seq:(-1)
+        ~label:(Printf.sprintf "ACK(mp%d)" mp_id) ()
   end
   else begin
     Obs.ack (obs t) ~time:(rnow t) ~host:home ~span:req_id ~mp_id ~from;
@@ -3102,8 +3106,9 @@ let on_message t (h : host_state) (m : Proto.packet Fabric.msg) =
         (Proto.Tack { seq });
       if seq < tr.rx_next.(chan) || Hashtbl.mem tr.rx_hold (chan, seq) then begin
         Stats.Counters.incr t.counters "transport.dups_suppressed";
-        Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:h.id ~src:m.src ~seq
-          ~label:(Proto.describe body) ()
+        if Obs.enabled (obs t) then
+          Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:h.id ~src:m.src ~seq
+            ~label:(Proto.describe body) ()
       end
       else begin
         Hashtbl.replace tr.rx_hold (chan, seq) body;

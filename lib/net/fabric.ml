@@ -112,23 +112,19 @@ let create engine ~hosts ?(latency = default_latency) ?(poll_idle_us = 2.0)
         (fun () ->
           let rec loop () =
             Sync.Event.wait n.wake;
-            let rec drain () =
-              match Queue.take_opt n.ready with
-              | Some m ->
-                (match t.obs with
-                | Some (obs, describe) ->
-                  Mp_obs.Recorder.msg_recv obs ~time:(Engine.now engine) ~host:n.id
-                    ~src:m.src ~bytes:m.bytes ~label:(describe m.body)
-                    ~queue_depth:(Queue.length n.ready)
-                | None -> ());
-                (match n.handler with
-                | Some h -> h m
-                | None -> failwith "Fabric: message for host without handler");
-                Stats.Counters.incr t.counters n.handled_key;
-                drain ()
-              | None -> ()
-            in
-            drain ();
+            while not (Queue.is_empty n.ready) do
+              let m = Queue.take n.ready in
+              (match t.obs with
+              | Some (obs, describe) when Mp_obs.Recorder.enabled obs ->
+                Mp_obs.Recorder.msg_recv obs ~time:(Engine.now engine) ~host:n.id
+                  ~src:m.src ~bytes:m.bytes ~label:(describe m.body)
+                  ~queue_depth:(Queue.length n.ready)
+              | Some _ | None -> ());
+              (match n.handler with
+              | Some h -> h m
+              | None -> failwith "Fabric: message for host without handler");
+              Stats.Counters.incr t.counters n.handled_key
+            done;
             loop ()
           in
           loop ()))
@@ -224,10 +220,10 @@ let send t ~src ~dst ~bytes body =
   Stats.Counters.incr t.counters src_node.send_key;
   let now = Engine.now t.engine in
   (match t.obs with
-  | Some (obs, describe) ->
+  | Some (obs, describe) when Mp_obs.Recorder.enabled obs ->
     Mp_obs.Recorder.msg_send obs ~time:now ~host:src ~dst ~bytes
       ~label:(describe body)
-  | None -> ());
+  | Some _ | None -> ());
   let chan = (src * Array.length t.nodes) + dst in
   let m = { src; dst; bytes; body } in
   (* Schedule exploration: a chooser may stretch this delivery's latency.
@@ -250,7 +246,9 @@ let send t ~src ~dst ~bytes body =
   | Some rngs ->
     let f = t.faults and rng = rngs.(chan) in
     let label () =
-      match t.obs with Some (_, describe) -> describe body | None -> ""
+      match t.obs with
+      | Some (obs, describe) when Mp_obs.Recorder.enabled obs -> describe body
+      | Some _ | None -> ""
     in
     (* Fixed draw order per send (jitter, reorder, duplicate, then one drop
        draw per copy) keeps the schedule a deterministic function of

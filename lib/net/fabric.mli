@@ -116,5 +116,5 @@ val attach_obs :
   'a t -> obs:Mp_obs.Recorder.t -> describe:('a -> string) -> unit
 (** Mirror every send, delivery and sweeper wake-up into [obs] as typed
     [Msg_send] / [Msg_recv] / [Sweeper_wake] events; [describe] renders a
-    message body for trace labels.  At most one recorder is attached; a second
-    call replaces the first. *)
+    message body for trace labels, and is called only while [obs] is enabled.
+    At most one recorder is attached; a second call replaces the first. *)

@@ -35,8 +35,6 @@ type kind =
   | Retransmit of { dst : int; seq : int; attempt : int; label : string }
   | Dup_suppressed of { src : int; seq : int; label : string }
   | Sweeper_wake
-  | Proc_block of { proc : string; on : string }
-  | Proc_resume of { proc : string }
   | Host_crash
   | Host_stall of { until : float }
   | Heartbeat_miss of { missed : int }
@@ -94,8 +92,6 @@ let kind_name = function
   | Retransmit _ -> "RETRANSMIT"
   | Dup_suppressed _ -> "DUP_SUPPRESSED"
   | Sweeper_wake -> "SWEEPER"
-  | Proc_block _ -> "BLOCK"
-  | Proc_resume _ -> "RESUME"
   | Host_crash -> "HOST_CRASH"
   | Host_stall _ -> "HOST_STALL"
   | Heartbeat_miss _ -> "HEARTBEAT_MISS"
@@ -155,8 +151,6 @@ let detail = function
     if seq < 0 then Printf.sprintf "%s from h%d" label src
     else Printf.sprintf "%s from h%d s%d" label src seq
   | Sweeper_wake -> ""
-  | Proc_block { proc; on } -> Printf.sprintf "%s on %s" proc on
-  | Proc_resume { proc } -> proc
   | Host_crash -> ""
   | Host_stall { until } -> Printf.sprintf "until %.1f" until
   | Heartbeat_miss { missed } -> Printf.sprintf "%d missed" missed

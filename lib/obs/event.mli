@@ -54,8 +54,6 @@ type kind =
       (** Receiver discarded a duplicate/stale packet ([seq < 0]: a
           protocol-level duplicate suppressed at the manager). *)
   | Sweeper_wake
-  | Proc_block of { proc : string; on : string }
-  | Proc_resume of { proc : string }
   | Host_crash  (** Fault injection crashed this host. *)
   | Host_stall of { until : float }
       (** Fault injection froze this host's CPU until the given time. *)

@@ -119,7 +119,7 @@ let perfetto_json ?(extra = []) (events : Event.t list) =
              ~args:(Printf.sprintf "\"span\":%d,\"mp\":%d" span mp_id))
       | Some _ | None -> ())
     inval_open;
-  (* instants: messages, synchronization, sweeper, scheduler *)
+  (* instants: messages, synchronization, sweeper *)
   List.iter
     (fun (e : Event.t) ->
       let pid = pid_of_host e.host in
@@ -142,8 +142,6 @@ let perfetto_json ?(extra = []) (events : Event.t list) =
       | Event.Request _ | Event.Forward _ | Event.Reply _ | Event.Prefetch _
       | Event.Ack _ | Event.Inval _ | Event.Inval_ack _ ->
         add (instant ~name ~cat:"proto" ~ts:e.time ~pid ~tid:1 ~args)
-      | Event.Proc_block _ | Event.Proc_resume _ ->
-        add (instant ~name ~cat:"sched" ~ts:e.time ~pid ~tid:0 ~args)
       | Event.Host_crash | Event.Host_stall _ | Event.Heartbeat_miss _
       | Event.Suspect | Event.Declare_dead | Event.Dead_notice _
       | Event.Shadow_refresh _ | Event.Shadow_sync _ | Event.Recover_minipage _

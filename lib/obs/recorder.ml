@@ -291,12 +291,6 @@ let sweeper_wake t ~time ~host =
     incr t "sweeper.wakes"
   end
 
-let proc_block t ~time ~proc ~on =
-  if t.on then record t ~time ~host:(-1) (Event.Proc_block { proc; on })
-
-let proc_resume t ~time ~proc =
-  if t.on then record t ~time ~host:(-1) (Event.Proc_resume { proc })
-
 (* ------------------------------------------------------------------ *)
 (* Crash faults                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -419,7 +413,8 @@ let mp_map t ~time ~host ~mp_id ~view ~base_addr ~length ~first_vpage ~last_vpag
       (Event.Mp_map { mp_id; view; base_addr; length; first_vpage; last_vpage })
 
 let home_queue_depth t ~home ~depth =
-  gauge_set t (Printf.sprintf "home.h%d.queue_depth" home) (float_of_int depth)
+  if t.on then
+    gauge_set t (Printf.sprintf "home.h%d.queue_depth" home) (float_of_int depth)
 
 let pp_dump t fmt =
   List.iter (fun e -> Format.fprintf fmt "%a@." Event.pp e) (events t);

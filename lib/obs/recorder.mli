@@ -83,7 +83,7 @@ val reply :
 val ack : t -> time:float -> host:int -> span:int -> mp_id:int -> from:int -> unit
 val fault_end : t -> time:float -> host:int -> span:int -> unit
 
-(** {2 Synchronization, messaging, simulator} *)
+(** {2 Synchronization and messaging} *)
 
 val barrier_enter : t -> time:float -> host:int -> bphase:int -> unit
 val barrier_exit : t -> time:float -> host:int -> bphase:int -> waited_us:float -> unit
@@ -119,8 +119,6 @@ val dup_suppressed :
     deduplicated at the manager by request id, carried in [span]). *)
 
 val sweeper_wake : t -> time:float -> host:int -> unit
-val proc_block : t -> time:float -> proc:string -> on:string -> unit
-val proc_resume : t -> time:float -> proc:string -> unit
 
 (** {2 Crash faults}
 

@@ -1,15 +1,18 @@
-type sched_event = Block of { proc : string; on : string } | Resume of { proc : string }
+(* [at] repeats the event's queue time as a boxed float, so firing the
+   event sets the clock without boxing one. *)
+type ev = { run : unit -> unit; label : string; mutable at : float }
 
-type proc_state = {
+(* A process has at most one pending event at a time, its delay timer or
+   its resumption, so it needs one slot for the continuation it is parked
+   on, and its two wake-up events are built once, at spawn. *)
+type proc = {
+  name : string;
   mutable cancelled : bool;
   mutable finished : bool;
-  (* Kill thunk for the at-most-one live suspension of this process: a fiber
-     is suspended at no more than one point at a time, so a single slot
-     suffices.  Cleared when the suspension resumes. *)
-  mutable kill_suspended : (unit -> unit) option;
+  mutable parked : (unit, unit) Effect.Deep.continuation option;
+  mutable susp : int;  (* id of the live suspension; 0 when none *)
+  mutable on : string;  (* name of the live suspension *)
 }
-
-type ev = { run : unit -> unit; label : string }
 
 type chooser = {
   choose : time:float -> labels:string array -> int;
@@ -22,21 +25,24 @@ type t = {
   mutable seq : int;
   mutable live : int;
   mutable stopped : bool;
-  blocked_tbl : (int, string * string) Hashtbl.t;
+  blocked_tbl : (int, proc) Hashtbl.t;  (* live suspensions by id *)
   mutable susp_id : int;
-  mutable observer : (time:float -> sched_event -> unit) option;
   mutable chooser : chooser option;
-  groups : (int, proc_state list ref) Hashtbl.t;
+  groups : (int, proc list ref) Hashtbl.t;
+  (* Arguments of the effect being performed.  The handler reads them at
+     once, so performing an effect allocates no payload. *)
+  mutable arg_delay : float;
+  mutable arg_label : string;
+  mutable arg_register : (unit -> unit) -> unit;
 }
 
 exception Not_in_process
 exception Stopped
 exception Killed
 
-type _ Effect.t +=
-  | Delay : (t * float) -> unit Effect.t
-  | Suspend : (t * string * ((unit -> unit) -> unit)) -> unit Effect.t
-  | Self_name : string Effect.t
+type _ Effect.t += Delay : unit Effect.t | Suspend : unit Effect.t | Self_name : string Effect.t
+
+let no_register (_ : unit -> unit) = ()
 
 let create () =
   {
@@ -47,16 +53,14 @@ let create () =
     stopped = false;
     blocked_tbl = Hashtbl.create 32;
     susp_id = 0;
-    observer = None;
     chooser = None;
     groups = Hashtbl.create 8;
+    arg_delay = 0.0;
+    arg_label = "";
+    arg_register = no_register;
   }
 
 let now t = t.now
-
-let set_observer t obs = t.observer <- obs
-
-let notify t ev = match t.observer with Some f -> f ~time:t.now ev | None -> ()
 
 let set_chooser t c = t.chooser <- c
 let chooser_active t = t.chooser <> None
@@ -66,16 +70,23 @@ let perturb_latency t ~label =
   | None -> 0.0
   | Some c -> Float.max 0.0 (c.perturb_latency ~label ~now:t.now)
 
-let schedule_raw t ~at ?(label = "cb") thunk =
-  let at = if at < t.now then t.now else at in
+let push t ev =
+  if ev.at < t.now then ev.at <- t.now;
   t.seq <- t.seq + 1;
-  Pqueue.push t.queue ~time:at ~seq:t.seq { run = thunk; label }
+  Pqueue.push t.queue ~time:ev.at ~seq:t.seq ev
 
-let schedule t ~at ?label thunk = schedule_raw t ~at ?label thunk
+let schedule t ~at ?(label = "cb") run = push t { run; label; at }
+
+let take_parked st =
+  match st.parked with
+  | Some k ->
+    st.parked <- None;
+    k
+  | None -> invalid_arg "Engine: no parked continuation"
 
 let spawn t ?(name = "proc") ?group f =
   t.live <- t.live + 1;
-  let st = { cancelled = false; finished = false; kill_suspended = None } in
+  let st = { name; cancelled = false; finished = false; parked = None; susp = 0; on = "" } in
   (match group with
   | None -> ()
   | Some g ->
@@ -90,8 +101,61 @@ let spawn t ?(name = "proc") ?group f =
     l := st :: !l);
   let finish () =
     st.finished <- true;
-    st.kill_suspended <- None;
     t.live <- t.live - 1
+  in
+  let delay_ev =
+    {
+      run =
+        (fun () ->
+          let k = take_parked st in
+          if st.cancelled then Effect.Deep.discontinue k Killed
+          else Effect.Deep.continue k ());
+      label = "delay:" ^ name;
+      at = 0.0;
+    }
+  in
+  let resume_ev =
+    {
+      run = (fun () -> Effect.Deep.continue (take_parked st) ());
+      label = "resume:" ^ name;
+      at = 0.0;
+    }
+  in
+  (* the one-shot [resume] handed out by suspension [id] *)
+  let resume id () =
+    if st.susp = id then begin
+      st.susp <- 0;
+      Hashtbl.remove t.blocked_tbl id;
+      if t.stopped then
+        (* Unwind the fiber so daemon loops exit cleanly. *)
+        Effect.Deep.discontinue (take_parked st) Stopped
+      else if st.cancelled then Effect.Deep.discontinue (take_parked st) Killed
+      else begin
+        resume_ev.at <- t.now;
+        push t resume_ev
+      end
+    end
+  in
+  let on_delay =
+    Some
+      (fun k ->
+        st.parked <- Some k;
+        let d = if t.arg_delay < 0.0 then 0.0 else t.arg_delay in
+        delay_ev.at <- t.now +. d;
+        push t delay_ev)
+  in
+  let on_suspend =
+    Some
+      (fun k ->
+        let register = t.arg_register in
+        t.arg_register <- no_register;
+        t.susp_id <- t.susp_id + 1;
+        let id = t.susp_id in
+        Hashtbl.replace t.blocked_tbl id st;
+        st.parked <- Some k;
+        st.susp <- id;
+        st.on <- t.arg_label;
+        register (resume id))
   in
   let handler =
     {
@@ -104,143 +168,100 @@ let spawn t ?(name = "proc") ?group f =
           finish ();
           raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
-          | Delay (t, d) ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                let d = if d < 0.0 then 0.0 else d in
-                schedule_raw t ~at:(t.now +. d) ~label:("delay:" ^ name)
-                  (fun () ->
-                    if st.cancelled then Effect.Deep.discontinue k Killed
-                    else Effect.Deep.continue k ()))
-          | Suspend (t, label, register) ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                t.susp_id <- t.susp_id + 1;
-                let id = t.susp_id in
-                Hashtbl.replace t.blocked_tbl id (name, label);
-                notify t (Block { proc = name; on = label });
-                let resumed = ref false in
-                let cleanup () =
-                  resumed := true;
-                  st.kill_suspended <- None;
-                  Hashtbl.remove t.blocked_tbl id
-                in
-                let resume () =
-                  if not !resumed then begin
-                    cleanup ();
-                    notify t (Resume { proc = name });
-                    if t.stopped then
-                      (* Unwind the fiber so daemon loops exit cleanly. *)
-                      Effect.Deep.discontinue k Stopped
-                    else if st.cancelled then Effect.Deep.discontinue k Killed
-                    else
-                      schedule_raw t ~at:t.now ~label:("resume:" ^ name)
-                        (fun () -> Effect.Deep.continue k ())
-                  end
-                in
-                st.kill_suspended <-
-                  Some
-                    (fun () ->
-                      if not !resumed then begin
-                        cleanup ();
-                        Effect.Deep.discontinue k Killed
-                      end);
-                register resume)
+          | Delay -> on_delay
+          | Suspend -> on_suspend
           | Self_name -> Some (fun k -> Effect.Deep.continue k name)
           | _ -> None);
     }
   in
-  schedule_raw t ~at:t.now ~label:("start:" ^ name) (fun () ->
-      if st.cancelled then finish () else Effect.Deep.match_with f () handler)
+  push t
+    {
+      run = (fun () -> if st.cancelled then finish () else Effect.Deep.match_with f () handler);
+      label = "start:" ^ name;
+      at = t.now;
+    }
 
-(* The engine of the innermost handler is the one stored in the effect
-   payload; processes capture it at spawn time via these helpers.  A process
-   discovers its engine with a dedicated effect would be circular, so instead
-   we thread the engine through a domain-local "current engine" set around
-   each event execution.  Domain-local storage (not a plain ref) so that
-   several domains — the parallel mpcheck explorer runs one engine per
-   worker — never observe each other's current engine. *)
+(* A process finds its engine through a domain-local "current engine", set
+   for the length of each [run]/[run_until].  Domain-local storage (not a
+   plain ref) so that several domains — the parallel mpcheck explorer runs
+   one engine per worker — never observe each other's current engine. *)
 let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let the_engine () =
+  match Domain.DLS.get current with Some t -> t | None -> raise Not_in_process
+
+let perform (type a) (eff : a Effect.t) : a =
+  try Effect.perform eff with Effect.Unhandled _ -> raise Not_in_process
+
+let delay d =
+  let t = the_engine () in
+  t.arg_delay <- d;
+  perform Delay
+
+let yield () = delay 0.0
+
+let suspend ~name register =
+  let t = the_engine () in
+  t.arg_label <- name;
+  t.arg_register <- register;
+  perform Suspend
+
+let self_name () = perform Self_name
+
+let run_next t =
+  let e = Pqueue.pop t.queue in
+  t.now <- e.at;
+  e.run ()
+
+(* Exploration path: pop the whole same-instant group, let the chooser pick
+   one, and push the rest back with their seqs intact — so a chooser that
+   always answers 0 reproduces the deterministic order exactly, and a group
+   of n events yields n-1 successive choice points. *)
+let run_chosen t c =
+  match Pqueue.pop_min_group t.queue with
+  | None -> ()
+  | Some (time, group) ->
+    let group = Array.of_list group in
+    let labels = Array.map (fun (_, e) -> e.label) group in
+    let pick = c.choose ~time ~labels in
+    let pick = if pick < 0 || pick >= Array.length group then 0 else pick in
+    Array.iteri (fun i (seq, e) -> if i <> pick then Pqueue.push t.queue ~time ~seq e) group;
+    let _, e = group.(pick) in
+    t.now <- e.at;
+    e.run ()
+
+let step t =
+  if Pqueue.is_empty t.queue then false
+  else begin
+    (match t.chooser with
+    | Some c when Pqueue.min_tied t.queue -> run_chosen t c
+    | Some _ | None -> run_next t);
+    true
+  end
 
 let with_current t thunk =
   let saved = Domain.DLS.get current in
   Domain.DLS.set current (Some t);
   Fun.protect ~finally:(fun () -> Domain.DLS.set current saved) thunk
 
-let the_engine () =
-  match Domain.DLS.get current with Some t -> t | None -> raise Not_in_process
-
-let delay d =
-  let t = the_engine () in
-  try Effect.perform (Delay (t, d)) with Effect.Unhandled _ -> raise Not_in_process
-
-let yield () = delay 0.0
-
-let suspend ~name register =
-  let t = the_engine () in
-  try Effect.perform (Suspend (t, name, register))
-  with Effect.Unhandled _ -> raise Not_in_process
-
-let self_name () =
-  try Effect.perform Self_name with Effect.Unhandled _ -> raise Not_in_process
-
-let run_ev t time (e : ev) =
-  t.now <- time;
-  with_current t e.run
-
-let step t =
-  match t.chooser with
-  | None -> (
-    match Pqueue.pop t.queue with
-    | None -> false
-    | Some (time, e) ->
-      run_ev t time e;
-      true)
-  | Some c -> (
-    (* Exploration path: pop the whole same-instant group, let the chooser
-       pick one, and push the rest back with their seqs intact — so a chooser
-       that always answers 0 reproduces the deterministic order exactly, and
-       a group of n events yields n-1 successive choice points. *)
-    match Pqueue.pop_min_group t.queue with
-    | None -> false
-    | Some (time, [ (_, e) ]) ->
-      run_ev t time e;
-      true
-    | Some (time, group) ->
-      let group = Array.of_list group in
-      let labels = Array.map (fun (_, e) -> e.label) group in
-      let pick = c.choose ~time ~labels in
-      let pick = if pick < 0 || pick >= Array.length group then 0 else pick in
-      Array.iteri
-        (fun i (seq, e) ->
-          if i <> pick then Pqueue.push t.queue ~time ~seq e)
-        group;
-      let _, e = group.(pick) in
-      run_ev t time e;
-      true)
-
+(* [run] leaves [Pqueue.min_time] out of its loop: the float it returns is
+   boxed when the call is not inlined. *)
 let run t =
   t.stopped <- false;
-  let rec go () = if (not t.stopped) && step t then go () in
-  go ()
+  with_current t (fun () -> while (not t.stopped) && step t do () done)
 
 let run_until t limit =
   t.stopped <- false;
-  let rec go () =
-    match Pqueue.peek_time t.queue with
-    | Some time when time <= limit && not t.stopped ->
-      ignore (step t);
-      go ()
-    | Some _ | None -> ()
-  in
-  go ();
+  with_current t (fun () ->
+      while (not t.stopped) && Pqueue.min_time t.queue <= limit && step t do () done);
   if t.now < limit then t.now <- limit
 
 let stop t = t.stopped <- true
 let live t = t.live
-let blocked t = Hashtbl.fold (fun _ v acc -> v :: acc) t.blocked_tbl []
+let blocked t = Hashtbl.fold (fun _ st acc -> (st.name, st.on) :: acc) t.blocked_tbl []
 
 let kill_group t g =
   match Hashtbl.find_opt t.groups g with
@@ -255,9 +276,11 @@ let kill_group t g =
           (* Suspended processes unwind immediately; processes waiting on a
              Delay unwind when their timer fires (sim time still advances
              past the crash, but no further user code runs). *)
-          match st.kill_suspended with
-          | Some kill -> kill ()
-          | None -> ()
+          if st.susp <> 0 then begin
+            Hashtbl.remove t.blocked_tbl st.susp;
+            st.susp <- 0;
+            Effect.Deep.discontinue (take_parked st) Killed
+          end
         end)
       !l;
     !killed

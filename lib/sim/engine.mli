@@ -4,7 +4,16 @@
     functions run under an effect handler: inside a process, {!delay} advances
     simulated time and {!suspend} parks the process until some other party
     resumes it.  Everything is deterministic: events scheduled for the same
-    instant fire in scheduling order. *)
+    instant fire in scheduling order.
+
+    The per-event cost is kept allocation-lean.  Each process's wake-up
+    events and effect handlers are built once, at spawn, and {!delay} and
+    {!suspend} pass their arguments through the engine instead of an effect
+    payload.  So a delay allocates only its continuation, the slot that
+    parks it, and its boxed wake-up time; a suspension adds the one-shot
+    [resume] thunk and its deadlock-report entry.  A callback from
+    {!schedule} allocates its event record, and firing an event allocates
+    nothing. *)
 
 type t
 
@@ -67,13 +76,6 @@ val stop : t -> unit
 
 val live : t -> int
 (** Number of spawned processes that have not finished. *)
-
-type sched_event = Block of { proc : string; on : string } | Resume of { proc : string }
-
-val set_observer : t -> (time:float -> sched_event -> unit) option -> unit
-(** Observability hook: called synchronously whenever a process parks on a
-    suspension or is resumed.  The callback must not perform effects.  [None]
-    (the default) removes the hook; it costs nothing when unset. *)
 
 val blocked : t -> (string * string) list
 (** [(process, suspension)] pairs for every currently suspended process. *)

@@ -1,85 +1,102 @@
-type 'a entry = { time : float; seq : int; value : 'a }
+(* A binary heap stored as three parallel arrays, so pushing and popping
+   allocate nothing once the arrays have grown: times live unboxed in a
+   [Float.Array], and no per-entry record or result tuple is built.  The
+   helpers take slot indices, never floats, so none of them boxes one. *)
+type 'a t = {
+  mutable times : Float.Array.t;
+  mutable seqs : int array;
+  mutable values : 'a array;
+  mutable size : int;
+}
 
-type 'a t = { mutable data : 'a entry array; mutable size : int }
-
-let create () = { data = [||]; size = 0 }
+let create () = { times = Float.Array.create 0; seqs = [||]; values = [||]; size = 0 }
 let is_empty t = t.size = 0
 let length t = t.size
 
-let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let less t i j =
+  let a = Float.Array.get t.times i and b = Float.Array.get t.times j in
+  a < b || (a = b && t.seqs.(i) < t.seqs.(j))
 
-let grow t =
-  let cap = Array.length t.data in
-  if t.size = cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let data = Array.make ncap t.data.(0) in
-    Array.blit t.data 0 data 0 t.size;
-    t.data <- data
-  end
+let swap t i j =
+  let time = Float.Array.get t.times i in
+  Float.Array.set t.times i (Float.Array.get t.times j);
+  Float.Array.set t.times j time;
+  let seq = t.seqs.(i) in
+  t.seqs.(i) <- t.seqs.(j);
+  t.seqs.(j) <- seq;
+  let value = t.values.(i) in
+  t.values.(i) <- t.values.(j);
+  t.values.(j) <- value
+
+(* [value] only fills the fresh slots of the value array. *)
+let grow t value =
+  let ncap = max 16 (2 * Array.length t.values) in
+  let times = Float.Array.make ncap 0.0 in
+  Float.Array.blit t.times 0 times 0 t.size;
+  let seqs = Array.make ncap 0 in
+  Array.blit t.seqs 0 seqs 0 t.size;
+  let values = Array.make ncap value in
+  Array.blit t.values 0 values 0 t.size;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.values <- values
 
 let push t ~time ~seq value =
-  let e = { time; seq; value } in
-  if t.size = 0 && Array.length t.data = 0 then t.data <- Array.make 16 e;
-  grow t;
-  t.data.(t.size) <- e;
+  if t.size = Array.length t.values then grow t value;
+  let i = ref t.size in
+  Float.Array.set t.times !i time;
+  t.seqs.(!i) <- seq;
+  t.values.(!i) <- value;
   t.size <- t.size + 1;
   (* sift up *)
-  let i = ref (t.size - 1) in
-  while
-    !i > 0
-    &&
+  while !i > 0 && less t !i ((!i - 1) / 2) do
     let p = (!i - 1) / 2 in
-    less t.data.(!i) t.data.(p)
-  do
-    let p = (!i - 1) / 2 in
-    let tmp = t.data.(p) in
-    t.data.(p) <- t.data.(!i);
-    t.data.(!i) <- tmp;
+    swap t !i p;
     i := p
   done
 
-let pop_entry t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.size && less t.data.(l) t.data.(!smallest) then smallest := l;
-        if r < t.size && less t.data.(r) t.data.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = t.data.(!smallest) in
-          t.data.(!smallest) <- t.data.(!i);
-          t.data.(!i) <- tmp;
-          i := !smallest
-        end
-      done
-    end;
-    Some top
-  end
+let min_time t = if t.size = 0 then infinity else Float.Array.get t.times 0
 
 let pop t =
-  match pop_entry t with None -> None | Some e -> Some (e.time, e.value)
+  if t.size = 0 then invalid_arg "Pqueue.pop: empty";
+  let top = t.values.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    swap t 0 n;
+    (* sift down *)
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let smallest = if l < n && less t l !i then l else !i in
+      let smallest = if r < n && less t r smallest then r else smallest in
+      if smallest = !i then sifting := false
+      else begin
+        swap t smallest !i;
+        i := smallest
+      end
+    done
+  end;
+  top
+
+(* Every entry sharing the root's time has an ancestor chain of equal
+   times, so a tie at the minimum always shows at a child of the root. *)
+let min_tied t =
+  (t.size > 1 && Float.Array.get t.times 1 = Float.Array.get t.times 0)
+  || (t.size > 2 && Float.Array.get t.times 2 = Float.Array.get t.times 0)
 
 let pop_min_group t =
-  match pop_entry t with
-  | None -> None
-  | Some first ->
+  if t.size = 0 then None
+  else begin
+    let time = min_time t in
     (* pops come out (time, seq)-ordered, so the group is already seq-sorted *)
     let rec drain acc =
-      if t.size > 0 && t.data.(0).time = first.time then
-        match pop_entry t with
-        | Some e -> drain ((e.seq, e.value) :: acc)
-        | None -> acc
-      else acc
+      if t.size > 0 && Float.Array.get t.times 0 = time then begin
+        let seq = t.seqs.(0) in
+        let value = pop t in
+        drain ((seq, value) :: acc)
+      end
+      else List.rev acc
     in
-    Some (first.time, List.rev (drain [ (first.seq, first.value) ]))
-
-let peek_time t = if t.size = 0 then None else Some t.data.(0).time
+    Some (time, drain [])
+  end

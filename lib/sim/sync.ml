@@ -4,16 +4,24 @@ module Event = struct
     auto_reset : bool;
     mutable signaled : bool;
     waiters : (unit -> unit) Queue.t;
+    park : (unit -> unit) -> unit;  (* queues a waiter; built once, not per wait *)
   }
 
   let create ?(auto_reset = true) ?(name = "event") () =
-    { name; auto_reset; signaled = false; waiters = Queue.create () }
+    let waiters = Queue.create () in
+    {
+      name;
+      auto_reset;
+      signaled = false;
+      waiters;
+      park = (fun resume -> Queue.add resume waiters);
+    }
 
   let wait t =
     if t.signaled then begin
       if t.auto_reset then t.signaled <- false
     end
-    else Engine.suspend ~name:t.name (fun resume -> Queue.add resume t.waiters)
+    else Engine.suspend ~name:t.name t.park
 
   let set t =
     if t.auto_reset then begin

@@ -142,6 +142,107 @@ let test_handler_can_reply () =
           Alcotest.(check bool) "roundtrip ~25-30us" true
             (!done_at > 24.0 && !done_at < 35.0)))
 
+(* A [describe] that counts its calls, as a DSM's protocol renderer would be
+   counted. *)
+let counting_describe () =
+  let calls = ref 0 in
+  ( calls,
+    fun b ->
+      incr calls;
+      Printf.sprintf "MSG(%d)" b )
+
+(* Batches of sends from host 0 to host 1, each batch delivered before the
+   next. *)
+let send_batches e fab ~batches ~batch =
+  Engine.spawn e (fun () ->
+      for b = 0 to batches - 1 do
+        for i = 0 to batch - 1 do
+          Fabric.send fab ~src:0 ~dst:1 ~bytes:32 ((b * batch) + i)
+        done;
+        Engine.delay 1e6
+      done)
+
+(* With a recorder attached but off, no trace label is rendered and a
+   message costs a few dozen words. *)
+let test_disabled_recorder_allocation () =
+  let n = 10_000 and got = ref 0 in
+  let obs = Mp_obs.Recorder.create () in
+  let calls, describe = counting_describe () in
+  let words =
+    Test_memsim.allocated_words (fun () ->
+        let e = Engine.create () in
+        let fab = Fabric.create e ~hosts:2 () in
+        Fabric.attach_obs fab ~obs ~describe;
+        Fabric.set_handler fab ~host:1 (fun _ -> incr got);
+        send_batches e fab ~batches:10 ~batch:(n / 10);
+        Engine.run e)
+  in
+  Alcotest.(check int) "delivered" n !got;
+  Alcotest.(check int) "describe never called" 0 !calls;
+  let per_msg = words /. float_of_int n in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per message <= 40" per_msg) true
+    (per_msg <= 40.0)
+
+let test_enabled_recorder_labels () =
+  let obs = Mp_obs.Recorder.create () in
+  Mp_obs.Recorder.set_enabled obs true;
+  let calls, describe = counting_describe () in
+  with_fabric (fun e fab ->
+      Fabric.attach_obs fab ~obs ~describe;
+      Fabric.set_handler fab ~host:1 ignore;
+      send_batches e fab ~batches:2 ~batch:50);
+  Alcotest.(check int) "describe twice per message" 200 !calls;
+  let labels pick = List.filter_map pick (Mp_obs.Recorder.events obs) in
+  let expected = List.init 100 (Printf.sprintf "MSG(%d)") in
+  Alcotest.(check (list string))
+    "send labels" expected
+    (labels (fun (ev : Mp_obs.Event.t) ->
+         match ev.kind with Mp_obs.Event.Msg_send { label; _ } -> Some label | _ -> None));
+  Alcotest.(check (list string))
+    "recv labels" expected
+    (labels (fun (ev : Mp_obs.Event.t) ->
+         match ev.kind with Mp_obs.Event.Msg_recv { label; _ } -> Some label | _ -> None))
+
+(* The labels of a delivery and a poll, as a chooser sees them in tie groups
+   and at send time; [Mp_mc.Sched.independent] parses their host ids. *)
+let test_chooser_labels () =
+  let e = Engine.create () in
+  let ties = ref [] and perturbed = ref [] in
+  Engine.set_chooser e
+    (Some
+       {
+         Engine.choose =
+           (fun ~time:_ ~labels ->
+             ties := Array.to_list labels :: !ties;
+             0);
+         perturb_latency =
+           (fun ~label ~now:_ ->
+             perturbed := label :: !perturbed;
+             0.0);
+       });
+  let fab =
+    Fabric.create e ~hosts:2 ~latency:(fun ~bytes:_ -> 10.0) ~poll_idle_us:0.0
+      ~polling:Polling.Fast ()
+  in
+  Fabric.set_handler fab ~host:1 ignore;
+  (* "x" ties with the arrival and queues "y", which ties with the poll *)
+  Engine.schedule e ~at:10.0 ~label:"x" (fun () ->
+      Engine.schedule e ~at:10.0 ~label:"y" ignore);
+  Engine.schedule e ~at:0.0 ~label:"send" (fun () ->
+      Fabric.send fab ~src:0 ~dst:1 ~bytes:32 ());
+  Engine.run e;
+  Alcotest.(check (list string)) "perturbed" [ "net:h0>h1" ] !perturbed;
+  Alcotest.(check (list (list string)))
+    "tie groups"
+    [
+      [ "start:fabric.server.h0"; "start:fabric.server.h1"; "send" ];
+      [ "start:fabric.server.h1"; "send" ];
+      [ "x"; "net:h0>h1" ];
+      [ "net:h0>h1"; "y" ];
+      [ "y"; "poll:h1" ];
+    ]
+    (List.rev !ties)
+
 let suite =
   [
     Alcotest.test_case "latency calibration" `Quick test_latency_calibration;
@@ -154,4 +255,8 @@ let suite =
     Alcotest.test_case "counters" `Quick test_counters;
     Alcotest.test_case "nt wait calibration" `Quick test_mean_busy_wait_analytic_vs_empirical;
     Alcotest.test_case "roundtrip" `Quick test_handler_can_reply;
+    Alcotest.test_case "disabled recorder allocation" `Quick
+      test_disabled_recorder_allocation;
+    Alcotest.test_case "enabled recorder labels" `Quick test_enabled_recorder_labels;
+    Alcotest.test_case "chooser labels" `Quick test_chooser_labels;
   ]

@@ -34,6 +34,17 @@ let test_ring_drops_oldest () =
   Alcotest.(check int) "dropped counted" 2 (Obs.dropped r);
   Alcotest.(check (float 0.0)) "oldest surviving event" 3.0 (List.hd evs).Event.time
 
+(* The per-home gauge name is formatted only while recording. *)
+let test_home_queue_depth_off_allocates_nothing () =
+  let r = Obs.create () in
+  let words =
+    Test_memsim.allocated_words (fun () ->
+        for i = 1 to 10_000 do
+          Obs.home_queue_depth r ~home:(i land 7) ~depth:i
+        done)
+  in
+  Alcotest.(check (float 0.0)) "words" 0.0 words
+
 let test_metrics_percentiles () =
   let r = Obs.create () in
   Obs.set_enabled r true;
@@ -235,6 +246,8 @@ let suite =
       test_disabled_records_nothing;
     Alcotest.test_case "recorder: bounded ring drops oldest" `Quick
       test_ring_drops_oldest;
+    Alcotest.test_case "recorder: home queue depth off allocates nothing" `Quick
+      test_home_queue_depth_off_allocates_nothing;
     Alcotest.test_case "metrics: percentiles" `Quick test_metrics_percentiles;
     Alcotest.test_case "export: perfetto golden file" `Quick test_perfetto_golden;
     Alcotest.test_case "export: perfetto shape" `Quick test_perfetto_shape;

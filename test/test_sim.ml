@@ -5,11 +5,14 @@ let test_pqueue_orders_by_time () =
   Pqueue.push q ~time:3.0 ~seq:1 "c";
   Pqueue.push q ~time:1.0 ~seq:2 "a";
   Pqueue.push q ~time:2.0 ~seq:3 "b";
-  let pop () = match Pqueue.pop q with Some (_, v) -> v | None -> "!" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ]
+  let first = Pqueue.pop q in
+  let second = Pqueue.pop q in
+  let third = Pqueue.pop q in
+  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ];
+  Alcotest.(check bool) "drained" true (Pqueue.is_empty q);
+  Alcotest.(check (float 0.0)) "empty min" infinity (Pqueue.min_time q);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Pqueue.pop: empty") (fun () ->
+      ignore (Pqueue.pop q))
 
 let test_pqueue_fifo_at_equal_time () =
   let q = Pqueue.create () in
@@ -17,28 +20,41 @@ let test_pqueue_fifo_at_equal_time () =
     Pqueue.push q ~time:1.0 ~seq:i i
   done;
   let out = ref [] in
-  let rec drain () =
-    match Pqueue.pop q with
-    | Some (_, v) ->
-      out := v :: !out;
-      drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Pqueue.is_empty q) do
+    out := Pqueue.pop q :: !out
+  done;
   Alcotest.(check (list int)) "fifo" (List.init 10 (fun i -> i + 1)) (List.rev !out)
 
+(* Pops follow (time, seq) order; [min_tied] and [pop_min_group] agree on
+   the minimal-time group. *)
 let qcheck_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue pops in nondecreasing time order" ~count:200
-    QCheck.(list (float_range 0. 1000.))
+    QCheck.(list (int_range 0 20))
     (fun times ->
-      let q = Pqueue.create () in
-      List.iteri (fun i time -> Pqueue.push q ~time ~seq:i i) times;
-      let rec drain last =
-        match Pqueue.pop q with
-        | Some (t, _) -> t >= last && drain t
-        | None -> true
+      let q = Pqueue.create () and sorted = Pqueue.create () in
+      List.iteri
+        (fun i time ->
+          Pqueue.push q ~time:(float_of_int time) ~seq:i i;
+          Pqueue.push sorted ~time:(float_of_int time) ~seq:i i)
+        times;
+      let expected =
+        List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.mapi (fun i t -> (t, i)) times)
       in
-      drain neg_infinity)
+      let rec drain = function
+        | [] -> Pqueue.is_empty q
+        | (time, i) :: rest ->
+          Pqueue.min_time q = float_of_int time && Pqueue.pop q = i && drain rest
+      in
+      let rec groups () =
+        if Pqueue.is_empty sorted then true
+        else begin
+          let tied = Pqueue.min_tied sorted in
+          match Pqueue.pop_min_group sorted with
+          | Some (_, group) -> tied = (List.length group > 1) && groups ()
+          | None -> false
+        end
+      in
+      drain expected && groups ())
 
 let test_delay_advances_clock () =
   let e = Engine.create () in
@@ -229,6 +245,65 @@ let test_stop () =
   Engine.run e;
   Alcotest.(check int) "stopped at 10" 10 !ticks
 
+(* Each process's wake-up events and effect handlers are built at spawn, so
+   a delay allocates only its continuation, the slot that parks it and its
+   boxed wake-up time. *)
+let test_delay_allocation () =
+  let n = 10_000 in
+  let words =
+    Test_memsim.allocated_words (fun () ->
+        let e = Engine.create () in
+        Engine.spawn e ~name:"p" (fun () ->
+            for _ = 1 to n do
+              Engine.delay 1.0
+            done);
+        Engine.run e)
+  in
+  let per_delay = words /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per delay <= 20" per_delay)
+    true (per_delay <= 20.0)
+
+(* A chooser that always keeps the default order, recording every tie group
+   it is shown. *)
+let recording_chooser () =
+  let ties = ref [] in
+  ( {
+      Engine.choose =
+        (fun ~time:_ ~labels ->
+          ties := Array.to_list labels :: !ties;
+          0);
+      perturb_latency = (fun ~label:_ ~now:_ -> 0.0);
+    },
+    fun () -> List.rev !ties )
+
+(* The labels of a process's start, delay and resumption events, which
+   [Mp_mc.Sched.independent] parses. *)
+let test_chooser_labels () =
+  let e = Engine.create () in
+  let chooser, ties = recording_chooser () in
+  Engine.set_chooser e (Some chooser);
+  let ev = Sync.Event.create () in
+  Engine.spawn e ~name:"p" (fun () ->
+      Engine.delay 5.0;
+      Sync.Event.wait ev);
+  Engine.spawn e ~name:"q" (fun () ->
+      Engine.delay 5.0;
+      Sync.Event.set ev);
+  Engine.spawn e ~name:"r" (fun () -> Engine.delay 5.0);
+  Engine.run e;
+  Alcotest.(check (list (list string)))
+    "tie groups"
+    [
+      [ "start:p"; "start:q"; "start:r" ];
+      [ "start:q"; "start:r" ];
+      [ "delay:p"; "delay:q"; "delay:r" ];
+      [ "delay:q"; "delay:r" ];
+      [ "delay:r"; "resume:p" ];
+    ]
+    (ties ());
+  Alcotest.(check int) "all finished" 0 (Engine.live e)
+
 let suite =
   [
     Alcotest.test_case "pqueue time order" `Quick test_pqueue_orders_by_time;
@@ -249,4 +324,6 @@ let suite =
     Alcotest.test_case "deadlock report" `Quick test_blocked_reports_deadlock;
     Alcotest.test_case "run_until" `Quick test_run_until;
     Alcotest.test_case "stop" `Quick test_stop;
+    Alcotest.test_case "delay allocation" `Quick test_delay_allocation;
+    Alcotest.test_case "chooser labels" `Quick test_chooser_labels;
   ]
