@@ -1,52 +1,13 @@
-(** A TreadMarks/Munin-style relaxed-consistency DSM baseline.
+(** A TreadMarks/Munin-style relaxed-consistency DSM baseline: the {!Rc}
+    twin/diff protocol at page granularity, over one view.
 
-    Home-based eager release consistency with twins and run-length diffs, at
-    page granularity:
-
-    - a write fault on a present page is {e local}: twin the page, open it
-      for writing, no protocol traffic — multiple concurrent writers per
-      page are allowed, which is how relaxed consistency defeats false
-      sharing;
-    - at a release (unlock, barrier entry, {!push_to_all}) every dirty page
-      is diffed against its twin (250 µs per 4 KB, the §4.2 measurement) and
-      the diff is shipped to the page's home, which applies it;
-    - at an acquire (lock grant, barrier exit) the manager supplies write
-      notices and the host invalidates pages dirtied by others since its
-      last synchronization.
-
-    Correct for data-race-free applications, like the systems it models.
     This is the comparison point for the paper's claim that fine-grain
     sequential consistency is competitive with relaxed consistency. *)
 
 type t
 type ctx
 
-module Cost : sig
-  type t = {
-    fault_us : float;
-    set_prot_us : float;
-    twin_us : float;  (** 4 KB page copy at first write fault *)
-    dispatch_us : float;
-    sync_dispatch_us : float;
-    wakeup_us : float;
-    recv_dma_us_per_byte : float;
-    header_bytes : int;
-  }
-
-  val default : t
-end
-
-val create :
-  Mp_sim.Engine.t ->
-  hosts:int ->
-  ?object_size:int ->
-  ?page_size:int ->
-  ?cost:Cost.t ->
-  ?polling:Mp_net.Polling.mode ->
-  ?seed:int ->
-  unit ->
-  t
-
+val create : Mp_sim.Engine.t -> hosts:int -> ?polling:Mp_net.Polling.mode -> unit -> t
 val diffs_created : t -> int
 val diff_bytes : t -> int
 val twins_created : t -> int

@@ -10,9 +10,8 @@
     the minipage, not the page).
 
     Mechanically: MultiView's dynamic layout and per-view protection exactly
-    as in Millipage, but home-based eager release consistency with
-    per-minipage twins and run-length diffs instead of the SW/MR protocol.
-    Correct for data-race-free applications. *)
+    as in Millipage, with the {!Rc} twin/diff protocol per minipage instead
+    of the SW/MR protocol.  Correct for data-race-free applications. *)
 
 type t
 type ctx
@@ -20,12 +19,8 @@ type ctx
 val create :
   Mp_sim.Engine.t ->
   hosts:int ->
-  ?views:int ->
-  ?object_size:int ->
-  ?page_size:int ->
   ?chunking:Mp_multiview.Allocator.chunking ->
   ?polling:Mp_net.Polling.mode ->
-  ?seed:int ->
   unit ->
   t
 

@@ -1,8 +1,9 @@
 (** The DSM interface the benchmark applications are written against.
 
-    Millipage, the Ivy-style page-grain baseline and the LRC twin/diff
-    baseline all satisfy [S], so every application functor
-    ({!Mp_apps.Sor.Make} etc.) runs unchanged on each system. *)
+    Millipage, the Ivy-style page-grain baseline and the two twin/diff
+    release-consistency baselines, LRC over pages and MRC over minipages,
+    all satisfy [S], so every application functor ({!Mp_apps.Sor.Make}
+    etc.) runs unchanged on each system. *)
 
 module type S = sig
   type t

@@ -190,6 +190,16 @@ let test_ivy_page_granularity () =
   Alcotest.(check (float 0.0)) "second var present" 2.0 !seen;
   Alcotest.(check int) "single page fault" 1 (Ivy.read_faults t)
 
+let test_ivy_central_homes () =
+  (* Ivy is Millipage under central homes: every allocation homes at host 0 *)
+  let e = Engine.create () in
+  let t = Ivy.create e ~hosts:4 () in
+  List.iter
+    (fun size ->
+      let addr = Ivy.malloc t size in
+      Alcotest.(check int) (Printf.sprintf "%d-byte block" size) 0 (Ivy.home_of t ~addr))
+    [ 8; 4096; 100; 3 * 4096; 64 ]
+
 let suite =
   [
     Alcotest.test_case "diff empty" `Quick test_diff_empty;
@@ -205,4 +215,5 @@ let suite =
     Alcotest.test_case "lrc diff wire cost" `Quick test_lrc_diff_wire_cost;
     Alcotest.test_case "lrc prefetch" `Quick test_lrc_prefetch;
     Alcotest.test_case "ivy page granularity" `Quick test_ivy_page_granularity;
+    Alcotest.test_case "ivy central homes" `Quick test_ivy_central_homes;
   ]

@@ -14,6 +14,7 @@ let () =
       ("apps", Test_apps.suite);
       ("gms", Test_gms.suite);
       ("mrc", Test_mrc.suite);
+      ("rc", Test_rc.suite);
       ("coherence", Test_coherence.suite);
       ("errors", Test_errors.suite);
       ("tab", Test_tab.suite);
