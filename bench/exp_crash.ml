@@ -5,17 +5,13 @@
       measured from the protocol trace;
     - throughput degradation: survivor completion time against the
       crash-free run;
-    - heartbeat cost: the fault-free overhead of running with the failure
-      detector armed (extra messages and end-time delta, expected ~zero).
+    - armed cost: the fault-free overhead of running with the failure
+      detector armed, which also streams every home's directory log to its
+      backup (extra messages and end-time delta).
 
-    A crash that lands while the victim holds freshly written, never
-    transferred data is unrecoverable by design; those cells report the
-    fail-fast instead of a completion time.
-
-    The replicated rows re-run the crash with round-robin home shards
-    streaming their directory log to a backup: the fault-free row prices the
-    steady-state log overhead, and the crash row reports promotion latency
-    (DECLARE_DEAD to BACKUP_PROMOTE) in place of the host-0 re-homing. *)
+    The victim's backup is host 0, so every crash must end in promotion
+    (DECLARE_DEAD to BACKUP_PROMOTE is the promotion latency) with nothing
+    lost: writes the victim never released roll back to the last shadow. *)
 
 open Mp_sim
 open Mp_millipage
@@ -36,7 +32,6 @@ type outcome = {
   lost : int;
   heartbeats : int;
   messages : int;
-  rehomed : int;
   promotions : int;
   log_sent : int;
   violations : string list;
@@ -68,11 +63,10 @@ let run_one ?(homes = Dsm.Config.Homes.default) ~ft () =
     lost = List.length (Dsm.lost_minipages dsm);
     heartbeats = Dsm.heartbeats_sent dsm;
     messages = Dsm.messages_sent dsm;
-    rehomed = Dsm.rehomed_minipages dsm;
     promotions = Dsm.backup_promotions dsm;
     log_sent = Dsm.log_records_sent dsm;
     violations =
-      (* a fail-fast abort legitimately strands in-flight survivor faults;
+      (* an aborted run legitimately strands in-flight survivor faults;
          completion obligations only bind runs that ran to completion *)
       (if failure <> None then []
        else if Mp_obs.Recorder.dropped obs > 0 then [ "(event ring overflow)" ]
@@ -134,30 +128,25 @@ let parked_crash_time o =
   |> fst
 
 let ft_with_crash at =
-  Some { Dsm.Config.default_ft with crashes = [ (victim, at) ] }
-
-let rr = Dsm.Config.Homes.round_robin
-let rr_repl = Dsm.Config.Homes.with_replicate rr true
+  Some (Dsm.Config.Ft.with_crashes Dsm.Config.Ft.default [ (victim, at) ])
 
 let run () =
   Harness.section
     (Printf.sprintf "Crash-fault sweep: SOR %dx%d, %d iterations, %d hosts"
        sor_params.rows sor_params.cols sor_params.iterations hosts);
   let base = run_one ~ft:None () in
-  let armed = run_one ~ft:(Some Dsm.Config.default_ft) () in
+  let armed = run_one ~ft:(Some Dsm.Config.Ft.default) () in
   let parked_at = parked_crash_time armed in
   let scenarios =
     [
       ("ft off", None, Dsm.Config.Homes.default);
-      ("ft on, fault-free", Some Dsm.Config.default_ft, Dsm.Config.Homes.default);
+      ("ft on, fault-free", Some Dsm.Config.Ft.default, Dsm.Config.Homes.default);
       ("crash @25%", ft_with_crash (0.25 *. base.time), Dsm.Config.Homes.default);
       ("crash @50%", ft_with_crash (0.5 *. base.time), Dsm.Config.Homes.default);
       ("crash @barrier park", ft_with_crash parked_at, Dsm.Config.Homes.default);
-      (* replicated home shards: steady-state log cost, then the same mid-run
-         crash recovered by backup promotion instead of host-0 re-homing *)
-      ("rr+repl, fault-free", Some Dsm.Config.default_ft, rr_repl);
-      ("crash @50%, rr homes", ft_with_crash (0.5 *. base.time), rr);
-      ("crash @50%, rr+repl", ft_with_crash (0.5 *. base.time), rr_repl);
+      ( "crash @50%, rr homes",
+        ft_with_crash (0.5 *. base.time),
+        Dsm.Config.Homes.round_robin );
     ]
   in
   let all_clean = ref true in
@@ -175,25 +164,16 @@ let run () =
             all_clean := false;
             Harness.note "  VIOLATION (%s): %s" label v)
           o.violations;
+        (* the victim's backup survives, so nothing may fail *)
         (match o.failure with
-        | Some msg when o.declared = [] ->
+        | Some msg ->
           all_clean := false;
           Harness.note "  FAIL (%s): %s" label msg
-        | _ -> ());
-        let replicated = homes.Dsm.Config.Homes.replicate in
-        (* with the shard replicated, neither the designed fail-fast nor a
-           host-0 adoption is acceptable: every crash must end in promotion *)
-        if replicated then begin
-          (match o.failure with
-          | Some msg ->
-            all_clean := false;
-            Harness.note "  FAIL (%s): unrecoverable despite replication: %s" label msg
-          | None -> ());
-          if o.rehomed > 0 then begin
-            all_clean := false;
-            Harness.note "  FAIL (%s): %d minipage(s) re-homed onto host 0 \
-                          despite replication" label o.rehomed
-          end
+        | None -> ());
+        if o.declared <> [] && (o.promotions = 0 || o.lost > 0) then begin
+          all_clean := false;
+          Harness.note "  FAIL (%s): %d promotion(s), %d minipage(s) lost" label
+            o.promotions o.lost
         end;
         let outcome =
           match o.failure with
@@ -212,7 +192,7 @@ let run () =
           | [] -> "-"
           | l -> String.concat "," (List.map string_of_int l));
           Printf.sprintf "%d/%d" o.recovered o.lost;
-          Printf.sprintf "%d/%d" o.rehomed o.promotions;
+          string_of_int o.promotions;
           string_of_int o.log_sent;
           (match recovery_latency o with
           | Some us when o.declared <> [] -> Tab.fu us
@@ -231,15 +211,13 @@ let run () =
     ~header:
       [
         "scenario"; "time us"; "vs base"; "msgs"; "hbeats"; "dead";
-        "recov/lost"; "reh/promo"; "log recs"; "recov lat us"; "promo lat us";
+        "recov/lost"; "promo"; "log recs"; "recov lat us"; "promo lat us";
         "outcome"; "trace";
       ]
     rows;
   Harness.note
     "'recov lat us' is DECLARE_DEAD to the first post-recovery grant and \
-     'promo lat us' DECLARE_DEAD to BACKUP_PROMOTE; the barrier-park crash \
-     must complete degraded with zero lost minipages, the armed fault-free \
-     run must match 'ft off' except for heartbeat traffic, and the \
-     replicated crash must promote (reh/promo = 0/1) instead of failing \
-     fast or collapsing onto host 0.";
-  if not !all_clean then failwith "exp_crash: a run failed outside the designed fail-fast"
+     'promo lat us' DECLARE_DEAD to BACKUP_PROMOTE; every crash must \
+     promote the victim's backup with zero lost minipages, and the armed \
+     fault-free run prices heartbeats plus the directory log.";
+  if not !all_clean then failwith "exp_crash: a crash run failed or lost data"

@@ -83,20 +83,16 @@ let policies =
     Mp_millipage.Dsm.Config.Homes.block 2;
     Mp_millipage.Dsm.Config.Homes.first_toucher ]
 
-(* One matrix cell per {hosts × homes × consistency × faults × crash ×
-   replication}.  Crash cells pick the crash instant from the cell's own
-   fault-free baseline schedule so it lands mid-run at every host count, and
-   need a surviving majority.  Each crash cell also runs with the home
-   shards replicated — there the checker treats the legacy fail-fast
-   (Crash_unrecoverable) as a violation, pinning the no-lost-writes claim
-   across every explored schedule.  The consistency column crosses every
-   homes policy — block and first-toucher placement shard rc/adaptive twin
-   and directory state differently from central/rr, which is exactly the
-   coverage the refinement spec wants.  Crash twins: sc and rc cells get a
-   legacy and a replicated twin; adaptive gets the replicated twin only —
-   an adaptive manager crashing under the legacy path can legitimately
-   strand a mid-switch minipage, so only the no-lost-writes claim (backed
-   by replication) is schedule-checkable there. *)
+(* One matrix cell per {hosts × homes × consistency × faults × crash}.
+   Crash cells pick the crash instant from the cell's own fault-free
+   baseline schedule so it lands mid-run at every host count, and need a
+   surviving majority.  The victim is host [hosts-1], whose backup is host 0,
+   so its shard is always promoted: the checker treats any
+   Crash_unrecoverable there as a violation, pinning the no-lost-writes
+   claim across every explored schedule.  The consistency column crosses
+   every homes policy — block and first-toucher placement shard rc/adaptive
+   twin and directory state differently from central/rr, which is exactly
+   the coverage the refinement spec wants. *)
 let consistency_modes _homes =
   let open Mp_millipage.Dsm.Config in
   [ Consistency.sc; Consistency.rc; Consistency.adaptive ]
@@ -113,23 +109,13 @@ let matrix_cells hosts_list =
                   let base =
                     { Scenario.default with hosts; homes; consistency; faults }
                   in
-                  let crash_cells =
-                    if hosts < 3 then []
-                    else
-                      let adaptive =
-                        consistency.Mp_millipage.Dsm.Config.Consistency.mode
-                        = `Adaptive
-                      in
-                      let baseline = Scenario.run_plan { base with faults = Mp_net.Fabric.no_faults } Plan.empty in
-                      let at = Float.max 50.0 (baseline.Scenario.end_us *. 0.4) in
-                      let crash = { base with crashes = [ (hosts - 1, at) ] } in
-                      let replicated =
-                        { crash with
-                          homes = Mp_millipage.Dsm.Config.Homes.with_replicate homes true }
-                      in
-                      if adaptive then [ replicated ] else [ crash; replicated ]
-                  in
-                  base :: crash_cells)
+                  if hosts < 3 then [ base ]
+                  else
+                    let baseline =
+                      Scenario.run_plan { base with faults = Mp_net.Fabric.no_faults } Plan.empty
+                    in
+                    let at = Float.max 50.0 (baseline.Scenario.end_us *. 0.4) in
+                    [ base; { base with crashes = [ (hosts - 1, at) ] } ])
                 [ Mp_net.Fabric.no_faults; loss_faults ])
             (consistency_modes homes))
         policies)

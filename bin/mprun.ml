@@ -232,7 +232,7 @@ let report_ft (t : Mp_millipage.Dsm.t) =
       (D.recovered_minipages t)
       (List.length (D.lost_minipages t))
       (D.leases_revoked t) (c "ft.barrier_reconfigs");
-  if D.replication_on t then begin
+  if D.hosts t > 1 then begin
     Printf.printf
       "replication:  %d log record(s) sent, %d applied; %d promotion(s)%s\n"
       (D.log_records_sent t)
@@ -250,14 +250,13 @@ let report_ft (t : Mp_millipage.Dsm.t) =
 
 let execute app system hosts chunking polling paper trace_out perfetto metrics
     profile profile_out loss dup reorder net_seed ft crash stall crash_seed
-    crash_horizon homes home_block replicate consistency adapt_interval =
+    crash_horizon homes home_block consistency adapt_interval =
   let meta =
     [
       ("app", app);
       ("system", system);
       ("hosts", string_of_int hosts);
       ("homes", homes);
-      ("replicate", (if replicate then "1" else "0"));
       ("chunking", chunking);
       ("polling", polling);
       ("net_seed", string_of_int net_seed);
@@ -276,7 +275,6 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
     | None ->
       invalid_arg (Printf.sprintf "unknown homes policy %S (central|rr|block|ft)" homes)
   in
-  let homes_config = Mp_millipage.Dsm.Config.Homes.with_replicate homes_config replicate in
   let consistency_config =
     let module C = Mp_millipage.Dsm.Config.Consistency in
     match C.mode_of_string consistency with
@@ -291,12 +289,6 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
       (Printf.sprintf
          "protocol modes (--consistency) require --system millipage; %s has a \
           single fixed protocol"
-         system);
-  if replicate && system <> "millipage" then
-    invalid_arg
-      (Printf.sprintf
-         "home-shard replication (--replicate) requires --system millipage; %s \
-          has no directory log"
          system);
   if homes_config.Mp_millipage.Dsm.Config.Homes.policy <> Mp_millipage.Dsm.Config.Homes.Central
      && system <> "millipage"
@@ -319,10 +311,8 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
   in
   let stalls = parse_stall_specs stall in
   let ft_config =
-    (* --replicate implies the failure detector: the log is useless if
-       nobody ever declares a home dead and promotes its backup *)
-    if ft || replicate || crashes <> [] || stalls <> [] then
-      Some { Mp_millipage.Dsm.Config.default_ft with crashes; stalls }
+    if ft || crashes <> [] || stalls <> [] then
+      Some { Mp_millipage.Dsm.Config.Ft.default with crashes; stalls }
     else None
   in
   if ft_config <> None && system <> "millipage" then
@@ -368,11 +358,10 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
           (let module H = Mp_millipage.Dsm.Config.Homes in
            if homes_config.H.policy <> H.Central then
              Printf.printf
-               "homes:        policy %s; %d redirect(s), %d re-homed; queue \
-                depth by home [%s]\n"
+               "homes:        policy %s; %d redirect(s); queue depth by home \
+                [%s]\n"
                (H.policy_name homes_config.H.policy)
                (Mp_millipage.Dsm.home_redirects t)
-               (Mp_millipage.Dsm.rehomed_minipages t)
                (String.concat ","
                   (Array.to_list
                      (Array.map string_of_int
@@ -416,8 +405,8 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
     | exception Mp_millipage.Dsm.Crash_unrecoverable msg ->
       Printf.printf "result:       unrecoverable — %s\n" msg;
       report_ft t;
-      (* data loss under an injected crash is a designed fail-fast outcome,
-         not a harness failure *)
+      (* a home and its backup both dying under injected crashes is a
+         designed fail-stop, not a harness failure *)
       exit (if crashes <> [] then 0 else 3))
   | "ivy" ->
     let t = Mp_baselines.Ivy.create engine ~hosts ~polling:polling_mode () in
@@ -559,7 +548,10 @@ let ft_arg =
         ~doc:
           "Enable crash-fault tolerance (heartbeats, failure detector, \
            recovery) even without injected faults; implied by --crash/--stall \
-           (millipage only).")
+           (millipage only).  Every home shard streams its directory log to a \
+           backup host ((home+1) mod hosts), which is promoted under the same \
+           home id when the home is declared dead; a home and its backup both \
+           dying is a typed fail-stop.")
 
 let crash_arg =
   Arg.(
@@ -606,17 +598,6 @@ let home_block_arg =
     & info [ "home-block" ] ~docv:"N"
         ~doc:"Run length of consecutive minipage ids per home under --homes block.")
 
-let replicate_arg =
-  Arg.(
-    value & flag
-    & info [ "replicate" ]
-        ~doc:
-          "Stream each home shard's directory log to a backup host \
-           ((home+1) mod hosts) that is promoted under the same home id when \
-           the home is declared dead — no minipage collapses onto host 0 and \
-           no release-consistent write is lost.  Implies --ft.  Millipage \
-           only.")
-
 let consistency_arg =
   Arg.(
     value & opt string "sc"
@@ -643,7 +624,7 @@ let () =
           $ paper_arg $ trace_out_arg $ perfetto_arg $ metrics_arg $ profile_arg
           $ profile_out_arg $ loss_arg $ dup_arg $ reorder_arg $ net_seed_arg
           $ ft_arg $ crash_arg $ stall_arg $ crash_seed_arg $ crash_horizon_arg
-          $ homes_arg $ home_block_arg $ replicate_arg $ consistency_arg
+          $ homes_arg $ home_block_arg $ consistency_arg
           $ adapt_interval_arg)
   in
   let info =

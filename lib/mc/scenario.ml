@@ -49,9 +49,8 @@ let name t =
   let workload =
     match t.workload with Racer _ -> "racer" | App a -> a
   in
-  Printf.sprintf "%s h%d %s%s%s%s%s%s" workload t.hosts
+  Printf.sprintf "%s h%d %s%s%s%s%s" workload t.hosts
     (Homes.policy_name t.homes.Homes.policy)
-    (if t.homes.Homes.replicate then " repl" else "")
     (match t.consistency.Dsm.Config.Consistency.mode with
     | `Sc -> ""
     | m -> " " ^ Dsm.Config.Consistency.mode_name m)
@@ -77,9 +76,7 @@ let to_string t =
   | App a -> kv "app=%s" a);
   kv " hosts=%d homes=%s" t.hosts (Homes.policy_name t.homes.Homes.policy);
   if t.homes.Homes.policy = Homes.Block then kv " block=%d" t.homes.Homes.block;
-  (* omitted when off so pre-replication fingerprints stay stable *)
-  if t.homes.Homes.replicate then kv " replicate=1";
-  (* likewise omitted when sc, so pre-adaptive fingerprints stay stable *)
+  (* omitted when sc, so pre-adaptive fingerprints stay stable *)
   (let c = t.consistency in
    if c.Dsm.Config.Consistency.mode <> `Sc then begin
      kv " consistency=%s" (Dsm.Config.Consistency.mode_name c.mode);
@@ -146,9 +143,9 @@ let of_string s =
         not
           (List.mem k
              [ "app"; "locs"; "ops"; "wseed"; "barrier"; "hosts"; "homes"; "block";
-               "replicate"; "consistency"; "adapt"; "drop"; "dup"; "reorder";
-               "jitter"; "crash"; "mutation"; "seed"; "netseed"; "quantum";
-               "maxdelay"; "lockread"; "refine" ])
+               "consistency"; "adapt"; "drop"; "dup"; "reorder"; "jitter";
+               "crash"; "mutation"; "seed"; "netseed"; "quantum"; "maxdelay";
+               "lockread"; "refine" ])
       then fail "Scenario.of_string: unknown key %S" k)
     assoc;
   let workload =
@@ -164,14 +161,12 @@ let of_string s =
     | Some a when List.mem a apps -> App a
     | Some a -> fail "Scenario.of_string: unknown app %S" a
   in
-  let replicate = int "replicate" 0 <> 0 in
   let homes =
     match get "homes" with
-    | None -> { default.homes with Homes.replicate }
+    | None -> default.homes
     | Some p -> (
       match Homes.policy_of_string p with
-      | Some policy ->
-        { Homes.policy; block = int "block" Homes.default.Homes.block; replicate }
+      | Some policy -> { Homes.policy; block = int "block" Homes.default.Homes.block }
       | None -> fail "Scenario.of_string: unknown homes policy %S" p)
   in
   let consistency =
@@ -431,13 +426,16 @@ let run ?(profile = false) t ~sched =
     with
     | Dsm.Deadlock m -> Some ("deadlock: " ^ m)
     | Dsm.Crash_unrecoverable m ->
-      (* Injected crashes may legitimately exceed what recovery covers —
-         but only on the legacy path.  Without injections an unrecoverable
-         run is a protocol bug, and with replication on it is precisely the
-         lost-write window replication exists to close. *)
-      if t.crashes = [] || t.homes.Homes.replicate then
-        Some ("unrecoverable: " ^ m)
-      else None
+      (* The one designed fail-stop is a home dying together with its
+         backup.  Any other unrecoverable run is a write lost to a crash
+         that backup promotion exists to survive: a violation. *)
+      let crashes_with_backup =
+        List.exists
+          (fun (h, _) ->
+            List.mem_assoc (Homes.backup_of ~hosts:t.hosts h) t.crashes)
+          t.crashes
+      in
+      if crashes_with_backup then None else Some ("unrecoverable: " ^ m)
     | Failure m -> Some ("transport: " ^ m)
   in
   let end_us = Engine.now e in

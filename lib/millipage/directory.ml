@@ -91,12 +91,6 @@ let find t ~mp_id = Hashtbl.find_opt t.table mp_id
 let adopt t e = Hashtbl.replace t.table e.mp.Mp_multiview.Minipage.id e
 let remove t ~mp_id = Hashtbl.remove t.table mp_id
 
-let absorb_idempotence t ~from =
-  Hashtbl.iter (fun req_id () -> Hashtbl.replace t.seen_reqs req_id ()) from.seen_reqs;
-  Hashtbl.iter
-    (fun req_id at -> Hashtbl.replace t.completed_reqs req_id at)
-    from.completed_reqs
-
 let busy e = e.pending <> No_op
 
 let enqueue t e q =

@@ -80,14 +80,9 @@ val find : t -> mp_id:int -> entry option
 
 val adopt : t -> entry -> unit
 (** Install an entry that migrated from another shard (first-toucher
-    placement, or crash recovery re-homing a dead home's entries). *)
+    placement, or a backup promoted over a dead home's entries). *)
 
 val remove : t -> mp_id:int -> unit
-
-val absorb_idempotence : t -> from:t -> unit
-(** Merge another shard's seen/completed request-id tables into this one, so
-    duplicates of requests originally served by a re-homed shard are still
-    suppressed at the new home. *)
 
 val busy : entry -> bool
 

@@ -89,14 +89,13 @@ module Config = struct
               becomes the home (a one-time migration, learned lazily by the
               other hosts through the redirect path) *)
 
-    type t = { policy : policy; block : int; replicate : bool }
+    type t = { policy : policy; block : int }
 
-    let default = { policy = Central; block = 8; replicate = false }
+    let default = { policy = Central; block = 8 }
     let central = default
     let round_robin = { default with policy = Round_robin }
-    let block n = { default with policy = Block; block = n }
+    let block n = { policy = Block; block = n }
     let first_toucher = { default with policy = First_toucher }
-    let with_replicate t replicate = { t with replicate }
 
     (* Backup placement: the next host, mod the host count.  Deterministic,
        spread (every host backs exactly one other), and never self. *)
@@ -167,19 +166,6 @@ module Config = struct
       | _ -> None
   end
 
-  (* Compatibility re-export: [Config.ft] and [Config.default_ft] predate the
-     nested sub-records and are used throughout the tests and benches. *)
-  type ft = Ft.t = {
-    hb_interval_us : float;
-    suspect_after_us : float;
-    declare_after_us : float;
-    crashes : (int * float) list;
-    stalls : (int * float * float) list;
-    deadlock_ticks : int;
-  }
-
-  let default_ft = Ft.default
-
   type t = {
     views : int;
     object_size : int;
@@ -223,7 +209,6 @@ module Config = struct
   let with_ft t ft = { t with ft }
   let with_homes t homes = { t with homes }
   let with_policy t policy = { t with homes = { t.homes with Homes.policy } }
-  let with_replicate t replicate = { t with homes = { t.homes with Homes.replicate } }
   let with_consistency t consistency = { t with consistency }
 end
 
@@ -232,8 +217,9 @@ exception Deadlock of string
     threads still blocked. *)
 
 exception Crash_unrecoverable of string
-(** A survivor touched data whose only up-to-date copy died with a crashed
-    host (the dead owner wrote after its last observed transfer). *)
+(** The typed fail-stop of crash recovery: a home died while its backup was
+    already dead and its shard still held entries, or a survivor touched a
+    minipage that died with no shadow to roll back to. *)
 
 type inflight = {
   mutable req_id : int;
@@ -295,8 +281,8 @@ type host_state = {
   group_fetches : (int, group_fetch_state) Hashtbl.t;  (* req_id -> progress *)
   hints : (int, int) Hashtbl.t;
       (** mp_id -> believed home.  Seeded from the allocation-time layout
-          (like the MPT); goes stale only on first-toucher migration or crash
-          re-homing, and is repaired by HOME_REDIRECT / DEAD_NOTICE. *)
+          (like the MPT); goes stale only on first-toucher migration or a
+          backup promotion, and is repaired by HOME_REDIRECT / DEAD_NOTICE. *)
   mutable computing : int;
   mutable dead_peers : Directory.Host_set.t;
       (** peers this host has been told are declared dead (DEAD_NOTICE) *)
@@ -418,12 +404,11 @@ type t = {
   mutable watchdog_idle : int;
   idem_retention_us : float;  (* completed-request retention window *)
   mutable completions : int;
-  (* replicated home shards (Config.Homes.replicate): [replicas.(p)] is the
+  (* replicated home shards (whenever FT is on): [replicas.(p)] is the
      replica of primary p's directory log, physically held at its backup
      host; [log_seq.(p)] is the primary's last assigned log sequence number;
-     [promoted.(p)] is set once p's shard was taken over by its backup (a
-     promoted shard is not re-replicated — a second crash degrades to the
-     legacy fail-fast path). *)
+     [promoted.(p)] is set once dead p's shard was taken over by its
+     backup. *)
   replicas : Directory.Replica.t array;
   log_seq : int array;
   promoted : bool array;
@@ -503,13 +488,11 @@ let ft_on t = t.config.ft <> None
 let rc_on t = t.config.consistency.Config.Consistency.mode <> `Sc
 let adaptive_on t = t.config.consistency.Config.Consistency.mode = `Adaptive
 
-(* Replication is live only with the failure detector on (promotion is driven
-   by DECLARE_DEAD) and more than one host (a backup must differ from its
-   primary).  Every replication code path is gated here, so runs with
-   [Config.Homes.replicate = false] are bit-identical to a build without the
-   feature. *)
-let replicating t =
-  t.config.homes.Config.Homes.replicate && ft_on t && hosts t > 1
+(* Every home shard is replicated whenever the failure detector runs
+   (promotion is driven by DECLARE_DEAD) on more than one host (a backup must
+   differ from its primary).  Every replication code path is gated here, so
+   FT-off runs are bit-identical to a build without the feature. *)
+let replicating t = ft_on t && hosts t > 1
 
 let backup_of_home t home = Config.Homes.backup_of ~hosts:(hosts t) home
 
@@ -621,7 +604,7 @@ let record_span = function
    when the primary dies can be missing (and only under message loss), and
    promotion repairs exactly that tail. *)
 let log_append t ~home record =
-  if replicating t && not t.promoted.(home) then begin
+  if replicating t then begin
     let b = backup_of_home t home in
     if (not t.declared.(home)) && not t.declared.(b) then begin
       t.log_seq.(home) <- t.log_seq.(home) + 1;
@@ -653,11 +636,6 @@ let log_shadow t ~home (e : Directory.entry) =
 let mark_completed_logged t ~home ~req_id ~now =
   Directory.mark_completed t.dirs.(home) ~req_id ~now;
   log_append t ~home (Proto.L_complete { req_id; at = now })
-
-(* Where a live home re-materializes a sole copy that died with its owner:
-   at the home itself when replicating (no special host 0), at host 0 on the
-   legacy path. *)
-let recovery_site t ~home = if replicating t then home else manager
 
 (* ------------------------------------------------------------------ *)
 (* Manager: directory-side protocol (runs in host 0's server process)  *)
@@ -1068,7 +1046,7 @@ let live_copyset t =
 
 let finish_push ?charge_lookup t ~home (e : Directory.entry) ~req_id ~from =
   e.copyset <- live_copyset t;
-  e.owner <- (if t.declared.(from) then recovery_site t ~home else from);
+  e.owner <- (if t.declared.(from) then home else from);
   log_append t ~home (Proto.L_complete { req_id; at = rnow t });
   log_entry_state t ~home e;
   if not t.declared.(from) then
@@ -2075,21 +2053,17 @@ let dead_wrote t dead (e : Directory.entry) =
   | Prot.Read_only | Prot.No_access -> false
 
 (* The dead host held the only copy: re-materialize the minipage at [at]
-   (the recovery site — host 0 on the legacy path, the serving home or the
-   promoted backup when replicating) from the shadow, its last observed
-   version.  If the dead host wrote after that version was captured the
-   recovered bytes are stale; without replication the minipage is marked
-   lost and any survivor access fails fast, with replication the install is
-   a release-consistency rollback instead — the dead host's un-released
-   writes are discarded and survivors continue from the last synced version
-   (a write is only "acked" once it was released, and releases sync the
-   shadow).  A minipage with no shadow at all stays lost either way: there
-   is nothing to roll back to. *)
+   (the serving home, or the promoted backup) from the shadow, its last
+   observed version.  If the dead host wrote after that version was captured
+   the install is a release-consistency rollback: the dead host's
+   un-released writes are discarded and survivors continue from the last
+   synced version (a write is only "acked" once it was released, and
+   releases sync the shadow).  A minipage with no shadow at all is lost:
+   there is nothing to roll back to. *)
 let install_shadow t (e : Directory.entry) ~dead ~at =
   let info = info_of e.mp in
-  let wrote = dead_wrote t dead e in
-  let lost = e.shadow = None || (wrote && not (replicating t)) in
-  let rolled = wrote && not lost in
+  let lost = e.shadow = None in
+  let rolled = (not lost) && dead_wrote t dead e in
   (match e.shadow with
   | Some data ->
     let mh = t.host_states.(at) in
@@ -2118,7 +2092,6 @@ let install_shadow t (e : Directory.entry) ~dead ~at =
 let scrub_shard t ~home h =
   let now = rnow t in
   let dir = t.dirs.(home) in
-  let site = recovery_site t ~home in
   (* (req_id, fetching host) of group batches that died with their supplier *)
   let dead_batches : (int * int, unit) Hashtbl.t = Hashtbl.create 4 in
   Seq.iter
@@ -2143,9 +2116,9 @@ let scrub_shard t ~home h =
       if e.owner = h && not exclusive then e.owner <- Host_set.min_elt e.copyset;
       (* 3. resolve the pending operation *)
       (match e.pending with
-      | Directory.No_op -> if exclusive then install_shadow t e ~dead:h ~at:site
+      | Directory.No_op -> if exclusive then install_shadow t e ~dead:h ~at:home
       | Directory.Reads_in_flight r ->
-        if exclusive then install_shadow t e ~dead:h ~at:site;
+        if exclusive then install_shadow t e ~dead:h ~at:home;
         let survivors =
           List.filter
             (fun (f : Directory.read_flight) ->
@@ -2190,7 +2163,7 @@ let scrub_shard t ~home h =
           mark_completed_logged t ~home ~req_id:w.req_id ~now;
           e.copyset <- Host_set.diff e.copyset w.targets;
           e.pending <- Directory.No_op;
-          if Host_set.is_empty e.copyset then install_shadow t e ~dead:h ~at:site
+          if Host_set.is_empty e.copyset then install_shadow t e ~dead:h ~at:home
           else if not (Host_set.mem e.owner e.copyset) then
             e.owner <- Host_set.min_elt e.copyset
         end
@@ -2213,18 +2186,18 @@ let scrub_shard t ~home h =
              recoverable version *)
           mark_completed_logged t ~home ~req_id:w.req_id ~now;
           e.pending <- Directory.No_op;
-          install_shadow t e ~dead:h ~at:site
+          install_shadow t e ~dead:h ~at:home
         end
         else if w.supplier = h then begin
           (* the supplier died before serving (had it served, the reply and
              ack would have completed the operation well inside the declare
-             timeout): recover at the site and re-forward from there *)
-          install_shadow t e ~dead:h ~at:site;
+             timeout): recover at the home and re-forward from there *)
+          install_shadow t e ~dead:h ~at:home;
           check_lost t e ~from:w.from;
-          w.supplier <- site;
+          w.supplier <- home;
           Obs.forward (obs t) ~time:now ~host:home ~span:w.req_id
-            ~access:Mp_obs.Event.Write ~mp_id:info.mp_id ~supplier:site;
-          send t ~src:home ~dst:site ~bytes:(header t)
+            ~access:Mp_obs.Event.Write ~mp_id:info.mp_id ~supplier:home;
+          send t ~src:home ~dst:home ~bytes:(header t)
             (Proto.Forward
                { req_id = w.req_id; from = w.from; access = Proto.Write; info })
         end
@@ -2262,8 +2235,8 @@ let scrub_shard t ~home h =
     dead_batches
 
 (* Lock leases: a lock held by the dead host is revoked and granted to the
-   next live waiter.  Recovery grants run from [site]: host 0 on the legacy
-   path, the promoted backup when the dead home's shard was replicated. *)
+   next live waiter.  Recovery grants run from [site], the recovery site
+   [declare_dead] picked. *)
 let revoke_leases t h ~site =
   Hashtbl.iter
     (fun lock (s : lock_state) ->
@@ -2322,7 +2295,7 @@ let rebuild_locks t h ~site =
           if is_holder then begin
             (* the grant left the dead home; if the host-side record is still
                outstanding it was swallowed (or may race recovery — the
-               receiver dedupes), so re-send it from host 0 *)
+               receiver dedupes), so re-send it from the recovery site *)
             if s.granted_from = h then begin
               Stats.Counters.incr t.counters "homes.regrants";
               grant_lock t ~home:site s ~lock ~to_:(from, tid)
@@ -2382,11 +2355,6 @@ let rebuild_barriers t h ~site =
       end)
     phases
 
-(* The dead host was itself a home: adopt its shard at host 0.  In-flight
-   operations it was serializing are abandoned (their requesters resend under
-   fresh ids — see [resend_orphans]); each entry's copyset/owner is rebuilt
-   from the survivors' ground-truth page protections; entries with no
-   surviving copy are re-materialized from their shadow. *)
 (* Hosts with an unacked release diff aimed at the dead home may have
    already dropped (or cleaned) their local copy, so the protections walk
    misses them — yet the diff they resend at the new home (via
@@ -2407,124 +2375,7 @@ let rc_diff_stragglers t ~dead ~mp_id set =
           hs.rc_out acc)
     set t.host_states
 
-let rehome_dead_shard t h =
-  let now = rnow t in
-  let dir_d = t.dirs.(h) and dir0 = t.dirs.(manager) in
-  (* duplicates of requests the dead home already served must stay suppressed
-     at the new home *)
-  Directory.absorb_idempotence dir0 ~from:dir_d;
-  let entries = List.of_seq (Directory.entries dir_d) in
-  (* repair every hint — and the authoritative map — before any books are
-     closed or recovery traffic triggered.  Updating hints per entry (as
-     this path originally did, at the tail of the adoption loop) leaves a
-     window where an entry processed later is still hinted at the corpse
-     while recovery already runs; nothing may aim a demand fault at the dead
-     home once the first entry moves. *)
-  List.iter
-    (fun (e : Directory.entry) ->
-      let mp_id = e.mp.Minipage.id in
-      Hashtbl.replace t.home_tbl mp_id manager;
-      Array.iter
-        (fun (hs : host_state) ->
-          if not t.declared.(hs.id) then Hashtbl.replace hs.hints mp_id manager)
-        t.host_states)
-    entries;
-  List.iter
-    (fun (e : Directory.entry) ->
-      let info = info_of e.mp in
-      let mp_id = info.mp_id in
-      (* queued operations died with the shard; live requesters resend *)
-      let dropped = Directory.drop_queued dir_d e ~keep:(fun _ -> false) in
-      List.iter
-        (fun q ->
-          let req_id = queued_span q in
-          Obs.queue_exit (obs t) ~time:now ~host:h ~span:req_id ~mp_id
-            ~depth:(Directory.queue_depth dir_d);
-          Directory.mark_completed dir0 ~req_id ~now)
-        dropped;
-      (* close the books on the in-flight operation: mark its id completed at
-         the new home (stale replies/acks will straggle in there) and emit
-         the synthetic events that balance the trace *)
-      (match e.pending with
-      | Directory.No_op -> ()
-      | Directory.Reads_in_flight r ->
-        List.iter
-          (fun (f : Directory.read_flight) ->
-            Directory.mark_completed dir0 ~req_id:f.rf_req ~now)
-          r.flights
-      | Directory.Write_waiting_invals w ->
-        Directory.mark_completed dir0 ~req_id:w.req_id ~now;
-        (* invalidation acks aimed at the dead home were swallowed; targets
-           that never processed the INVALIDATE keep their copies and show up
-           in the rebuilt copyset below, so the resent write re-invalidates
-           them *)
-        let remaining = Host_set.cardinal w.waiting in
-        ignore
-          (Host_set.fold
-             (fun target i ->
-               Obs.inval_ack (obs t) ~time:now ~host:manager ~span:w.req_id
-                 ~mp_id ~from:target ~last:(i = remaining);
-               i + 1)
-             w.waiting 1)
-      | Directory.Write_in_flight w ->
-        Directory.mark_completed dir0 ~req_id:w.req_id ~now;
-        (* balances the FORWARD(write) the dead home logged *)
-        Obs.ack (obs t) ~time:now ~host:manager ~span:w.req_id ~mp_id ~from:w.from
-      | Directory.Push_waiting_acks p ->
-        Directory.mark_completed dir0 ~req_id:p.req_id ~now
-      | Directory.Mode_switch_wait _ ->
-        (* the fence dies with the home; the survivors are re-fenced below *)
-        ());
-      let was_fenced =
-        match e.pending with Directory.Mode_switch_wait _ -> true | _ -> false
-      in
-      e.pending <- Directory.No_op;
-      (* rebuild location state from the survivors' page protections *)
-      let copyset = ref Host_set.empty in
-      let rw = ref None in
-      let first, _ = vpages_of t info in
-      for x = 0 to hosts t - 1 do
-        if not t.declared.(x) then
-          match Vm.protection t.host_states.(x).vm ~view:info.mp_view ~vpage:first with
-          | Prot.Read_write ->
-            copyset := Host_set.add x !copyset;
-            rw := Some x
-          | Prot.Read_only -> copyset := Host_set.add x !copyset
-          | Prot.No_access -> ()
-      done;
-      let rc_recover = e.mode = Proto.Rc || was_fenced in
-      if rc_recover then begin
-        (* RC protections are local working copies, not Figure-3 read
-           copies: record the surviving sharers, then demote the minipage
-           under a fresh epoch fence (below, after adoption) so each sharer
-           flushes its dirty diff into the master and drops its copy *)
-        e.copyset <- !copyset;
-        e.owner <- manager
-      end
-      else if Host_set.is_empty !copyset then install_shadow t e ~dead:h ~at:manager
-      else begin
-        e.copyset <- !copyset;
-        e.owner <-
-          (match !rw with
-          | Some x -> x
-          | None ->
-            if Host_set.mem e.owner !copyset then e.owner
-            else Host_set.min_elt !copyset)
-      end;
-      (* move the entry to host 0 (hints were repaired up front) *)
-      Directory.remove dir_d ~mp_id;
-      Directory.adopt dir0 e;
-      Stats.Counters.incr t.counters "homes.rehomes";
-      Obs.rehome (obs t) ~time:now ~host:manager ~mp_id ~from_home:h
-        ~to_home:manager;
-      if rc_recover then begin
-        e.copyset <- rc_diff_stragglers t ~dead:h ~mp_id e.copyset;
-        demote_entry t ~home:manager e
-      end)
-    entries
-
-(* The dead host was a home and its shard is replicated: promote the backup
-   under the same entries — no host-0 adoption, no per-entry REHOME storm.
+(* The dead host was a home: promote its backup under the same entries.
    Authoritative state comes from the replicated log (owner/copyset images,
    shadow contents, completed-request stamps).  The log channel is FIFO
    exactly-once, so the replica always holds a strict prefix of the
@@ -2535,9 +2386,8 @@ let rehome_dead_shard t h =
    (completions the log lost) and the survivors' page protections (location
    state the log lost, including the in-flight tail of admitted-but-open
    operations) — counting every hit as a tail repair.  The corpse directory
-   is also walked to balance the obs trace: the same synthetic
-   queue-exit/inval-ack/ack events the legacy re-homing path emits for
-   books the dead home left open. *)
+   is also walked to balance the obs trace with synthetic
+   queue-exit/inval-ack/ack events for the books the dead home left open. *)
 let promote_backup t ~dead:h ~backup:b =
   let now = rnow t in
   let dir_d = t.dirs.(h) and dir_b = t.dirs.(b) in
@@ -2545,8 +2395,8 @@ let promote_backup t ~dead:h ~backup:b =
   t.promoted.(h) <- true;
   let entries = List.of_seq (Directory.entries dir_d) in
   (* 1. repair every hint and the authoritative map first: from this instant
-     no live host can aim traffic at the corpse (the same ordering fix as in
-     [rehome_dead_shard]) *)
+     no live host can aim traffic at the corpse, and every orphan resend
+     (which runs after the takeover) lands at the backup *)
   List.iter
     (fun (e : Directory.entry) ->
       let mp_id = e.mp.Minipage.id in
@@ -2680,8 +2530,8 @@ let promote_backup t ~dead:h ~backup:b =
             ~via:"protections" ()
         end
       end;
-      (* adopt under the same entries at the backup — no REHOME events, the
-         single BACKUP_PROMOTE below covers the whole shard *)
+      (* adopt under the same entries at the backup: the single
+         BACKUP_PROMOTE below covers the whole shard *)
       Directory.remove dir_d ~mp_id;
       Directory.adopt dir_b e;
       if rc_recover then begin
@@ -2706,9 +2556,9 @@ let promote_backup t ~dead:h ~backup:b =
     ~entries:(List.length entries) ~applied:(Directory.Replica.applied rep)
 
 (* Requester-side recovery: every live host resends, under a fresh id and
-   aimed at [to_] (host 0 on the legacy path, the promoted backup when the
-   dead home's shard was replicated), each operation it had in flight to the
-   dead home. *)
+   aimed at [to_] (the promoted backup, or host 0 when the dead host's
+   backup is gone too and its shard was empty), each operation it had in
+   flight to the dead home. *)
 let resend_orphans t h ~to_ =
   let now = rnow t in
   Array.iter
@@ -2794,12 +2644,22 @@ let resend_orphans t h ~to_ =
     t.host_states
 
 (* Declaration: the point of no return.  Fence the host, purge transport
-   state aimed at it, notify the survivors, and run manager-side recovery. *)
+   state aimed at it, notify the survivors, and run manager-side recovery.
+   A home whose backup is already dead (declared or crashed) is a typed
+   fail-stop when its shard holds any entry: the shard's only replica died
+   with the backup.  An empty shard needs no takeover, so recovery of its
+   orphans, leases, locks and barriers runs at host 0. *)
 let declare_dead t h =
   if not t.declared.(h) then begin
     t.declared.(h) <- true;
     Stats.Counters.incr t.counters "ft.declared_dead";
     Obs.declare_dead (obs t) ~time:(rnow t) ~host:h;
+    let b = backup_of_home t h in
+    let backup_alive = not (t.declared.(b) || t.crashed.(b)) in
+    if (not backup_alive) && not (Seq.is_empty (Directory.entries t.dirs.(h))) then
+      raise
+        (Crash_unrecoverable
+           (Printf.sprintf "millipage: home %d and its backup %d both died" h b));
     crash_host t h ~fenced:true;
     (match t.transport with
     | Some tr ->
@@ -2819,22 +2679,16 @@ let declare_dead t h =
     t.host_states.(manager).dead_peers <-
       Host_set.add h t.host_states.(manager).dead_peers;
     Obs.dead_notice (obs t) ~time:(rnow t) ~host:manager ~dead:h;
-    (* erase the dead host from every surviving shard, then take over the
-       shard it was itself running — at its backup when replicated (same
-       home id, log-replay recovery), at host 0 otherwise — then have live
-       requesters resend what was in flight to it (hints are repaired up
-       front in both takeover paths, before any resend can land) *)
+    (* erase the dead host from every surviving shard, then have its backup
+       take over the shard it was itself running (same home id, log-replay
+       recovery), then have live requesters resend what was in flight to it
+       (hints are repaired up front in the takeover, before any resend can
+       land) *)
     for s = 0 to hosts t - 1 do
       if s <> h && not t.declared.(s) then scrub_shard t ~home:s h
     done;
-    let b = backup_of_home t h in
-    let promote =
-      replicating t && not t.promoted.(h) && b <> h
-      && (not t.declared.(b))
-      && not t.crashed.(b)
-    in
-    let site = if promote then b else manager in
-    if promote then promote_backup t ~dead:h ~backup:b else rehome_dead_shard t h;
+    let site = if backup_alive then b else manager in
+    if backup_alive then promote_backup t ~dead:h ~backup:b;
     resend_orphans t h ~to_:site;
     revoke_leases t h ~site;
     rebuild_locks t h ~site;
@@ -2867,7 +2721,7 @@ let deadlock_report t =
      blocked: [%s]; manager: %d request(s) queued behind %d busy minipage(s)"
     !live_missing blocked !queued !busy
 
-let detector_tick t (ft : Config.ft) =
+let detector_tick t (ft : Config.Ft.t) =
   let now = rnow t in
   for h = 1 to hosts t - 1 do
     if not t.declared.(h) then begin
@@ -2904,7 +2758,7 @@ let detector_tick t (ft : Config.ft) =
     t.watchdog_idle <- 0
   end
 
-let start_ft t (ft : Config.ft) =
+let start_ft t (ft : Config.Ft.t) =
   List.iter
     (fun (h, at) ->
       Engine.schedule t.engine ~at (fun () -> crash_host t h ~fenced:false))
@@ -3101,6 +2955,10 @@ let on_message t (h : host_state) (m : Proto.packet Fabric.msg) =
       (* acks our own transmission on the reverse channel h.id -> m.src *)
       Hashtbl.remove tr.tx_unacked (chan_of t ~src:h.id ~dst:m.src, seq)
     | Proto.Data { seq; body } ->
+      (* any packet from [src] proves it alive when it reaches the detector:
+         a heartbeat resequenced behind a twice-lost packet would otherwise
+         reach dispatch past the declare timeout and fence a live host *)
+      if h.id = manager && ft_on t then t.last_beat.(m.src) <- Engine.now t.engine;
       let chan = chan_of t ~src:m.src ~dst:h.id in
       Fabric.send t.fabric ~src:h.id ~dst:m.src ~bytes:(header t)
         (Proto.Tack { seq });
@@ -3732,7 +3590,6 @@ let homes t =
   Array.init (max_id + 1) (fun id -> home_of_mp t id)
 
 let home_redirects t = Stats.Counters.get t.counters "homes.redirects"
-let rehomed_minipages t = Stats.Counters.get t.counters "homes.rehomes"
 let faulty t = Fabric.faulty t.fabric
 let retransmits t = Stats.Counters.get t.counters "transport.retransmits"
 let dups_suppressed t = Stats.Counters.get t.counters "transport.dups_suppressed"
@@ -3764,7 +3621,6 @@ let idempotence_size t =
 (* Replication statistics                                              *)
 (* ------------------------------------------------------------------ *)
 
-let replication_on = replicating
 let backup_promotions t = t.promotions
 let log_records_sent t = Array.fold_left ( + ) 0 t.log_seq
 let log_records_applied t = t.log_applies

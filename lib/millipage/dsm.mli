@@ -86,18 +86,10 @@ module Config : sig
               becomes the home (a one-time migration, learned lazily by the
               other hosts through the redirect path) *)
 
-    type t = {
-      policy : policy;
-      block : int;
-      replicate : bool;
-          (** stream each home shard's directory log to a backup host that
-              promotes (under the same home id) when the home is declared
-              dead.  Only active together with {!Config.t.ft}; inert — zero
-              extra messages — otherwise. *)
-    }
+    type t = { policy : policy; block : int }
 
     val default : t
-    (** [Central], block size 8, no replication. *)
+    (** [Central], block size 8. *)
 
     val central : t
     val round_robin : t
@@ -114,11 +106,10 @@ module Config : sig
     (** Inverse of {!policy_name}; also accepts ["round-robin"] and
         ["first-toucher"]. *)
 
-    val with_replicate : t -> bool -> t
-
     val backup_of : hosts:int -> int -> int
     (** Backup placement: [backup_of ~hosts home] is the host that receives
-        [home]'s directory log — the next host, mod the host count. *)
+        [home]'s directory log, and takes over its shard when [home] is
+        declared dead — the next host, mod the host count. *)
   end
 
   (** Per-minipage consistency: which protocol serves each minipage, as a
@@ -166,19 +157,6 @@ module Config : sig
     (** Inverse of {!mode_name}. *)
   end
 
-  type ft = Ft.t = {
-    hb_interval_us : float;
-    suspect_after_us : float;
-    declare_after_us : float;
-    crashes : (int * float) list;
-    stalls : (int * float * float) list;
-    deadlock_ticks : int;
-  }
-  (** @deprecated Compatibility alias for {!Ft.t}. *)
-
-  val default_ft : ft
-  (** @deprecated Use {!Ft.default}. *)
-
   type t = {
     views : int;  (** application views mapped at initialization (§2.4) *)
     object_size : int;  (** shared memory object size, bytes *)
@@ -213,7 +191,6 @@ module Config : sig
   val with_ft : t -> Ft.t option -> t
   val with_homes : t -> Homes.t -> t
   val with_policy : t -> Homes.policy -> t
-  val with_replicate : t -> bool -> t
   val with_consistency : t -> Consistency.t -> t
 end
 
@@ -223,9 +200,12 @@ exception Deadlock of string
     queue state. *)
 
 exception Crash_unrecoverable of string
-(** A survivor accessed data whose only up-to-date copy died with a crashed
-    host (the dead owner wrote after its last observed transfer); the
-    message names the lost minipages. *)
+(** The typed fail-stop of crash recovery.  Raised when a home is declared
+    dead while its backup ({!Config.Homes.backup_of}) is already dead and
+    its shard holds any entry — the message names both hosts, e.g. "home 2
+    and its backup 3 both died" — and when a survivor touches a minipage
+    that died with its sole owner before any shadow of it existed (the
+    message names the lost minipages). *)
 
 val create : Mp_sim.Engine.t -> hosts:int -> ?config:Config.t -> unit -> t
 
@@ -235,8 +215,8 @@ val hosts : t -> int
 val home_of : t -> addr:int -> int
 (** Current home of the minipage holding [addr] — the host running its
     directory state machine.  Valid any time after the address was
-    allocated; under [First_toucher] or after crash re-homing the answer can
-    change over the run. *)
+    allocated; under [First_toucher] or after a backup promotion the answer
+    can change over the run. *)
 
 val homes : t -> int array
 (** Home of every allocated minipage, indexed by minipage id. *)
@@ -271,7 +251,8 @@ val run : t -> unit
 (** Drive the simulation to completion.  Raises {!Deadlock} if live
     application threads remain blocked when the event queue drains (or, with
     crash-fault tolerance on, when the watchdog sees no progress), and
-    {!Crash_unrecoverable} if a survivor touches data lost in a crash. *)
+    {!Crash_unrecoverable} when a crash takes out a home together with its
+    backup. *)
 
 (** {2 Application-thread operations} *)
 
@@ -351,7 +332,7 @@ val views_used : t -> int
 val counters : t -> Mp_util.Stats.Counters.t
 (** Protocol-level counters: ["invalidations"], ["acks"], ["pushes"],
     ["replies.data"], ["grant.upgrades"], and under sharded policies
-    ["homes.redirects"], ["homes.migrations"], ["homes.rehomes"], ... *)
+    ["homes.redirects"], ["homes.migrations"], ... *)
 
 val obs : t -> Mp_obs.Recorder.t
 (** The typed observability recorder (disabled by default;
@@ -368,9 +349,6 @@ val max_queue_depth_by_home : t -> int array
 
 val home_redirects : t -> int
 (** Requests that reached a stale home and were redirected. *)
-
-val rehomed_minipages : t -> int
-(** Shard entries adopted by host 0 after their home host died. *)
 
 (** {2 Fault injection and reliable transport}
 
@@ -393,16 +371,20 @@ val net_reordered : t -> int
 (** {2 Crash-fault tolerance}
 
     With {!Config.t.ft} set, every non-manager host sends heartbeats to host 0
-    over the fabric; a host silent past [suspect_after_us] is suspected, and
-    past [declare_after_us] it is declared dead and fenced.  Declaration
+    over the fabric (on a faulty fabric any packet host 0 receives from a
+    host counts as one); a host silent past [suspect_after_us] is suspected,
+    and past [declare_after_us] it is declared dead and fenced.  Declaration
     triggers recovery: every live home shard is scrubbed (copysets, in-flight
-    operations, queued requests), the dead host's own shard is re-homed onto
-    host 0 (survivors learn the new home through the redirect path), minipages
-    the dead host exclusively owned are re-materialized from shadow copies
-    (refreshed eagerly on every data transfer and at each barrier entry), lock
-    leases held by the dead host are revoked and granted to the next live
-    waiter, and in-progress barriers and locks homed on the dead host are
-    rebuilt on host 0 from sender-side ground truth. *)
+    operations, queued requests), the dead host's own shard is taken over by
+    its backup under the same home id (see {e Replicated home shards}
+    below), minipages the dead host exclusively owned are re-materialized
+    from shadow copies (refreshed eagerly on every data transfer and at each
+    barrier entry; writes made since are rolled back), lock leases held by
+    the dead host are revoked and granted to the next live waiter, and
+    in-progress barriers and locks homed on the dead host are rebuilt at the
+    backup from sender-side ground truth.  If the backup is dead too, a
+    non-empty shard is a typed fail-stop ({!Crash_unrecoverable}); an empty
+    one needs no takeover and the rest of the recovery runs at host 0. *)
 
 val crashed_hosts : t -> int list
 (** Hosts that fail-stopped (injected crash or detector fencing). *)
@@ -411,9 +393,8 @@ val declared_dead : t -> int list
 (** Hosts declared dead (and recovery ran for). *)
 
 val lost_minipages : t -> int list
-(** Minipages whose dead owner wrote after the last observed transfer —
-    recovered bytes are stale, so survivor accesses raise
-    {!Crash_unrecoverable}. *)
+(** Minipages that died with their sole owner before any shadow of them
+    existed: survivor accesses raise {!Crash_unrecoverable}. *)
 
 val recovered_minipages : t -> int
 (** Exclusively-dead-owned minipages successfully re-materialized from
@@ -429,23 +410,16 @@ val idempotence_size : t -> int
 
 (** {2 Replicated home shards}
 
-    With {!Config.Homes.replicate} on (and the failure detector active),
-    every home streams its directory updates to a designated backup
+    Whenever the failure detector runs on more than one host, every home
+    streams its directory updates to a designated backup
     ({!Config.Homes.backup_of}) as a logical write-ahead log; when a home is
     declared dead its backup is promoted under the same home id — the
-    hint-cache repair is a single atomic rewrite, recovery replays the log
-    instead of scrubbing, and there is no host-0 shard adoption.  With the
-    flag off (or a single host, or no failure detector), no replication
-    state or traffic exists and runs are bit-identical to earlier
-    behavior. *)
-
-val replication_on : t -> bool
-(** Whether replication is actually live for this instance (flag on {e and}
-    failure detector configured {e and} more than one host). *)
+    hint-cache repair is a single atomic rewrite and recovery replays the
+    log.  With crash-fault tolerance off no replication state or traffic
+    exists. *)
 
 val backup_promotions : t -> int
-(** Dead homes whose shard was taken over by its backup (as opposed to the
-    legacy host-0 adoption). *)
+(** Dead homes whose shard was taken over by its backup. *)
 
 val promoted_homes : t -> int list
 (** The dead primaries whose shards were promoted. *)
@@ -466,9 +440,8 @@ val tail_repairs : t -> int
 
 val rolled_back_minipages : t -> int
 (** Sole-copy minipages whose dead owner wrote after the last sync, restored
-    to the last released version instead of being marked lost — the
-    release-consistency rollback that replaces {!Crash_unrecoverable}
-    fail-fast when replication is on. *)
+    to the last released version: the dead host's un-released writes are
+    discarded. *)
 
 (** {2 Adaptive consistency}
 

@@ -69,8 +69,8 @@ type body =
           the minipage's busy period (the delta-like mechanism of §3.3) *)
   | Home_redirect of { req_id : int; mp_id : int; home : int }
       (** home → requester whose home hint was stale (the minipage migrated
-          to its first toucher, or was re-homed after a crash): update the
-          hint and resend to [home] *)
+          to its first toucher, or its backup took over after a crash):
+          update the hint and resend to [home] *)
   | Barrier_enter of { from : int; tid : int; phase : int }
       (** [tid] identifies the entering thread, so recovery can rebuild a
           barrier's entered-set idempotently after its home host died *)

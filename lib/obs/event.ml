@@ -48,7 +48,6 @@ type kind =
   | Barrier_reconfig of { bphase : int; expected : int }
   | Home_assign of { mp_id : int; home : int }
   | Home_redirect of { mp_id : int; old_home : int; new_home : int }
-  | Rehome of { mp_id : int; from_home : int; to_home : int }
   | Log_append of { primary : int; backup : int; lseq : int; record : string }
   | Log_apply of { primary : int; lseq : int; record : string }
   | Backup_promote of { primary : int; backup : int; entries : int; applied : int }
@@ -105,7 +104,6 @@ let kind_name = function
   | Barrier_reconfig _ -> "BARRIER_RECONFIG"
   | Home_assign _ -> "HOME_ASSIGN"
   | Home_redirect _ -> "HOME_REDIRECT"
-  | Rehome _ -> "REHOME"
   | Log_append _ -> "LOG_APPEND"
   | Log_apply _ -> "LOG_APPLY"
   | Backup_promote _ -> "BACKUP_PROMOTE"
@@ -169,8 +167,6 @@ let detail = function
   | Home_assign { mp_id; home } -> Printf.sprintf "mp%d -> h%d" mp_id home
   | Home_redirect { mp_id; old_home; new_home } ->
     Printf.sprintf "mp%d h%d -> h%d" mp_id old_home new_home
-  | Rehome { mp_id; from_home; to_home } ->
-    Printf.sprintf "mp%d h%d -> h%d" mp_id from_home to_home
   | Log_append { primary; backup; lseq; record } ->
     Printf.sprintf "h%d #%d %s -> h%d" primary lseq record backup
   | Log_apply { primary; lseq; record } ->

@@ -81,9 +81,6 @@ type kind =
   | Home_redirect of { mp_id : int; old_home : int; new_home : int }
       (** A request hit a stale home hint; the receiver pointed the
           requester at the minipage's current home. *)
-  | Rehome of { mp_id : int; from_home : int; to_home : int }
-      (** Crash recovery moved this minipage's directory entry from a dead
-          home host to a surviving one. *)
   | Log_append of { primary : int; backup : int; lseq : int; record : string }
       (** Home [primary] streamed the [lseq]'th record of its directory log
           to [backup]; [record] is the record tag (["admit"], ["complete"],

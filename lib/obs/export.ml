@@ -145,9 +145,8 @@ let perfetto_json ?(extra = []) (events : Event.t list) =
       | Event.Host_crash | Event.Host_stall _ | Event.Heartbeat_miss _
       | Event.Suspect | Event.Declare_dead | Event.Dead_notice _
       | Event.Shadow_refresh _ | Event.Shadow_sync _ | Event.Recover_minipage _
-      | Event.Lease_revoke _ | Event.Barrier_reconfig _ | Event.Rehome _
-      | Event.Log_append _ | Event.Log_apply _ | Event.Backup_promote _
-      | Event.Log_replay _ ->
+      | Event.Lease_revoke _ | Event.Barrier_reconfig _ | Event.Log_append _
+      | Event.Log_apply _ | Event.Backup_promote _ | Event.Log_replay _ ->
         add (instant ~name ~cat:"crash" ~ts:e.time ~pid ~tid:0 ~args)
       | Event.Home_assign _ | Event.Home_redirect _ | Event.Mp_map _ ->
         add (instant ~name ~cat:"proto" ~ts:e.time ~pid ~tid:1 ~args)

@@ -37,7 +37,7 @@ let check (events : Event.t list) =
   let at_home what mp_id (e : Event.t) =
     (* Under Central no HOME_ASSIGN is emitted; the first managing host seen
        (host 0) calibrates the expectation.  Under sharded policies the
-       assignment/redirect/rehome events keep the map current, so a queue or
+       assignment/redirect/promotion events keep the map current, so a queue or
        grant at any other host is a routing violation — SW/MR serialization
        would be split across two managers. *)
     match Hashtbl.find_opt homes mp_id with
@@ -149,7 +149,6 @@ let check (events : Event.t list) =
       | Event.Home_assign { mp_id; home } -> Hashtbl.replace homes mp_id home
       | Event.Home_redirect { mp_id; new_home; _ } ->
         Hashtbl.replace homes mp_id new_home
-      | Event.Rehome { mp_id; to_home; _ } -> Hashtbl.replace homes mp_id to_home
       | Event.Log_append { primary; record; _ } ->
         if record = "complete" && e.span <> Event.no_span then
           Hashtbl.replace log_acked (primary, e.span) ()

@@ -44,7 +44,6 @@ type home_cost = {
   mutable invals_sent : int;
   mutable queued : int;
   mutable redirect_repairs : int;
-  mutable rehomes : int;
 }
 
 let fresh_host_cost () =
@@ -61,7 +60,7 @@ let fresh_host_cost () =
   }
 
 let fresh_home_cost () =
-  { forwards = 0; invals_sent = 0; queued = 0; redirect_repairs = 0; rehomes = 0 }
+  { forwards = 0; invals_sent = 0; queued = 0; redirect_repairs = 0 }
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -345,9 +344,6 @@ let feed t (e : Event.t) =
     (host_cost t e.host).redirects <- (host_cost t e.host).redirects + 1;
     let hc = home_cost t old_home in
     hc.redirect_repairs <- hc.redirect_repairs + 1
-  | Event.Rehome { to_home; _ } ->
-    let hc = home_cost t to_home in
-    hc.rehomes <- hc.rehomes + 1
   | Event.Forward _ ->
     let hc = home_cost t e.host in
     hc.forwards <- hc.forwards + 1
@@ -584,7 +580,7 @@ let report t =
   | hs ->
     push
       (Tab.render
-         ~header:[ "home"; "forwards"; "invals"; "queued"; "redirs"; "rehomes" ]
+         ~header:[ "home"; "forwards"; "invals"; "queued"; "redirs" ]
          (List.map
             (fun (h, c) ->
               [
@@ -593,7 +589,6 @@ let report t =
                 string_of_int c.invals_sent;
                 string_of_int c.queued;
                 string_of_int c.redirect_repairs;
-                string_of_int c.rehomes;
               ])
             hs)));
   String.concat "\n" (List.rev !sections)
@@ -663,8 +658,8 @@ let to_json ?(meta = []) t =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"home\":%d,\"forwards\":%d,\"invals\":%d,\"queued\":%d,\"redirects\":%d,\"rehomes\":%d}"
-           h c.forwards c.invals_sent c.queued c.redirect_repairs c.rehomes))
+           "{\"home\":%d,\"forwards\":%d,\"invals\":%d,\"queued\":%d,\"redirects\":%d}"
+           h c.forwards c.invals_sent c.queued c.redirect_repairs))
     (sorted_homes t);
   Buffer.add_string buf "]}";
   Buffer.contents buf

@@ -57,7 +57,6 @@ type home_cost = {
   mutable invals_sent : int;
   mutable queued : int;
   mutable redirect_repairs : int;
-  mutable rehomes : int;
 }
 
 type unit_stat = {

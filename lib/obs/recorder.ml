@@ -374,12 +374,6 @@ let home_redirect t ~time ~host ~span ~mp_id ~old_home ~new_home =
     incr t "homes.redirects"
   end
 
-let rehome t ~time ~host ~mp_id ~from_home ~to_home =
-  if t.on then begin
-    record t ~time ~host (Event.Rehome { mp_id; from_home; to_home });
-    incr t "homes.rehomes"
-  end
-
 (* ---------------- replicated home shards ---------------- *)
 
 let log_append t ~time ~host ~span ~primary ~backup ~lseq ~record_tag =

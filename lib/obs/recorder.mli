@@ -150,9 +150,6 @@ val home_redirect :
   t -> time:float -> host:int -> span:int -> mp_id:int -> old_home:int ->
   new_home:int -> unit
 
-val rehome :
-  t -> time:float -> host:int -> mp_id:int -> from_home:int -> to_home:int -> unit
-
 (** {2 Replicated home shards}
 
     [span] carries the request id for completion records ({!Event.no_span}

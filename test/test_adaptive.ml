@@ -211,13 +211,13 @@ let test_explicit_sc_matches_default () =
 (* ---------------- crash recovery under rc ------------------------------ *)
 
 let test_rc_crash_with_replication () =
-  (* 4 hosts, round-robin replicated homes, pure rc.  Host 2 (a home) dies
+  (* 4 hosts, round-robin homes, pure rc.  Host 2 (a home) dies
      mid-run; its backup must adopt the shard and force the orphaned rc
      minipages back to sc before serving them again.  The workload's values
      must still come out right on the survivors. *)
   let fast_ft =
     {
-      Dsm.Config.default_ft with
+      Dsm.Config.Ft.default with
       hb_interval_us = 200.0;
       suspect_after_us = 700.0;
       declare_after_us = 1600.0;
@@ -228,7 +228,7 @@ let test_rc_crash_with_replication () =
     {
       Dsm.Config.default with
       consistency = Consistency.rc;
-      homes = Homes.with_replicate Homes.round_robin true;
+      homes = Homes.round_robin;
       polling = Mp_net.Polling.Fast;
       ft = Some fast_ft;
     }

@@ -1,6 +1,7 @@
 (* Crash-fault tolerance: injection, the heartbeat failure detector,
-   manager-side recovery (shadow copies, lock leases, degraded barriers),
-   the deadlock watchdog, and the bounded idempotence tables. *)
+   recovery (shadow copies, lock leases, degraded barriers, backup
+   promotion of a dead home's shard), the deadlock watchdog, and the
+   bounded idempotence tables. *)
 
 open Mp_sim
 open Mp_millipage
@@ -11,7 +12,7 @@ module Fabric = Mp_net.Fabric
    1600 µs.  Individual tests override crashes/stalls. *)
 let fast_ft =
   {
-    Dsm.Config.default_ft with
+    Dsm.Config.Ft.default with
     hb_interval_us = 200.0;
     suspect_after_us = 700.0;
     declare_after_us = 1600.0;
@@ -167,30 +168,6 @@ let test_shadow_recovery_after_barrier () =
     (counter dsm "ft.shadow_syncs" >= 1);
   Alcotest.(check bool) "parked barrier reconfigured" true
     (counter dsm "ft.barrier_reconfigs" >= 1)
-
-let test_unsynced_write_is_unrecoverable () =
-  (* the dead host wrote after its last observed transfer: the survivor's
-     access must fail fast rather than return stale bytes *)
-  let e = Engine.create () in
-  let config = ft_config ~crashes:[ (2, 1000.0) ] () in
-  let dsm = Dsm.create e ~hosts:3 ~config () in
-  let x = Dsm.malloc dsm 64 in
-  Dsm.init_write_f64 dsm x 1.0;
-  Dsm.spawn dsm ~host:2 (fun ctx ->
-      Dsm.write_f64 ctx x 42.0;
-      Dsm.compute ctx 50000.0);
-  Dsm.spawn dsm ~host:1 (fun ctx ->
-      Dsm.compute ctx 6000.0;
-      ignore (Dsm.read_f64 ctx x));
-  (match Dsm.run dsm with
-  | () -> Alcotest.fail "expected Crash_unrecoverable"
-  | exception Dsm.Crash_unrecoverable msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "message names the minipage (%s)" msg)
-      true
-      (String.length msg > 0));
-  Alcotest.(check bool) "minipage marked lost" true
-    (Dsm.lost_minipages dsm <> [])
 
 (* ---------------- degraded barriers ------------------------------------ *)
 
@@ -376,8 +353,8 @@ let test_acceptance_stencil_survives_crash () =
 
 (* Under round-robin homes on 3 hosts, minipages 2 and 5 are homed at host
    2.  Host 2 runs a compute-only thread (it never owns data) and crashes
-   mid-run; its shard must be re-homed onto host 0 and the survivors must
-   keep read/write sharing those minipages to completion. *)
+   mid-run; its backup, host 0, must take over the shard and the survivors
+   must keep read/write sharing those minipages to completion. *)
 let test_rehoming_after_home_crash () =
   let final = Array.make 2 0.0 in
   let dsm =
@@ -403,12 +380,9 @@ let test_rehoming_after_home_crash () =
         Dsm.spawn dsm ~host:2 (fun ctx -> Dsm.compute ctx 60000.0))
   in
   Alcotest.(check (list int)) "home host declared dead" [ 2 ] (Dsm.declared_dead dsm);
-  Alcotest.(check bool)
-    (Printf.sprintf "host 2's shard re-homed (%d)" (Dsm.rehomed_minipages dsm))
-    true
-    (Dsm.rehomed_minipages dsm >= 2);
+  Alcotest.(check (list int)) "host 2's shard promoted" [ 2 ] (Dsm.promoted_homes dsm);
   Alcotest.(check (list int)) "no data lost" [] (Dsm.lost_minipages dsm);
-  (* every minipage formerly homed at 2 now answers 0 *)
+  (* every minipage formerly homed at 2 now answers at its backup, 0 *)
   let homes = Dsm.homes dsm in
   Alcotest.(check (array int)) "mod-3 homes collapsed onto 0"
     [| 0; 1; 0; 0; 1; 0 |] homes;
@@ -421,15 +395,16 @@ let test_rehoming_after_home_crash () =
 
 let test_rehoming_under_first_toucher () =
   (* a first-toucher migration moves a minipage to host 2; host 2 then dies
-     and the minipage must come home to host 0, reachable by survivors
-     whose hints still name the dead host *)
-  let seen = ref 0.0 in
+     and the minipage must move to its backup, host 0, reachable by
+     survivors whose hints still name the dead host *)
+  let seen = ref 0.0 and x_addr = ref 0 in
   let dsm =
     scenario
       ~config:
         (ft_config ~homes:Dsm.Config.Homes.first_toucher ~crashes:[ (2, 3000.0) ] ())
       (fun dsm ->
         let x = Dsm.malloc dsm 64 in
+        x_addr := x;
         Dsm.init_write_f64 dsm x 1.0;
         Dsm.spawn dsm ~host:2 (fun ctx -> ignore (Dsm.read_f64 ctx x));
         Dsm.spawn dsm ~host:1 (fun ctx ->
@@ -443,23 +418,49 @@ let test_rehoming_under_first_toucher () =
     (Dsm.declared_dead dsm);
   Alcotest.(check int) "migration happened before the crash" 1
     (counter dsm "homes.migrations");
-  Alcotest.(check bool) "migrated shard re-homed" true (Dsm.rehomed_minipages dsm >= 1);
+  Alcotest.(check (list int)) "migrated shard promoted" [ 2 ] (Dsm.promoted_homes dsm);
+  Alcotest.(check int) "minipage served at the backup" 0
+    (Dsm.home_of dsm ~addr:!x_addr);
   Alcotest.(check (float 0.0)) "survivor's data intact" 5.0 !seen
 
 (* ---------------- property: random crash schedules never hang ---------- *)
 
+(* One crash, or two crashes of distinct hosts.  A single crash always
+   leaves the victim's backup alive; a second one may kill a home together
+   with its backup, the one case where recovery is designed to fail fast. *)
 let crash_schedule =
+  let show (h, at) = Printf.sprintf "h%d@%.0fus" h at in
   QCheck.(
     make
-      ~print:(fun (h, t) -> Printf.sprintf "crash h%d@%.0fus" h t)
-      Gen.(pair (int_range 1 3) (float_range 200.0 9000.0)))
+      ~print:(fun (rr, first, second) ->
+        Printf.sprintf "%s homes, crash %s%s"
+          (if rr then "rr" else "central")
+          (show first)
+          (match second with Some c -> ", " ^ show c | None -> ""))
+      Gen.(
+        let crash = pair (int_range 1 3) (float_range 200.0 9000.0) in
+        crash >>= fun ((h, _) as first) ->
+        triple bool (return first)
+          (opt
+             (map2
+                (fun d at -> ((h - 1 + d) mod 3 + 1, at))
+                (int_range 1 2) (float_range 200.0 9000.0)))))
 
 let prop_random_crash_never_hangs =
-  QCheck.Test.make ~count:15 ~name:"random crash: completes or fails fast"
-    crash_schedule (fun (h, at) ->
+  (* Every run either completes with nothing lost and no invariant violation
+     (which includes the log invariant that every completion a dead primary
+     acked reached its promoted backup), or fails fast with the typed error
+     naming a crashed home and its crashed backup.  It never deadlocks. *)
+  QCheck.Test.make ~count:60 ~name:"random crash: completes or fails fast"
+    crash_schedule (fun (rr, first, second) ->
+      let crashes = first :: Option.to_list second in
+      let homes = if rr then Dsm.Config.Homes.round_robin else Dsm.Config.Homes.central in
       let e = Engine.create () in
-      let config = ft_config ~crashes:[ (h, at) ] ~deadlock_ticks:100 () in
+      let config = ft_config ~homes ~crashes ~deadlock_ticks:100 () in
       let dsm = Dsm.create e ~hosts:4 ~config () in
+      let obs = Dsm.obs dsm in
+      Mp_obs.Recorder.set_capacity obs (1 lsl 20);
+      Mp_obs.Recorder.set_enabled obs true;
       let cells = Dsm.malloc_array dsm ~count:4 ~size:64 in
       for i = 1 to 3 do
         Dsm.init_write_f64 dsm cells.(i) 0.0
@@ -475,8 +476,19 @@ let prop_random_crash_never_hangs =
             done)
       done;
       match Dsm.run dsm with
-      | () -> true
-      | exception Dsm.Crash_unrecoverable _ -> true (* designed fail-fast *)
+      | () -> (
+        match Mp_obs.Invariants.check (Mp_obs.Recorder.events obs) with
+        | [] when Dsm.lost_minipages dsm = [] -> true
+        | [] -> QCheck.Test.fail_reportf "minipages lost despite completing"
+        | violations -> QCheck.Test.fail_reportf "%s" (String.concat "; " violations))
+      | exception Dsm.Crash_unrecoverable msg ->
+        let both_died (h, _) =
+          let b = Dsm.Config.Homes.backup_of ~hosts:4 h in
+          List.mem_assoc b crashes
+          && msg = Printf.sprintf "millipage: home %d and its backup %d both died" h b
+        in
+        List.exists both_died crashes
+        || QCheck.Test.fail_reportf "fail-stop without a dead home and backup: %s" msg
       | exception Dsm.Deadlock msg -> QCheck.Test.fail_reportf "deadlock: %s" msg)
 
 let suite =
@@ -491,8 +503,6 @@ let suite =
       test_lease_revoked_to_next_waiter;
     Alcotest.test_case "shadow recovery after barrier" `Quick
       test_shadow_recovery_after_barrier;
-    Alcotest.test_case "unsynced write unrecoverable" `Quick
-      test_unsynced_write_is_unrecoverable;
     Alcotest.test_case "barriers degrade to survivors" `Quick
       test_barriers_degrade_to_survivors;
     Alcotest.test_case "watchdog reports deadlock" `Quick

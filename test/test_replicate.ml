@@ -1,7 +1,8 @@
 (* Replicated home shards: the per-home directory log, backup promotion
-   under the same home id, release-consistency rollback instead of
-   fail-fast, and the two satellite regressions (hint repair ordering in
-   the legacy re-homing path; original-stamp idempotence carry). *)
+   under the same home id, release-consistency rollback of unreleased
+   writes, the typed fail-stop when a home and its backup both die, hint
+   repair ordering before orphan resends, original-stamp idempotence carry,
+   and the failure detector under message loss. *)
 
 open Mp_sim
 open Mp_millipage
@@ -10,13 +11,13 @@ module Event = Mp_obs.Event
 
 let fast_ft =
   {
-    Dsm.Config.default_ft with
+    Dsm.Config.Ft.default with
     hb_interval_us = 200.0;
     suspect_after_us = 700.0;
     declare_after_us = 1600.0;
   }
 
-let rr_replicated = Dsm.Config.Homes.with_replicate Dsm.Config.Homes.round_robin true
+let rr = Dsm.Config.Homes.round_robin
 
 let config ?(crashes = []) ?(homes = Dsm.Config.Homes.default) ?net () =
   let base =
@@ -69,7 +70,7 @@ let stencil ?(count = 8) ?(victims = []) ~phases dsm =
     victims;
   final
 
-(* ---------------- promotion replaces re-homing ------------------------- *)
+(* ---------------- promotion under the same home id -------------------- *)
 
 let test_promotion_after_home_crash () =
   (* 4 hosts, round-robin homes: minipages 2 and 6 are homed at host 2,
@@ -78,14 +79,12 @@ let test_promotion_after_home_crash () =
   let final = ref [||] in
   let dsm =
     scenario ~hosts:4
-      ~config:(config ~homes:rr_replicated ~crashes:[ (2, 3000.0) ] ())
+      ~config:(config ~homes:rr ~crashes:[ (2, 3000.0) ] ())
       (fun dsm -> final := stencil ~victims:[ 2 ] ~phases:6 dsm)
   in
-  Alcotest.(check bool) "replication live" true (Dsm.replication_on dsm);
   Alcotest.(check (list int)) "home host declared dead" [ 2 ] (Dsm.declared_dead dsm);
   Alcotest.(check int) "exactly one promotion" 1 (Dsm.backup_promotions dsm);
   Alcotest.(check (list int)) "home 2 promoted" [ 2 ] (Dsm.promoted_homes dsm);
-  Alcotest.(check int) "nothing re-homed onto host 0" 0 (Dsm.rehomed_minipages dsm);
   Alcotest.(check (list int)) "no data lost" [] (Dsm.lost_minipages dsm);
   (* the shard kept its identity: dead home's minipages answer at the
      backup, every other home is untouched *)
@@ -123,16 +122,16 @@ let test_promotion_under_loss () =
   (* message loss keeps requests in flight across the crash window, so
      promotion has to reconcile an in-flight tail (possibly via the corpse's
      completion stamps and protection ground truth) rather than replay a
-     complete log.  Whatever the loss pattern, no write may be lost and no
-     minipage may fall back onto host 0. *)
+     complete log.  Whatever the loss pattern, no write may be lost and the
+     shard must move to the backup. *)
   let final = ref [||] in
   let dsm =
     scenario ~hosts:4
-      ~config:(config ~homes:rr_replicated ~net:lossy_net ~crashes:[ (2, 3000.0) ] ())
+      ~config:(config ~homes:rr ~net:lossy_net ~crashes:[ (2, 3000.0) ] ())
       (fun dsm -> final := stencil ~victims:[ 2 ] ~phases:6 dsm)
   in
   Alcotest.(check int) "one promotion" 1 (Dsm.backup_promotions dsm);
-  Alcotest.(check int) "no host-0 adoption" 0 (Dsm.rehomed_minipages dsm);
+  Alcotest.(check (list int)) "home 2 promoted" [ 2 ] (Dsm.promoted_homes dsm);
   Alcotest.(check (list int)) "no data lost" [] (Dsm.lost_minipages dsm);
   Array.iteri
     (fun h v ->
@@ -141,47 +140,15 @@ let test_promotion_under_loss () =
         6.0 v)
     !final
 
-(* ---------------- log replay vs legacy scrub --------------------------- *)
-
-let test_replay_matches_scrub_outcome () =
-  (* the same crash schedule run twice, replication off and on: the
-     application-visible outcome (survivor finals) must agree, while the
-     recovery mechanism differs — legacy collapses the shard onto host 0,
-     replication promotes in place. *)
-  let run replicate =
-    let homes =
-      Dsm.Config.Homes.with_replicate Dsm.Config.Homes.round_robin replicate
-    in
-    let final = ref [||] in
-    let dsm =
-      scenario ~hosts:4
-        ~config:(config ~homes ~crashes:[ (2, 3000.0) ] ())
-        (fun dsm -> final := stencil ~victims:[ 2 ] ~phases:6 dsm)
-    in
-    (dsm, Array.to_list !final)
-  in
-  let legacy, legacy_finals = run false in
-  let repl, repl_finals = run true in
-  Alcotest.(check bool) "legacy re-homed the shard" true
-    (Dsm.rehomed_minipages legacy >= 2);
-  Alcotest.(check int) "legacy never promotes" 0 (Dsm.backup_promotions legacy);
-  Alcotest.(check int) "replication never re-homes" 0 (Dsm.rehomed_minipages repl);
-  Alcotest.(check int) "replication promotes" 1 (Dsm.backup_promotions repl);
-  Alcotest.(check (list (float 0.0))) "identical survivor outcomes"
-    legacy_finals repl_finals
-
-(* ---------------- rollback instead of fail-fast ------------------------ *)
+(* ---------------- rollback of an unreleased write --------------------- *)
 
 let test_unsynced_write_rolls_back () =
-  (* replicated twin of test_crash's "unsynced write unrecoverable": the
-     dead host wrote after its last transfer.  Legacy fails fast; with the
-     shard replicated the write is rolled back to the release-consistent
-     shadow and the survivor's read completes. *)
+  (* the dead host wrote after its last transfer: the write is rolled back
+     to the release-consistent shadow and the survivor's read completes *)
   let seen = ref 0.0 in
   let dsm =
     scenario ~hosts:3
-      ~config:(config ~homes:(Dsm.Config.Homes.with_replicate Dsm.Config.Homes.default true)
-                 ~crashes:[ (2, 1000.0) ] ())
+      ~config:(config ~crashes:[ (2, 1000.0) ] ())
       (fun dsm ->
         let x = Dsm.malloc dsm 64 in
         Dsm.init_write_f64 dsm x 1.0;
@@ -198,24 +165,40 @@ let test_unsynced_write_rolls_back () =
      release-consistent value, not the dead host's in-progress 42.0 *)
   Alcotest.(check (float 0.0)) "survivor reads pre-crash value" 1.0 !seen
 
-(* ---------------- double crash degrades, not corrupts ------------------ *)
+(* ---------------- a home and its backup both die --------------------- *)
 
 let test_primary_and_backup_both_die () =
   (* hosts 2 and 3 crash inside the same detection window.  Home 2's backup
-     (host 3) is already crashed when the declaration lands, so that shard
-     must fall back to the legacy host-0 re-homing; home 3's backup (host 0)
-     is alive, so that shard still promotes.  Survivors finish. *)
+     (host 3) is already crashed when the declaration lands and home 2's
+     shard holds entries: the only replica of that shard is gone, so the run
+     fail-stops with a typed error naming both hosts. *)
+  let e = Engine.create () in
+  let config = config ~homes:rr ~crashes:[ (2, 3000.0); (3, 3050.0) ] () in
+  let dsm = Dsm.create e ~hosts:4 ~config () in
+  ignore (stencil ~victims:[ 2; 3 ] ~phases:6 dsm);
+  match Dsm.run dsm with
+  | () -> Alcotest.fail "expected Crash_unrecoverable"
+  | exception Dsm.Crash_unrecoverable msg ->
+    let expect = "home 2 and its backup 3 both died" in
+    let n = String.length expect in
+    let rec has i =
+      i + n <= String.length msg && (String.sub msg i n = expect || has (i + 1))
+    in
+    Alcotest.(check bool) (Printf.sprintf "names both hosts (%s)" msg) true (has 0);
+    Alcotest.(check int) "no promotion" 0 (Dsm.backup_promotions dsm)
+
+let test_dead_backup_of_empty_shard () =
+  (* the same two crashes under central homes: home 2's shard is empty, so
+     its dead backup costs nothing — the rest of host 2's recovery runs at
+     host 0 — and home 3's backup (host 0) still promotes.  Survivors
+     finish. *)
   let final = ref [||] in
   let dsm =
     scenario ~hosts:4
-      ~config:(config ~homes:rr_replicated ~crashes:[ (2, 3000.0); (3, 3050.0) ] ())
+      ~config:(config ~crashes:[ (2, 3000.0); (3, 3050.0) ] ())
       (fun dsm -> final := stencil ~victims:[ 2; 3 ] ~phases:6 dsm)
   in
   Alcotest.(check (list int)) "both declared" [ 2; 3 ] (Dsm.declared_dead dsm);
-  Alcotest.(check bool) "home 2 degraded to legacy re-homing" true
-    (Dsm.rehomed_minipages dsm >= 2);
-  Alcotest.(check int) "home 3 still promoted (backup host 0 alive)" 1
-    (Dsm.backup_promotions dsm);
   Alcotest.(check (list int)) "promoted home is 3" [ 3 ] (Dsm.promoted_homes dsm);
   Alcotest.(check (list int)) "no data lost" [] (Dsm.lost_minipages dsm);
   Array.iteri
@@ -230,22 +213,21 @@ let test_primary_and_backup_both_die () =
 let crash_schedule =
   QCheck.(
     make
-      ~print:(fun (h, t) -> Printf.sprintf "crash h%d@%.0fus" h t)
-      Gen.(pair (int_range 1 3) (float_range 200.0 9000.0)))
+      ~print:(fun (rr, h, t) ->
+        Printf.sprintf "%s homes, crash h%d@%.0fus" (if rr then "rr" else "central") h t)
+      Gen.(triple bool (int_range 1 3) (float_range 200.0 9000.0)))
 
 let prop_no_acked_write_lost =
-  (* With replication on, a random single-host crash must never fail fast
-     (Crash_unrecoverable), never collapse a shard onto host 0, and never
-     trip the log invariant: every completion the primary acked before dying
-     reached its promoted backup (directly or via tail repair).  The
-     invariant checker enforces the last clause from the event trace. *)
-  QCheck.Test.make ~count:15 ~name:"replicated crash: no acked write lost"
-    crash_schedule (fun (h, at) ->
+  (* A single crash always leaves the victim's backup alive, so the run must
+     complete under central and round-robin homes alike: no fail-stop, no
+     deadlock, nothing lost, and no invariant violation — which includes the
+     log invariant that every completion the dead primary acked reached its
+     promoted backup (directly or via tail repair). *)
+  QCheck.Test.make ~count:60 ~name:"replicated crash: no acked write lost"
+    crash_schedule (fun (use_rr, h, at) ->
+      let homes = if use_rr then rr else Dsm.Config.Homes.central in
       let e = Engine.create () in
-      let config =
-        config ~homes:rr_replicated ~crashes:[ (h, at) ] ()
-      in
-      let dsm = Dsm.create e ~hosts:4 ~config () in
+      let dsm = Dsm.create e ~hosts:4 ~config:(config ~homes ~crashes:[ (h, at) ] ()) () in
       let obs = Dsm.obs dsm in
       Mp_obs.Recorder.set_capacity obs (1 lsl 20);
       Mp_obs.Recorder.set_enabled obs true;
@@ -264,58 +246,74 @@ let prop_no_acked_write_lost =
             done)
       done;
       match Dsm.run dsm with
-      | () ->
-        (match Mp_obs.Invariants.check (Mp_obs.Recorder.events obs) with
-        | [] ->
-          if Dsm.rehomed_minipages dsm > 0 then
-            QCheck.Test.fail_reportf "crash h%d@%.0f: shard re-homed onto host 0" h at
-          else true
-        | violations ->
-          QCheck.Test.fail_reportf "crash h%d@%.0f: %s" h at
-            (String.concat "; " violations))
+      | () -> (
+        match Mp_obs.Invariants.check (Mp_obs.Recorder.events obs) with
+        | [] when Dsm.lost_minipages dsm = [] -> true
+        | [] -> QCheck.Test.fail_reportf "minipages lost"
+        | violations -> QCheck.Test.fail_reportf "%s" (String.concat "; " violations))
       | exception Dsm.Crash_unrecoverable msg ->
-        QCheck.Test.fail_reportf "crash h%d@%.0f failed fast despite replication: %s"
-          h at msg
-      | exception Dsm.Deadlock msg ->
-        QCheck.Test.fail_reportf "crash h%d@%.0f deadlocked: %s" h at msg)
+        QCheck.Test.fail_reportf "fail-stop: %s" msg
+      | exception Dsm.Deadlock msg -> QCheck.Test.fail_reportf "deadlock: %s" msg)
 
 (* ---------------- fault-free: replication is invisible ----------------- *)
 
 let test_fault_free_results_unchanged () =
-  (* same app with replication off and on, no crash: identical results.
-     (Timings differ — log appends share the fabric — but values cannot.) *)
-  let run replicate =
-    let homes =
-      Dsm.Config.Homes.with_replicate Dsm.Config.Homes.round_robin replicate
-    in
+  (* same app with FT off and on, no crash: identical results.  (Timings
+     differ — heartbeats and log appends share the fabric — but values
+     cannot.) *)
+  let run ft =
     let final = ref [||] in
-    let dsm =
-      scenario ~hosts:4 ~config:(config ~homes ()) (fun dsm ->
-          final := stencil ~phases:4 dsm)
-    in
+    let config = Dsm.Config.with_ft (config ~homes:rr ()) ft in
+    let dsm = scenario ~hosts:4 ~config (fun dsm -> final := stencil ~phases:4 dsm) in
     (dsm, Array.to_list !final)
   in
-  let off, off_finals = run false in
-  let on, on_finals = run true in
-  Alcotest.(check int) "no log traffic when off" 0 (Dsm.log_records_sent off);
-  Alcotest.(check bool) "log traffic when on" true (Dsm.log_records_sent on > 0);
+  let off, off_finals = run None in
+  let on, on_finals = run (Some fast_ft) in
+  Alcotest.(check int) "no log traffic with FT off" 0 (Dsm.log_records_sent off);
+  Alcotest.(check bool) "log traffic with FT on" true (Dsm.log_records_sent on > 0);
   Alcotest.(check int) "no promotions without a crash" 0 (Dsm.backup_promotions on);
   Alcotest.(check (list (float 0.0))) "identical results" off_finals on_finals
 
-(* ---------------- satellite 1: hint repair precedes resend ------------- *)
+(* ---------------- no false deaths under message loss ------------------- *)
+
+let test_lossy_fabric_declares_nobody () =
+  (* No crash, 5% loss, default detector timeouts and RTO.  A heartbeat
+     resequenced behind a packet lost twice waits 5 + 10 ms of
+     retransmission, past the 8 ms declare timeout: unless every packet
+     reaching host 0 counts as a sign of life, live hosts get declared dead
+     and fenced. *)
+  let final = ref [||] in
+  let config =
+    {
+      Dsm.Config.default with
+      ft = Some Dsm.Config.Ft.default;
+      homes = rr;
+      net =
+        { Dsm.Config.Net.default with faults = { Fabric.no_faults with drop = 0.05 }; seed = 1 };
+    }
+  in
+  let dsm = scenario ~hosts:4 ~config (fun dsm -> final := stencil ~phases:12 dsm) in
+  Alcotest.(check (list int)) "nobody declared dead" [] (Dsm.declared_dead dsm);
+  Array.iteri
+    (fun h v ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "host %d finished all phases" h)
+        12.0 v)
+    !final
+
+(* ---------------- hint repair precedes resend ------------------------- *)
 
 let test_orphan_resend_targets_repaired_home () =
-  (* Legacy path regression (replication off).  Message loss keeps a
-     survivor's write request in flight at home 2 when host 2 dies; the
-     declaration-time orphan resend must target the repaired home (host 0),
-     not chase the corpse through a stale hint.  Before the hint-repair
-     hoist in rehome_dead_shard this schedule could resend into a hint that
-     still named the dead host. *)
+  (* Message loss keeps a survivor's write request in flight at home 2 when
+     host 2 dies; the declaration-time orphan resend must target the
+     promoted home (host 2's backup, host 0), not chase the corpse through a
+     stale hint: the takeover repairs every hint before any resend goes
+     out. *)
   let seen = ref 0.0 in
   let dsm =
     scenario ~hosts:3
       ~config:
-        (config ~homes:Dsm.Config.Homes.round_robin ~net:lossy_net
+        (config ~homes:rr ~net:lossy_net
            ~crashes:[ (2, 3000.0) ] ())
       (fun dsm ->
         let cells = Dsm.malloc_array dsm ~count:6 ~size:64 in
@@ -332,7 +330,7 @@ let test_orphan_resend_targets_repaired_home () =
         Dsm.spawn dsm ~host:2 (fun ctx -> Dsm.compute ctx 60000.0))
   in
   Alcotest.(check (list int)) "home host dead" [ 2 ] (Dsm.declared_dead dsm);
-  Alcotest.(check bool) "shard re-homed" true (Dsm.rehomed_minipages dsm >= 2);
+  Alcotest.(check (list int)) "shard promoted" [ 2 ] (Dsm.promoted_homes dsm);
   Alcotest.(check (float 0.0)) "write completed at the repaired home" 8.0 !seen;
   (* after the declaration no host ever needed a redirect off a stale hint:
      the hoisted repair fixed every cache before any resend went out *)
@@ -362,7 +360,7 @@ let test_release_survives_dead_releaser () =
     (fun seed ->
       let e = Engine.create () in
       let config =
-        config ~homes:rr_replicated
+        config ~homes:rr
           ~net:{ lossy_net with Dsm.Config.Net.seed; faults = { Fabric.no_faults with drop = 0.05 } }
           (* after phase 2's release (~3.2ms), before phase 6's (~6.5ms) *)
           ~crashes:[ (2, 4000.0) ] ()
@@ -392,7 +390,7 @@ let test_release_survives_dead_releaser () =
     (Printf.sprintf "release replays exercised (%d)" !replays)
     true (!replays > 0)
 
-(* ---------------- satellite 2: original-stamp idempotence carry -------- *)
+(* ---------------- original-stamp idempotence carry --------------------- *)
 
 let test_handoff_carries_original_stamps () =
   (* Replicated completions install into the promoted shard with the
@@ -451,7 +449,7 @@ let test_duplicate_suppressed_across_promotion () =
   let dsm =
     scenario ~hosts:4
       ~config:
-        (config ~homes:rr_replicated
+        (config ~homes:rr
            ~net:{ lossy_net with Dsm.Config.Net.seed = 23 }
            ~crashes:[ (2, 3500.0) ] ())
       (fun dsm -> final := stencil ~victims:[ 2 ] ~phases:6 dsm)
@@ -471,15 +469,17 @@ let suite =
       test_promotion_after_home_crash;
     Alcotest.test_case "promotion under message loss" `Quick
       test_promotion_under_loss;
-    Alcotest.test_case "replay matches scrub outcome" `Quick
-      test_replay_matches_scrub_outcome;
     Alcotest.test_case "unsynced write rolls back" `Quick
       test_unsynced_write_rolls_back;
     Alcotest.test_case "primary and backup both die" `Quick
       test_primary_and_backup_both_die;
+    Alcotest.test_case "dead backup of an empty shard" `Quick
+      test_dead_backup_of_empty_shard;
     QCheck_alcotest.to_alcotest prop_no_acked_write_lost;
     Alcotest.test_case "fault-free results unchanged" `Quick
       test_fault_free_results_unchanged;
+    Alcotest.test_case "lossy fabric: no false deaths" `Quick
+      test_lossy_fabric_declares_nobody;
     Alcotest.test_case "orphan resend targets repaired home" `Quick
       test_orphan_resend_targets_repaired_home;
     Alcotest.test_case "release survives dead releaser" `Quick
