@@ -84,6 +84,8 @@ let view_of t addr =
     raise (Bad_address addr);
   idx
 
+let phys_off t addr = addr - t.views.(view_of t addr).base
+
 let translate t addr =
   let idx = view_of t addr in
   let off = addr - t.views.(idx).base in
@@ -155,13 +157,8 @@ let ensure_access t addr len access =
     fault_until_allowed t addr access idx v first last 0;
   off
 
-let read_access t addr len =
-  Stats.Counters.incr t.counters "access.read";
-  ensure_access t addr len Prot.Read
-
-let write_access t addr len =
-  Stats.Counters.incr t.counters "access.write";
-  ensure_access t addr len Prot.Write
+let read_access t addr len = ensure_access t addr len Prot.Read
+let write_access t addr len = ensure_access t addr len Prot.Write
 
 let read_u8 t addr = Phys_mem.get_u8 t.mem (read_access t addr 1)
 let write_u8 t addr v = Phys_mem.set_u8 t.mem (write_access t addr 1) v

@@ -61,6 +61,11 @@ val translate : t -> int -> int * int * int
 (** [translate t addr] is [(view, vpage, phys_off)].
     Raises {!Bad_address}. *)
 
+val view_of : t -> int -> int
+val phys_off : t -> int -> int
+(** The [view] and [phys_off] of {!translate}, without building the
+    triple.  Raise {!Bad_address}. *)
+
 val protect : t -> view:int -> vpage:int -> Prot.t -> unit
 (** Raises [Invalid_argument] on a fixed view. *)
 
@@ -74,7 +79,7 @@ val protection_at : t -> int -> Prot.t
 val set_fault_handler : t -> (fault -> unit) -> unit
 
 val counters : t -> Mp_util.Stats.Counters.t
-(** ["fault.read"], ["fault.write"], ["access.read"], ["access.write"]. *)
+(** ["fault.read"], ["fault.write"]. *)
 
 (** {2 Typed access through views (protection-checked)}
 

@@ -82,10 +82,7 @@ let register t mp =
   in
   Hashtbl.replace t.table mp.Mp_multiview.Minipage.id entry
 
-let entry t ~mp_id =
-  match Hashtbl.find_opt t.table mp_id with
-  | Some e -> e
-  | None -> raise Not_found
+let entry t ~mp_id = Hashtbl.find t.table mp_id
 
 let find t ~mp_id = Hashtbl.find_opt t.table mp_id
 let adopt t e = Hashtbl.replace t.table e.mp.Mp_multiview.Minipage.id e

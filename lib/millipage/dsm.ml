@@ -231,7 +231,8 @@ type inflight = {
   event : Sync.Event.t;
   mutable waiters : int;
   mutable by_prefetch : bool;
-  mutable ack_pending : (int * int) option;  (* req_id, mp_id *)
+  mutable ack_req : int;
+  mutable ack_mp : int;  (* the ack a woken waiter owes; [ack_mp] -1 when none *)
 }
 
 type push_state = {
@@ -390,6 +391,7 @@ type t = {
   counters : Stats.Counters.t;
   recorder : Mp_obs.Recorder.t;
   mutable started : bool;
+  mutable infos : Proto.info array;  (* by mp_id, built by [run] *)
   (* crash-fault state.  [crashed] is ground truth (injection or fencing);
      [declared] is the manager's view, which is what the protocol acts on. *)
   crashed : bool array;
@@ -437,30 +439,32 @@ let manager = 0
 let engine t = t.engine
 let hosts t = Array.length t.host_states
 
-let manager_host t =
-  if t.config.homes.Config.Homes.policy = Config.Homes.Central then manager
-  else
-    invalid_arg
-      "Dsm.manager_host: no single manager under a sharded home policy (use \
-       Dsm.home_of)"
-
 let fresh_req t =
   t.next_req <- t.next_req + 1;
   t.next_req
 
 let access_idx = function Proto.Read -> 0 | Proto.Write -> 1
 
-let info_of (mp : Minipage.t) =
+let make_info (mp : Minipage.t) =
   { Proto.mp_id = mp.id; base_off = mp.offset; length = mp.length; mp_view = mp.view }
 
-let vpages_of t (info : Proto.info) =
-  let ps = t.config.page_size in
-  let first = info.base_off / ps and last = (info.base_off + info.length - 1) / ps in
-  (first, last)
+(* Chunk growth changes a minipage's length during the init phase.  [malloc]
+   refuses once [run] has started, so [run] builds each minipage's info
+   then, and every message after reuses it. *)
+let info_of t (mp : Minipage.t) = if t.started then t.infos.(mp.id) else make_info mp
 
-let n_vpages t info =
-  let first, last = vpages_of t info in
-  last - first + 1
+(* A constant, so filling a large array with it forces no minor collection
+   (see [Mpt]). *)
+let no_info = { Proto.mp_id = -1; base_off = 0; length = 0; mp_view = 0 }
+
+let build_infos t =
+  let mpt = Allocator.mpt t.allocator in
+  t.infos <- Array.make (Mpt.count mpt) no_info;
+  Mpt.iter mpt (fun mp -> t.infos.(mp.Minipage.id) <- make_info mp)
+
+let first_vpage t (info : Proto.info) = info.base_off / t.config.page_size
+let last_vpage t (info : Proto.info) = (info.base_off + info.length - 1) / t.config.page_size
+let n_vpages t info = last_vpage t info - first_vpage t info + 1
 
 let protect_info _t (h : host_state) (info : Proto.info) prot =
   Vm.protect_range h.vm ~view:info.mp_view ~phys_off:info.base_off ~len:info.length prot
@@ -512,10 +516,10 @@ let assign_home t mp_id =
   | Config.Homes.Block -> mp_id / max 1 t.config.homes.Config.Homes.block mod n
 
 let home_of_mp t mp_id =
-  match Hashtbl.find_opt t.home_tbl mp_id with Some home -> home | None -> manager
+  match Hashtbl.find t.home_tbl mp_id with home -> home | exception Not_found -> manager
 
 let hint_of (h : host_state) mp_id =
-  match Hashtbl.find_opt h.hints mp_id with Some home -> home | None -> manager
+  match Hashtbl.find h.hints mp_id with home -> home | exception Not_found -> manager
 
 (* Which host serves a barrier phase or lock: deterministic over the live
    hosts, so every sender picks the same home and re-picks consistently once
@@ -619,11 +623,19 @@ let log_append t ~home record =
     end
   end
 
+(* Each of these makes its record only when the log is on. *)
 let log_entry_state t ~home (e : Directory.entry) =
-  log_append t ~home
-    (Proto.L_state
-       { mp_id = e.mp.Minipage.id; owner = e.owner;
-         copyset = Host_set.elements e.copyset })
+  if replicating t then
+    log_append t ~home
+      (Proto.L_state
+         { mp_id = e.mp.Minipage.id; owner = e.owner;
+           copyset = Host_set.elements e.copyset })
+
+let log_admit t ~home ~req_id ~mp_id =
+  if replicating t then log_append t ~home (Proto.L_admit { req_id; mp_id })
+
+let log_complete t ~home ~req_id ~at =
+  if replicating t then log_append t ~home (Proto.L_complete { req_id; at })
 
 let log_shadow t ~home (e : Directory.entry) =
   if replicating t then
@@ -635,7 +647,7 @@ let log_shadow t ~home (e : Directory.entry) =
    (with its original timestamp) into the log. *)
 let mark_completed_logged t ~home ~req_id ~now =
   Directory.mark_completed t.dirs.(home) ~req_id ~now;
-  log_append t ~home (Proto.L_complete { req_id; at = now })
+  log_complete t ~home ~req_id ~at:now
 
 (* ------------------------------------------------------------------ *)
 (* Manager: directory-side protocol (runs in host 0's server process)  *)
@@ -659,10 +671,10 @@ let proceed_write t ~home (e : Directory.entry) ~req_id ~from ~supplier =
   | None ->
     Stats.Counters.incr t.counters "grant.upgrades";
     send t ~src:home ~dst:from ~bytes:(header t)
-      (Proto.Write_grant { req_id; info = info_of e.mp })
+      (Proto.Write_grant { req_id; info = info_of t e.mp })
   | Some s ->
     send t ~src:home ~dst:s ~bytes:(header t)
-      (Proto.Forward { req_id; from; access = Proto.Write; info = info_of e.mp })
+      (Proto.Forward { req_id; from; access = Proto.Write; info = info_of t e.mp })
 
 (* A survivor touched a minipage whose only current copy died with its
    crashed owner: fail fast (the recovered shadow is stale). *)
@@ -759,7 +771,7 @@ let manager_start ?(charge_lookup = true) t ~home (e : Directory.entry)
     if charge_lookup then Engine.delay cost.mpt_lookup_us;
     check_lost t e ~from;
     gov_note_request t e ~from ~access ~addr;
-    let info = info_of e.mp in
+    let info = info_of t e.mp in
     if e.mode = Proto.Rc then begin
       (* release-consistent serve: data straight from the home's master copy
          — no forward hop, no invalidation round.  Reads and writes alike
@@ -820,7 +832,7 @@ let manager_start ?(charge_lookup = true) t ~home (e : Directory.entry)
           targets
       end)
   | Directory.Q_push { req_id; from; data } ->
-    let info = info_of e.mp in
+    let info = info_of t e.mp in
     (* a push overwrites the whole minipage with fresh content, so it makes a
        lost minipage whole again *)
     e.lost <- false;
@@ -842,7 +854,7 @@ let manager_start ?(charge_lookup = true) t ~home (e : Directory.entry)
     if others = [] then begin
       e.copyset <- Host_set.singleton from;
       e.owner <- from;
-      log_append t ~home (Proto.L_complete { req_id; at = rnow t });
+      log_complete t ~home ~req_id ~at:(rnow t);
       log_entry_state t ~home e;
       send t ~src:home ~dst:from ~bytes:(header t) (Proto.Push_complete { req_id })
     end
@@ -930,7 +942,8 @@ let home_redirect t ~home ~req_id ~mp_id ~from =
    placement, and either serve it (we are its home), redirect a stale hint,
    or suppress a transport duplicate. *)
 let manager_request t ~home ~req_id ~from ~access ~addr =
-  let view, _vpage, off = Vm.translate t.host_states.(home).vm addr in
+  let vm = t.host_states.(home).vm in
+  let view = Vm.view_of vm addr and off = Vm.phys_off vm addr in
   let mp = Mpt.find_exn (Allocator.mpt t.allocator) off in
   if mp.Minipage.view <> view then
     failwith
@@ -945,7 +958,7 @@ let manager_request t ~home ~req_id ~from ~access ~addr =
   end;
   if home_of_mp t mp_id <> home then home_redirect t ~home ~req_id ~mp_id ~from
   else if Directory.note_request t.dirs.(home) ~req_id then begin
-    log_append t ~home (Proto.L_admit { req_id; mp_id });
+    log_admit t ~home ~req_id ~mp_id;
     manager_submit t ~home
       (Directory.entry t.dirs.(home) ~mp_id)
       (Directory.Q_request { req_id; from; access; addr })
@@ -963,7 +976,7 @@ let manager_push t ~home ~req_id ~from ~mp_id data =
   Hashtbl.remove t.ft_pending mp_id;
   if home_of_mp t mp_id <> home then home_redirect t ~home ~req_id ~mp_id ~from
   else begin
-    log_append t ~home (Proto.L_admit { req_id; mp_id });
+    log_admit t ~home ~req_id ~mp_id;
     manager_submit t ~home
       (Directory.entry t.dirs.(home) ~mp_id)
       (Directory.Q_push { req_id; from; data })
@@ -999,13 +1012,26 @@ let manager_inval_reply t ~home ~req_id ~mp_id ~from =
 let complete_req ?entry t ~home ~req_id =
   let now = rnow t in
   Directory.mark_completed t.dirs.(home) ~req_id ~now;
-  log_append t ~home (Proto.L_complete { req_id; at = now });
+  log_complete t ~home ~req_id ~at:now;
   (match entry with Some e -> log_entry_state t ~home e | None -> ());
   t.completions <- t.completions + 1;
   if t.completions land 255 = 0 then
     ignore
       (Directory.prune_completed t.dirs.(home)
          ~before:(rnow t -. t.idem_retention_us))
+
+(* [flights] less the one flight of [req_id], in order; an ACK that matches
+   no flight, or several, is a protocol error. *)
+let rec without_flight ~req_id = function
+  | [] -> failwith "millipage: unexpected ACK"
+  | (f : Directory.read_flight) :: rest when f.rf_req = req_id ->
+    if has_flight ~req_id rest then failwith "millipage: unexpected ACK";
+    rest
+  | f :: rest -> f :: without_flight ~req_id rest
+
+and has_flight ~req_id = function
+  | [] -> false
+  | (f : Directory.read_flight) :: rest -> f.rf_req = req_id || has_flight ~req_id rest
 
 let manager_ack t ~home ~req_id ~mp_id ~from =
   let e = Directory.entry t.dirs.(home) ~mp_id in
@@ -1021,14 +1047,10 @@ let manager_ack t ~home ~req_id ~mp_id ~from =
     Obs.ack (obs t) ~time:(rnow t) ~host:home ~span:req_id ~mp_id ~from;
     (match e.pending with
     | Directory.Reads_in_flight r ->
-      (match
-         List.partition (fun (f : Directory.read_flight) -> f.rf_req = req_id) r.flights
-       with
-      | [ _ ], rest ->
-        e.copyset <- Host_set.add from e.copyset;
-        r.flights <- rest;
-        if rest = [] then e.pending <- Directory.No_op
-      | _ -> failwith "millipage: unexpected ACK")
+      let rest = without_flight ~req_id r.flights in
+      e.copyset <- Host_set.add from e.copyset;
+      r.flights <- rest;
+      if rest = [] then e.pending <- Directory.No_op
     | Directory.Write_in_flight { from = f; _ } when f = from ->
       e.copyset <- Host_set.singleton from;
       e.owner <- from;
@@ -1047,7 +1069,7 @@ let live_copyset t =
 let finish_push ?charge_lookup t ~home (e : Directory.entry) ~req_id ~from =
   e.copyset <- live_copyset t;
   e.owner <- (if t.declared.(from) then home else from);
-  log_append t ~home (Proto.L_complete { req_id; at = rnow t });
+  log_complete t ~home ~req_id ~at:(rnow t);
   log_entry_state t ~home e;
   if not t.declared.(from) then
     send t ~src:home ~dst:from ~bytes:(header t) (Proto.Push_complete { req_id });
@@ -1125,7 +1147,7 @@ let manager_group_fetch t ~home ~req_id ~from ~group_id =
             Hashtbl.add batches replica r;
             r
         in
-        infos := info_of e.mp :: !infos
+        infos := info_of t e.mp :: !infos
       end)
     members;
   send t ~src:home ~dst:from ~bytes:(header t)
@@ -1173,7 +1195,7 @@ let manager_group_ack t ~home ~req_id ~from ~mp_ids =
    single-copy state: the master copy installed at the home, sole member of
    the copyset. *)
 let complete_mode_switch t ~home (e : Directory.entry) =
-  let info = info_of e.mp in
+  let info = info_of t e.mp in
   let hh = t.host_states.(home) in
   (match e.mode with
   | Proto.Sc -> (
@@ -1196,7 +1218,7 @@ let complete_mode_switch t ~home (e : Directory.entry) =
    (recovery).  The mode and epoch flip immediately — requests arriving
    during the fence queue behind [Mode_switch_wait] and drain under SC. *)
 let demote_entry t ~home (e : Directory.entry) =
-  let info = info_of e.mp in
+  let info = info_of t e.mp in
   let targets = Host_set.filter (fun x -> not t.declared.(x)) e.copyset in
   e.mode <- Proto.Sc;
   e.epoch <- e.epoch + 1;
@@ -1223,7 +1245,7 @@ let demote_entry t ~home (e : Directory.entry) =
    no writer since).  A copyless, shadowless entry has nothing to promote
    from and stays SC until a later tick. *)
 let promote_entry t ~home (e : Directory.entry) =
-  let info = info_of e.mp in
+  let info = info_of t e.mp in
   let hh = t.host_states.(home) in
   let home_has_copy = Host_set.mem home e.copyset in
   if home_has_copy || not (Host_set.is_empty e.copyset) || e.shadow <> None
@@ -1403,7 +1425,7 @@ let shadow_sync_host t ~host =
             (* an RC shadow is the master copy, maintained by diffs — a sync
                from one sharer's VM would clobber the other writers' runs *)
           then begin
-            let info = info_of e.mp in
+            let info = info_of t e.mp in
             let cur =
               Vm.priv_read_bytes t.host_states.(host).vm ~off:info.base_off
                 ~len:info.length
@@ -1563,7 +1585,7 @@ let host_forward t (h : host_state) ~req_id ~from ~access (info : Proto.info) =
     (match access with
     | Proto.Read ->
       Engine.delay cost.get_prot_us;
-      let first, _ = vpages_of t info in
+      let first = first_vpage t info in
       (match Vm.protection h.vm ~view:info.mp_view ~vpage:first with
       | Prot.Read_write ->
         Engine.delay (set_prot_cost t info);
@@ -1597,27 +1619,37 @@ let host_forward t (h : host_state) ~req_id ~from ~access (info : Proto.info) =
       (Proto.Reply_data { req_id; access; info; data })
   end
 
+(* Wake the fault in flight on [vp] for [idx], if any; true when it was
+   [req_id]'s.  The key is built once for the lookup and the removal. *)
+let wake_inflight t (h : host_state) ~req_id (info : Proto.info) vp idx =
+  let key = (info.mp_view, vp, idx) in
+  match Hashtbl.find h.inflight key with
+  | exception Not_found -> false
+  | e ->
+    Hashtbl.remove h.inflight key;
+    let mine = e.req_id = req_id in
+    if mine then begin
+      if e.waiters > 0 then begin
+        e.ack_req <- req_id;
+        e.ack_mp <- info.mp_id
+      end
+      else server_ack t h ~req_id ~mp_id:info.mp_id
+    end;
+    Sync.Event.set e.event;
+    mine
+
 (* Wake the faulting thread(s) a landed data message satisfies and route the
    protocol ack — shared by the SC reply path and the RC serve path. *)
 let reply_wake t (h : host_state) ~req_id ~access (info : Proto.info) =
-  let first, last = vpages_of t info in
+  let first = first_vpage t info and last = last_vpage t info in
   let matched = ref false in
   for vp = first to last do
-    let wake idx =
-      match Hashtbl.find_opt h.inflight (info.mp_view, vp, idx) with
-      | Some e ->
-        Hashtbl.remove h.inflight (info.mp_view, vp, idx);
-        if e.req_id = req_id then begin
-          matched := true;
-          if e.waiters > 0 then e.ack_pending <- Some (req_id, info.mp_id)
-          else server_ack t h ~req_id ~mp_id:info.mp_id
-        end;
-        Sync.Event.set e.event
-      | None -> ()
-    in
     (* a write reply satisfies everyone; a read reply only read waiters *)
-    (match access with Proto.Write -> wake (access_idx Proto.Write) | Proto.Read -> ());
-    wake (access_idx Proto.Read)
+    (match access with
+    | Proto.Write ->
+      if wake_inflight t h ~req_id info vp (access_idx Proto.Write) then matched := true
+    | Proto.Read -> ());
+    if wake_inflight t h ~req_id info vp (access_idx Proto.Read) then matched := true
   done;
   if not !matched then server_ack t h ~req_id ~mp_id:info.mp_id
 
@@ -1773,7 +1805,7 @@ let host_mode_switch t (h : host_state) ~mp_id ~epoch ~mode (info : Proto.info) 
      before protection drops (the home adopts the owner's payload as master) *)
   let data =
     if mode = Proto.Rc && not (Hashtbl.mem h.rc_copies mp_id) then begin
-      let first, _ = vpages_of t info in
+      let first = first_vpage t info in
       if Vm.protection h.vm ~view:info.mp_view ~vpage:first <> Prot.No_access
       then Some (Vm.priv_read_bytes h.vm ~off:info.base_off ~len:info.length)
       else None
@@ -1813,7 +1845,7 @@ let host_mode_switch t (h : host_state) ~mp_id ~epoch ~mode (info : Proto.info) 
 (* wake read waiters covered by a freshly arrived minipage, without claiming
    any ack (used by group fetches, whose single GROUP_ACK covers everything) *)
 let wake_read_entries (h : host_state) t (info : Proto.info) =
-  let first, last = vpages_of t info in
+  let first = first_vpage t info and last = last_vpage t info in
   for vp = first to last do
     match Hashtbl.find_opt h.inflight (info.mp_view, vp, access_idx Proto.Read) with
     | Some e ->
@@ -1853,7 +1885,7 @@ let host_forward_group t (h : host_state) ~req_id ~from members =
     List.map
       (fun (info : Proto.info) ->
         Engine.delay cost.get_prot_us;
-        let first, _ = vpages_of t info in
+        let first = first_vpage t info in
         (match Vm.protection h.vm ~view:info.mp_view ~vpage:first with
         | Prot.Read_write ->
           Engine.delay (set_prot_cost t info);
@@ -2043,9 +2075,9 @@ let stall_host t h ~until =
    Ground truth read from the corpse's simulated memory — the manager only
    learns the consequence (shadow mismatch ⇒ the content is unrecoverable). *)
 let dead_wrote t dead (e : Directory.entry) =
-  let info = info_of e.mp in
+  let info = info_of t e.mp in
   let hvm = t.host_states.(dead).vm in
-  let first, _ = vpages_of t info in
+  let first = first_vpage t info in
   match Vm.protection hvm ~view:info.mp_view ~vpage:first with
   | Prot.Read_write -> (
     let cur = Vm.priv_read_bytes hvm ~off:info.base_off ~len:info.length in
@@ -2061,7 +2093,7 @@ let dead_wrote t dead (e : Directory.entry) =
    releases sync the shadow).  A minipage with no shadow at all is lost:
    there is nothing to roll back to. *)
 let install_shadow t (e : Directory.entry) ~dead ~at =
-  let info = info_of e.mp in
+  let info = info_of t e.mp in
   let lost = e.shadow = None in
   let rolled = (not lost) && dead_wrote t dead e in
   (match e.shadow with
@@ -2096,7 +2128,7 @@ let scrub_shard t ~home h =
   let dead_batches : (int * int, unit) Hashtbl.t = Hashtbl.create 4 in
   Seq.iter
     (fun (e : Directory.entry) ->
-      let info = info_of e.mp in
+      let info = info_of t e.mp in
       (* 1. the dead host's queued operations will never be acked: drop them *)
       let dropped =
         Directory.drop_queued dir e ~keep:(function
@@ -2424,7 +2456,7 @@ let promote_backup t ~dead:h ~backup:b =
      state, then validate it against the survivors' page protections *)
   List.iter
     (fun (e : Directory.entry) ->
-      let info = info_of e.mp in
+      let info = info_of t e.mp in
       let mp_id = info.mp_id in
       let dropped = Directory.drop_queued dir_d e ~keep:(fun _ -> false) in
       List.iter
@@ -2481,7 +2513,7 @@ let promote_backup t ~dead:h ~backup:b =
          at most the in-flight tail; any disagreement is repaired here *)
       let copyset = ref Host_set.empty in
       let rw = ref None in
-      let first, _ = vpages_of t info in
+      let first = first_vpage t info in
       for x = 0 to hosts t - 1 do
         if not t.declared.(x) then
           match Vm.protection t.host_states.(x).vm ~view:info.mp_view ~vpage:first with
@@ -2988,18 +3020,21 @@ let on_message t (h : host_state) (m : Proto.packet Fabric.msg) =
 (* Faulting-thread side                                                *)
 (* ------------------------------------------------------------------ *)
 
-let find_joinable (h : host_state) ~view ~vpage access =
-  match Hashtbl.find_opt h.inflight (view, vpage, access_idx Proto.Write) with
-  | Some e -> Some e
-  | None -> (
-    match access with
-    | Proto.Read -> Hashtbl.find_opt h.inflight (view, vpage, access_idx Proto.Read)
-    | Proto.Write -> None)
+(* The fault in flight that an [access] fault on [key]'s vpage joins: a write
+   satisfies both kinds, a read only reads.  [key] is the in-flight key the
+   new fault would take, built once for this lookup and [send_request]'s.
+   Raises [Not_found]. *)
+let joinable (h : host_state) ((view, vpage, _) as key) access =
+  match access with
+  | Proto.Write -> Hashtbl.find h.inflight key
+  | Proto.Read -> (
+    match Hashtbl.find h.inflight (view, vpage, access_idx Proto.Write) with
+    | e -> e
+    | exception Not_found -> Hashtbl.find h.inflight key)
 
-let send_request t (h : host_state) ~view ~vpage ~access ~addr ~by_prefetch =
+let send_request t (h : host_state) ~key ~access ~addr ~by_prefetch =
   let req_id = fresh_req t in
-  let _, _, off = Vm.translate h.vm addr in
-  let mp = Mpt.find_exn (Allocator.mpt t.allocator) off in
+  let mp = Mpt.find_exn (Allocator.mpt t.allocator) (Vm.phys_off h.vm addr) in
   let target = hint_of h mp.Minipage.id in
   let e =
     {
@@ -3010,10 +3045,11 @@ let send_request t (h : host_state) ~view ~vpage ~access ~addr ~by_prefetch =
       event = Sync.Event.create ~auto_reset:false ~name:"fault" ();
       waiters = 0;
       by_prefetch;
-      ack_pending = None;
+      ack_req = 0;
+      ack_mp = -1;
     }
   in
-  Hashtbl.replace h.inflight (view, vpage, access_idx access) e;
+  Hashtbl.replace h.inflight key e;
   Obs.request_sent (obs t) ~time:(rnow t) ~host:h.id ~span:req_id
     ~access:(obs_access access) ~addr ~prefetch:by_prefetch;
   send t ~src:h.id ~dst:target ~bytes:(header t)
@@ -3043,8 +3079,7 @@ let on_fault t (h : host_state) (f : Vm.fault) =
       (* [f.phys_off] is the faulting vpage's start, which under millipage
          names whichever minipage happens to sit first in the page — resolve
          the accessed minipage from the faulting address instead *)
-      let _, _, phys = Vm.translate h.vm f.addr in
-      match Mpt.find (Allocator.mpt t.allocator) phys with
+      match Mpt.find (Allocator.mpt t.allocator) (Vm.phys_off h.vm f.addr) with
       | Some mp -> (
         match Hashtbl.find_opt h.rc_copies mp.Minipage.id with
         | Some c
@@ -3064,12 +3099,11 @@ let on_fault t (h : host_state) (f : Vm.fault) =
     charge h B_write (Engine.now t.engine -. t0);
     Obs.fault_end (obs t) ~time:(rnow t) ~host:h.id ~span
   | None ->
+  let key = (f.view, f.vpage, access_idx access) in
   let e =
-    match find_joinable h ~view:f.view ~vpage:f.vpage access with
-    | Some e -> e
-    | None ->
-      send_request t h ~view:f.view ~vpage:f.vpage ~access ~addr:f.addr
-        ~by_prefetch:false
+    match joinable h key access with
+    | e -> e
+    | exception Not_found -> send_request t h ~key ~access ~addr:f.addr ~by_prefetch:false
   in
   (* capture the span now: crash recovery may re-send the request under a
      fresh req_id while we sleep, and fault_end must close the span that
@@ -3086,11 +3120,11 @@ let on_fault t (h : host_state) (f : Vm.fault) =
   in
   charge h bucket (Engine.now t.engine -. t0);
   Obs.fault_end (obs t) ~time:(rnow t) ~host:h.id ~span:span0;
-  match e.ack_pending with
-  | Some (req_id, mp_id) ->
-    e.ack_pending <- None;
-    server_ack t h ~req_id ~mp_id
-  | None -> ()
+  if e.ack_mp >= 0 then begin
+    let mp_id = e.ack_mp in
+    e.ack_mp <- -1;
+    server_ack t h ~req_id:e.ack_req ~mp_id
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -3201,6 +3235,7 @@ let create engine ~hosts:nhosts ?(config = Config.default) () =
       counters = Stats.Counters.create ();
       recorder = Mp_obs.Recorder.create ~capacity:4096 ();
       started = false;
+      infos = [||];
       crashed = Array.make nhosts false;
       declared = Array.make nhosts false;
       suspected = Array.make nhosts false;
@@ -3262,11 +3297,11 @@ let malloc t size =
   end;
   (* host 0 owns fresh memory read-write; re-protect the whole (possibly
      chunk-grown) minipage *)
-  protect_info t t.host_states.(manager) (info_of mp) Prot.Read_write;
+  protect_info t t.host_states.(manager) (info_of t mp) Prot.Read_write;
   (* minipage layout for stream consumers (Profile); re-emitted on every
      allocation so chunk growth updates the mapping *)
-  let info = info_of mp in
-  let first, last = vpages_of t info in
+  let info = info_of t mp in
+  let first = first_vpage t info and last = last_vpage t info in
   Obs.mp_map (obs t) ~time:(rnow t) ~host:manager ~mp_id
     ~view:mp.Minipage.view
     ~base_addr:
@@ -3309,7 +3344,7 @@ let materialize_rc t =
     (fun home dir ->
       Seq.iter
         (fun (e : Directory.entry) ->
-          let info = info_of e.mp in
+          let info = info_of t e.mp in
           let master = Vm.priv_read_bytes h0.vm ~off:info.base_off ~len:info.length in
           e.mode <- Proto.Rc;
           e.shadow <- Some master;
@@ -3326,6 +3361,7 @@ let materialize_rc t =
     t.dirs
 
 let run t =
+  build_infos t;
   t.started <- true;
   if t.config.consistency.Config.Consistency.mode = `Rc then materialize_rc t;
   (match t.config.ft with Some ft -> start_ft t ft | None -> ());
@@ -3453,15 +3489,16 @@ let prefetch ctx addr access =
   let view, vpage, _off = Vm.translate h.vm addr in
   let prot = Vm.protection h.vm ~view ~vpage in
   let needed = match access with Proto.Read -> Prot.Read | Proto.Write -> Prot.Write in
-  if Prot.allows prot needed then ()
-  else if find_joinable h ~view ~vpage access <> None then ()
-  else begin
-    Stats.Counters.incr t.counters "prefetches";
-    let e = send_request t h ~view ~vpage ~access ~addr ~by_prefetch:true in
-    Obs.prefetch_issued (obs t) ~time:(rnow t) ~host:h.id ~span:e.req_id
-      ~access:(obs_access access) ~addr;
-    Engine.delay 2.0
-  end
+  let key = (view, vpage, access_idx access) in
+  if not (Prot.allows prot needed) then
+    match joinable h key access with
+    | _ -> ()
+    | exception Not_found ->
+      Stats.Counters.incr t.counters "prefetches";
+      let e = send_request t h ~key ~access ~addr ~by_prefetch:true in
+      Obs.prefetch_issued (obs t) ~time:(rnow t) ~host:h.id ~span:e.req_id
+        ~access:(obs_access access) ~addr;
+      Engine.delay 2.0
 
 let push_to_all ctx addr =
   let t = ctx.t and h = ctx.hs in
@@ -3479,7 +3516,7 @@ let push_to_all ctx addr =
   | Prot.Read_only | Prot.No_access ->
     invalid_arg "Dsm.push_to_all: caller must hold the writable copy");
   if rc_local then rc_flush t h;
-  let info = info_of mp in
+  let info = info_of t mp in
   let cost = t.config.cost in
   Engine.delay (set_prot_cost t info);
   protect_info t h info Prot.Read_only;

@@ -221,11 +221,6 @@ val home_of : t -> addr:int -> int
 val homes : t -> int array
 (** Home of every allocated minipage, indexed by minipage id. *)
 
-val manager_host : t -> int
-(** @deprecated The single-manager accessor from before sharding.  Still
-    answers 0 under the [Central] policy; under any other policy there is no
-    single manager and it raises [Invalid_argument].  Use {!home_of}. *)
-
 (** {2 Init phase} *)
 
 val malloc : t -> int -> int

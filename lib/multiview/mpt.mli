@@ -4,7 +4,11 @@
     at the manager, which resolves every faulting address to the minipage
     base, size and privileged-view address (the "translation" step of the
     protocol); the 7 µs lookup cost of Table 1 is charged by the DSM layer,
-    not here. *)
+    not here.
+
+    The table is an array sorted by offset.  A lookup bisects it, and
+    {!find_exn} allocates nothing; {!add} appends when, as the allocator
+    does, minipages come in increasing offset order. *)
 
 type t
 
@@ -12,7 +16,7 @@ val create : unit -> t
 
 val add : t -> Minipage.t -> unit
 (** Raises [Invalid_argument] when the minipage overlaps one already
-    registered. *)
+    registered.  Minipages may be added in any offset order. *)
 
 val find : t -> int -> Minipage.t option
 (** Minipage containing the given object offset. *)

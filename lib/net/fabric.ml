@@ -20,15 +20,21 @@ let faults_active f =
    uses it to keep the ghost copy strictly behind the original. *)
 let fifo_spacing_us = 0.001
 
+(* Arrived, unhandled messages are the [len] slots of [ring] from [head]
+   on, a ring whose capacity is a power of two.  It grows by doubling, so
+   queueing a message allocates nothing once it has grown. *)
 type 'a node = {
   id : int;
-  ready : 'a msg Queue.t;
+  mutable ring : 'a msg array;
+  mutable head : int;
+  mutable len : int;
   wake : Sync.Event.t;
   mutable handler : ('a msg -> unit) option;
   polling : Polling.t;
   mutable busy : bool;
   mutable pending_poll : float;  (* earliest scheduled wake; infinity when none *)
-  mutable poll_gen : int;  (* arms outstanding timers; stale ones no-op *)
+  mutable poll_seq : int;  (* engine seq of the armed poll timer; 0 when none *)
+  mutable on_poll : unit -> unit;  (* the poll timers' callback, built once *)
   mutable dead : bool;  (* crashed host: endpoint silent both ways *)
   mutable stalled_until : float;  (* polls deferred past this instant *)
   handled_key : string;  (* precomputed counter keys (hot path) *)
@@ -36,10 +42,12 @@ type 'a node = {
   poll_label : string;  (* precomputed event label for schedule exploration *)
 }
 
+type latency = { base_us : float; per_byte_us : float }
+
 type 'a t = {
   engine : Engine.t;
   nodes : 'a node array;
-  latency : bytes:int -> float;
+  latency : latency;
   chan_last : float array;  (* per (src,dst) last arrival, for FIFO *)
   chan_label : string array;  (* per (src,dst) "net:hS>hD" event label *)
   counters : Stats.Counters.t;
@@ -48,9 +56,51 @@ type 'a t = {
   mutable obs : (Mp_obs.Recorder.t * ('a -> string)) option;
 }
 
-let default_latency ~bytes = 11.4 +. (0.0196 *. float_of_int bytes)
+let fm_latency = { base_us = 11.4; per_byte_us = 0.0196 }
 
-let create engine ~hosts ?(latency = default_latency) ?(poll_idle_us = 2.0)
+(* An all-float record is stored flat, so neither reading the coefficients
+   nor this sum boxes a float. *)
+let latency_us l ~bytes = l.base_us +. (l.per_byte_us *. float_of_int bytes)
+let default_latency ~bytes = latency_us fm_latency ~bytes
+
+let ring_push n m =
+  let cap = Array.length n.ring in
+  if n.len = cap then begin
+    let grown = Array.make (max 16 (2 * cap)) m in
+    for i = 0 to n.len - 1 do
+      grown.(i) <- n.ring.((n.head + i) land (cap - 1))
+    done;
+    n.ring <- grown;
+    n.head <- 0
+  end;
+  n.ring.((n.head + n.len) land (Array.length n.ring - 1)) <- m;
+  n.len <- n.len + 1
+
+let ring_take n =
+  let m = n.ring.(n.head) in
+  n.head <- (n.head + 1) land (Array.length n.ring - 1);
+  n.len <- n.len - 1;
+  m
+
+let disarm_poll n =
+  n.poll_seq <- 0;
+  n.pending_poll <- infinity
+
+(* A poll timer superseded by a later arm or a disarm does nothing when it
+   fires: signalling the auto-reset wake event spuriously would satisfy the
+   server's next wait for free.  It stays queued rather than being removed,
+   because schedule exploration counts it in its tie groups. *)
+let poll_fired t n () =
+  if Engine.firing_seq t.engine = n.poll_seq then begin
+    disarm_poll n;
+    (match t.obs with
+    | Some (obs, _) when n.busy ->
+      Mp_obs.Recorder.sweeper_wake obs ~time:(Engine.now t.engine) ~host:n.id
+    | _ -> ());
+    Sync.Event.set n.wake
+  end
+
+let create engine ~hosts ?(latency = fm_latency) ?(poll_idle_us = 2.0)
     ?(polling = Polling.nt_mode) ?(seed = 1) ?(faults = no_faults)
     ?(fault_seed = 9) () =
   if hosts <= 0 then invalid_arg "Fabric.create: hosts";
@@ -63,13 +113,16 @@ let create engine ~hosts ?(latency = default_latency) ?(poll_idle_us = 2.0)
   let node id =
     {
       id;
-      ready = Queue.create ();
+      ring = [||];
+      head = 0;
+      len = 0;
       wake = Sync.Event.create ~name:(Printf.sprintf "fabric.wake.h%d" id) ();
       handler = None;
       polling = Polling.create polling ~poll_idle_us ~rng:(Prng.split root_rng);
       busy = false;
       pending_poll = infinity;
-      poll_gen = 0;
+      poll_seq = 0;
+      on_poll = ignore;
       dead = false;
       stalled_until = neg_infinity;
       handled_key = Printf.sprintf "handled.h%d" id;
@@ -106,19 +159,20 @@ let create engine ~hosts ?(latency = default_latency) ?(poll_idle_us = 2.0)
      at a time, on the host's DSM server thread. *)
   Array.iter
     (fun n ->
+      n.on_poll <- poll_fired t n;
       Engine.spawn engine
         ~name:(Printf.sprintf "fabric.server.h%d" n.id)
         ~group:n.id
         (fun () ->
           let rec loop () =
             Sync.Event.wait n.wake;
-            while not (Queue.is_empty n.ready) do
-              let m = Queue.take n.ready in
+            while n.len > 0 do
+              let m = ring_take n in
               (match t.obs with
               | Some (obs, describe) when Mp_obs.Recorder.enabled obs ->
                 Mp_obs.Recorder.msg_recv obs ~time:(Engine.now engine) ~host:n.id
                   ~src:m.src ~bytes:m.bytes ~label:(describe m.body)
-                  ~queue_depth:(Queue.length n.ready)
+                  ~queue_depth:n.len
               | Some _ | None -> ());
               (match n.handler with
               | Some h -> h m
@@ -151,32 +205,21 @@ let schedule_poll t n ~arrival =
   let pt = Float.max pt n.stalled_until in
   if n.pending_poll <= Engine.now t.engine || n.pending_poll > pt then begin
     n.pending_poll <- pt;
-    (* Each arm bumps the generation; a timer whose generation is stale was
-       superseded by an earlier poll and must not signal the auto-reset wake
-       event (a spurious set would satisfy the server's next wait for free). *)
-    n.poll_gen <- n.poll_gen + 1;
-    let gen = n.poll_gen in
-    Engine.schedule t.engine ~at:pt ~label:n.poll_label (fun () ->
-        if gen = n.poll_gen then begin
-          n.pending_poll <- infinity;
-          (match t.obs with
-          | Some (obs, _) when n.busy ->
-            Mp_obs.Recorder.sweeper_wake obs ~time:(Engine.now t.engine) ~host:n.id
-          | _ -> ());
-          Sync.Event.set n.wake
-        end)
+    (* arming supersedes any timer still queued *)
+    n.poll_seq <- Engine.schedule_seq t.engine ~at:pt ~label:n.poll_label n.on_poll
   end
   end
 
 let deliver t (dst_node : 'a node) m ~at =
-  Engine.schedule t.engine ~at
-    ~label:t.chan_label.((m.src * Array.length t.nodes) + m.dst)
-    (fun () ->
-      if dst_node.dead then Stats.Counters.incr t.counters "net.dead_dropped"
-      else begin
-        Queue.add m dst_node.ready;
-        schedule_poll t dst_node ~arrival:(Engine.now t.engine)
-      end)
+  ignore
+    (Engine.schedule_seq t.engine ~at
+       ~label:t.chan_label.((m.src * Array.length t.nodes) + m.dst)
+       (fun () ->
+         if dst_node.dead then Stats.Counters.incr t.counters "net.dead_dropped"
+         else begin
+           ring_push dst_node m;
+           schedule_poll t dst_node ~arrival:(Engine.now t.engine)
+         end))
 
 let crash t ~host =
   let n = node t host in
@@ -185,9 +228,8 @@ let crash t ~host =
     n.stalled_until <- neg_infinity;
     (* Arrived-but-unhandled messages die with the host; cancel any armed
        poll so the (killed) server process is never signalled again. *)
-    Queue.clear n.ready;
-    n.poll_gen <- n.poll_gen + 1;
-    n.pending_poll <- infinity;
+    n.len <- 0;
+    disarm_poll n;
     Stats.Counters.incr t.counters "net.crashed_hosts"
   end
 
@@ -197,12 +239,9 @@ let stall t ~host ~until =
     n.stalled_until <- until;
     (* Disarm any poll that would fire during the stall and re-poll once the
        CPU thaws, so queued traffic is picked up then. *)
-    if n.pending_poll < until then begin
-      n.poll_gen <- n.poll_gen + 1;
-      n.pending_poll <- infinity
-    end;
+    if n.pending_poll < until then disarm_poll n;
     Engine.schedule t.engine ~at:until (fun () ->
-        if (not n.dead) && not (Queue.is_empty n.ready) then
+        if (not n.dead) && n.len > 0 then
           schedule_poll t n ~arrival:(Engine.now t.engine))
   end
 
@@ -230,7 +269,7 @@ let send t ~src ~dst ~bytes body =
      The perturbation lands before the FIFO clamp, so a perturbed channel
      still delivers in order — only cross-channel races move. *)
   let latency =
-    let l = t.latency ~bytes in
+    let l = latency_us t.latency ~bytes in
     if Engine.chooser_active t.engine then
       l +. Engine.perturb_latency t.engine ~label:t.chan_label.(chan)
     else l
@@ -310,9 +349,9 @@ let set_busy t ~host b =
   n.busy <- b;
   (* Returning to idle re-arms the poller: pending messages get picked up
      promptly instead of waiting for the sweeper. *)
-  if was && (not b) && not (Queue.is_empty n.ready) then
+  if was && (not b) && n.len > 0 then
     schedule_poll t n ~arrival:(Engine.now t.engine)
 
 let busy t ~host = (node t host).busy
 let counters t = t.counters
-let queue_depth t ~host = Queue.length (node t host).ready
+let queue_depth t ~host = (node t host).len

@@ -42,10 +42,14 @@ val fifo_spacing_us : float
 
 type 'a t
 
+(** One-way wire latency, linear in the message size: [base_us +
+    per_byte_us * bytes] µs. *)
+type latency = { base_us : float; per_byte_us : float }
+
 val create :
   Mp_sim.Engine.t ->
   hosts:int ->
-  ?latency:(bytes:int -> float) ->
+  ?latency:latency ->
   ?poll_idle_us:float ->
   ?polling:Polling.mode ->
   ?seed:int ->
@@ -62,6 +66,7 @@ val create :
     timing machinery.  Raises [Invalid_argument] on out-of-range rates. *)
 
 val default_latency : bytes:int -> float
+(** The default fit's latency of a [bytes]-byte message. *)
 
 val hosts : 'a t -> int
 val engine : 'a t -> Mp_sim.Engine.t

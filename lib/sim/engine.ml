@@ -23,6 +23,7 @@ type t = {
   mutable now : float;
   queue : ev Pqueue.t;
   mutable seq : int;
+  mutable firing : int;  (* seq of the event being run *)
   mutable live : int;
   mutable stopped : bool;
   blocked_tbl : (int, proc) Hashtbl.t;  (* live suspensions by id *)
@@ -49,6 +50,7 @@ let create () =
     now = 0.0;
     queue = Pqueue.create ();
     seq = 0;
+    firing = 0;
     live = 0;
     stopped = false;
     blocked_tbl = Hashtbl.create 32;
@@ -75,7 +77,12 @@ let push t ev =
   t.seq <- t.seq + 1;
   Pqueue.push t.queue ~time:ev.at ~seq:t.seq ev
 
-let schedule t ~at ?(label = "cb") run = push t { run; label; at }
+let schedule_seq t ~at ~label run =
+  push t { run; label; at };
+  t.seq
+
+let schedule t ~at ?(label = "cb") run = ignore (schedule_seq t ~at ~label run)
+let firing_seq t = t.firing
 
 let take_parked st =
   match st.parked with
@@ -212,6 +219,7 @@ let suspend ~name register =
 let self_name () = perform Self_name
 
 let run_next t =
+  t.firing <- Pqueue.min_seq t.queue;
   let e = Pqueue.pop t.queue in
   t.now <- e.at;
   e.run ()
@@ -229,7 +237,8 @@ let run_chosen t c =
     let pick = c.choose ~time ~labels in
     let pick = if pick < 0 || pick >= Array.length group then 0 else pick in
     Array.iteri (fun i (seq, e) -> if i <> pick then Pqueue.push t.queue ~time ~seq e) group;
-    let _, e = group.(pick) in
+    let seq, e = group.(pick) in
+    t.firing <- seq;
     t.now <- e.at;
     e.run ()
 

@@ -47,6 +47,15 @@ val schedule : t -> at:float -> ?label:string -> (unit -> unit) -> unit
     (default ["cb"]); internal events are labeled ["start:"], ["delay:"] and
     ["resume:"] plus the process name. *)
 
+val schedule_seq : t -> at:float -> label:string -> (unit -> unit) -> int
+(** {!schedule} with a required label, which a hot caller can pass without
+    allocating an option.  Returns the event's sequence number, which
+    {!firing_seq} reports while the event runs: a caller that re-arms a
+    timer recognises a superseded one by it. *)
+
+val firing_seq : t -> int
+(** Sequence number of the event being run (see {!schedule_seq}). *)
+
 val delay : float -> unit
 (** Advance this process's clock by the given number of µs. *)
 

@@ -397,6 +397,28 @@ let test_create_allocation () =
   in
   Alcotest.(check bool) (Printf.sprintf "%.0f words < 200k" words) true (words < 200_000.0)
 
+(* Words [Dsm.run] allocates while host 1 reads one f64 from each of [n]
+   fresh 672-byte minipages, one SC read fault apiece. *)
+let read_fault_run_words n =
+  let e = Engine.create () in
+  let dsm = Dsm.create e ~hosts:2 ~config:Dsm.Config.default () in
+  let addrs = Array.init n (fun _ -> Dsm.malloc dsm 672) in
+  Array.iteri (fun i a -> Dsm.init_write_f64 dsm a (float_of_int i)) addrs;
+  let sum = ref 0.0 in
+  Dsm.spawn dsm ~host:1 (fun ctx ->
+      Array.iter (fun a -> sum := !sum +. Dsm.read_f64 ctx a) addrs);
+  let words = Test_memsim.allocated_words (fun () -> Dsm.run dsm) in
+  Alcotest.(check int) "one read fault each" n (Dsm.read_faults dsm);
+  Alcotest.(check (float 0.0)) "values" (float_of_int (n * (n - 1) / 2)) !sum;
+  words
+
+(* The marginal cost of one SC read fault's round trip: fault, request,
+   forward, reply and ack, five messages.  The 672-byte reply's data copy
+   is 85 of its words. *)
+let test_read_fault_allocation () =
+  let per_fault = (read_fault_run_words 2_000 -. read_fault_run_words 1_000) /. 1_000.0 in
+  Alcotest.(check (float 0.5)) "words per read fault" 595.0 per_fault
+
 let suite =
   [
     Alcotest.test_case "read sharing" `Quick test_read_sharing;
@@ -422,4 +444,5 @@ let suite =
     Alcotest.test_case "wrong view rejected" `Quick test_wrong_view_access_rejected;
     Alcotest.test_case "many minipages stress" `Quick test_many_minipages_stress;
     Alcotest.test_case "create allocation" `Quick test_create_allocation;
+    Alcotest.test_case "read fault allocation" `Quick test_read_fault_allocation;
   ]

@@ -41,6 +41,43 @@ let test_mpt_rejects_overlap () =
        false
      with Invalid_argument _ -> true)
 
+(* A lookup bisects the table and allocates nothing. *)
+let test_mpt_find_allocation () =
+  let mpt = Mpt.create () in
+  for i = 0 to 999 do
+    Mpt.add mpt (Minipage.make ~id:i ~view:(i land 3) ~offset:(i * 128) ~length:128)
+  done;
+  let offset i = i * 7919 mod 128_000 in
+  let found = ref 0 and expected = ref 0 in
+  let words =
+    Test_memsim.allocated_words (fun () ->
+        for i = 0 to 9_999 do
+          found := !found + (Mpt.find_exn mpt (offset i)).Minipage.id
+        done)
+  in
+  for i = 0 to 9_999 do
+    expected := !expected + (offset i / 128)
+  done;
+  Alcotest.(check int) "found" !expected !found;
+  Alcotest.(check (float 0.0)) "words per 10,000 lookups" 0.0 words
+
+(* Out-of-order adds keep the table sorted. *)
+let test_mpt_out_of_order () =
+  let mpt = Mpt.create () in
+  List.iter
+    (fun (id, offset) -> Mpt.add mpt (Minipage.make ~id ~view:0 ~offset ~length:10))
+    [ (0, 100); (1, 0); (2, 50); (3, 200); (4, 20) ];
+  let offsets = ref [] in
+  Mpt.iter mpt (fun mp -> offsets := mp.Minipage.offset :: !offsets);
+  Alcotest.(check (list int)) "offset order" [ 0; 20; 50; 100; 200 ] (List.rev !offsets);
+  let find off = Option.map (fun (mp : Minipage.t) -> mp.id) (Mpt.find mpt off) in
+  Alcotest.(check (list (option int))) "lookups"
+    [ Some 1; None; Some 4; Some 2; Some 0; Some 3; None ]
+    (List.map find [ 5; 15; 29; 55; 109; 205; 210 ]);
+  Alcotest.check_raises "overlap rejected"
+    (Invalid_argument "Mpt.add: minipage#5[view=0 off=45 len=10] overlaps an existing minipage")
+    (fun () -> Mpt.add mpt (Minipage.make ~id:5 ~view:0 ~offset:45 ~length:10))
+
 let mk_alloc ?chunking ?(views = 32) ?(size = 64 * page) () =
   Allocator.create ?chunking ~page_size:page ~object_size:size ~views ()
 
@@ -247,6 +284,8 @@ let suite =
     Alcotest.test_case "max views on a page" `Quick test_max_views_on_a_page;
     Alcotest.test_case "static layout" `Quick test_static_layout;
     Alcotest.test_case "static arithmetic" `Quick test_static_arith_agrees_with_table;
+    Alcotest.test_case "mpt find allocation" `Quick test_mpt_find_allocation;
+    Alcotest.test_case "mpt out-of-order adds" `Quick test_mpt_out_of_order;
     QCheck_alcotest.to_alcotest qcheck_allocator_invariants;
     QCheck_alcotest.to_alcotest qcheck_allocations_disjoint;
   ]

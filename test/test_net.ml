@@ -162,10 +162,10 @@ let send_batches e fab ~batches ~batch =
         Engine.delay 1e6
       done)
 
-(* With a recorder attached but off, no trace label is rendered and a
-   message costs a few dozen words. *)
-let test_disabled_recorder_allocation () =
-  let n = 10_000 and got = ref 0 in
+(* Words per message of [n] messages sent in batches of [batch], with a
+   recorder attached but off: no trace label is rendered. *)
+let words_per_message ~n ~batch =
+  let got = ref 0 in
   let obs = Mp_obs.Recorder.create () in
   let calls, describe = counting_describe () in
   let words =
@@ -174,14 +174,62 @@ let test_disabled_recorder_allocation () =
         let fab = Fabric.create e ~hosts:2 () in
         Fabric.attach_obs fab ~obs ~describe;
         Fabric.set_handler fab ~host:1 (fun _ -> incr got);
-        send_batches e fab ~batches:10 ~batch:(n / 10);
+        send_batches e fab ~batches:(n / batch) ~batch;
         Engine.run e)
   in
   Alcotest.(check int) "delivered" n !got;
   Alcotest.(check int) "describe never called" 0 !calls;
-  let per_msg = words /. float_of_int n in
-  Alcotest.(check bool) (Printf.sprintf "%.1f words per message <= 40" per_msg) true
-    (per_msg <= 40.0)
+  words /. float_of_int n
+
+(* A batched message allocates its record, its delivery closure and event,
+   and their boxed times: the receive ring, the poll timer's callback and
+   the latency coefficients allocate nothing per message. *)
+let test_disabled_recorder_allocation () =
+  let per_msg = words_per_message ~n:10_000 ~batch:1_000 in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per message <= 22" per_msg) true
+    (per_msg <= 22.0)
+
+(* One message at a time adds a poll timer and a server wake-up to each. *)
+let test_single_message_allocation () =
+  let per_msg = words_per_message ~n:2_000 ~batch:1 in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per message <= 50" per_msg) true
+    (per_msg <= 50.0)
+
+(* When host 1 handles the one message sent at 0 µs, on a fabric whose
+   idle poll fires 50 µs after an arrival. *)
+let handled_at ~at_20us =
+  let e = Engine.create () in
+  let fab = Fabric.create e ~hosts:2 ~polling:Polling.Fast ~poll_idle_us:50.0 () in
+  let obs = Mp_obs.Recorder.create () in
+  Mp_obs.Recorder.set_enabled obs true;
+  Fabric.attach_obs fab ~obs ~describe:string_of_int;
+  Fabric.set_busy fab ~host:1 true;
+  let handled = ref None in
+  Fabric.set_handler fab ~host:1 (fun _ -> handled := Some (Engine.now e));
+  Engine.schedule e ~at:0.0 (fun () -> Fabric.send fab ~src:0 ~dst:1 ~bytes:32 0);
+  Engine.schedule e ~at:20.0 (fun () -> at_20us fab);
+  Engine.run e;
+  let wakes =
+    List.filter
+      (fun (ev : Mp_obs.Event.t) ->
+        match ev.kind with Mp_obs.Event.Sweeper_wake -> true | _ -> false)
+      (Mp_obs.Recorder.events obs)
+  in
+  (!handled, List.length wakes)
+
+(* A stall disarms the poll armed at the arrival (12 µs + 50 µs): the
+   message waits for the thaw at 1000 µs plus a fresh 50 µs poll. *)
+let test_stall_disarms_poll () =
+  let handled, wakes = handled_at ~at_20us:(fun fab -> Fabric.stall fab ~host:1 ~until:1000.) in
+  Alcotest.(check (option (float 1e-9))) "handled after the thaw" (Some 1050.0) handled;
+  Alcotest.(check int) "one poll wakes the server" 1 wakes
+
+(* A crash disarms it too: the armed poll never wakes the dead node's
+   server. *)
+let test_crash_disarms_poll () =
+  let handled, wakes = handled_at ~at_20us:(fun fab -> Fabric.crash fab ~host:1) in
+  Alcotest.(check (option (float 0.0))) "never handled" None handled;
+  Alcotest.(check int) "no poll wakes the server" 0 wakes
 
 let test_enabled_recorder_labels () =
   let obs = Mp_obs.Recorder.create () in
@@ -221,7 +269,8 @@ let test_chooser_labels () =
              0.0);
        });
   let fab =
-    Fabric.create e ~hosts:2 ~latency:(fun ~bytes:_ -> 10.0) ~poll_idle_us:0.0
+    Fabric.create e ~hosts:2 ~latency:{ Fabric.base_us = 10.0; per_byte_us = 0.0 }
+      ~poll_idle_us:0.0
       ~polling:Polling.Fast ()
   in
   Fabric.set_handler fab ~host:1 ignore;
@@ -257,6 +306,9 @@ let suite =
     Alcotest.test_case "roundtrip" `Quick test_handler_can_reply;
     Alcotest.test_case "disabled recorder allocation" `Quick
       test_disabled_recorder_allocation;
+    Alcotest.test_case "single message allocation" `Quick test_single_message_allocation;
+    Alcotest.test_case "stall disarms poll" `Quick test_stall_disarms_poll;
+    Alcotest.test_case "crash disarms poll" `Quick test_crash_disarms_poll;
     Alcotest.test_case "enabled recorder labels" `Quick test_enabled_recorder_labels;
     Alcotest.test_case "chooser labels" `Quick test_chooser_labels;
   ]

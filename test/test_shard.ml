@@ -42,14 +42,20 @@ let test_home_of_addr () =
         (Dsm.home_of dsm ~addr))
     xs
 
-let test_manager_host_semantics () =
-  let _, central = mk Homes.central in
-  Alcotest.(check int) "central still answers 0" 0 (Dsm.manager_host central);
-  let _, rr = mk Homes.round_robin in
-  Alcotest.check_raises "sharded policy has no single manager"
-    (Invalid_argument
-       "Dsm.manager_host: no single manager under a sharded home policy (use \
-        Dsm.home_of)") (fun () -> ignore (Dsm.manager_host rr))
+(* [home_of] answers from the same table as [homes] under every policy. *)
+let test_home_of_agrees_with_homes () =
+  List.iter
+    (fun homes ->
+      let _, dsm = mk ~hosts:4 homes in
+      let xs = Dsm.malloc_array dsm ~count:12 ~size:64 in
+      let table = Dsm.homes dsm in
+      Array.iteri
+        (fun id addr ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s mp%d" (Homes.policy_name homes.Homes.policy) id)
+            table.(id) (Dsm.home_of dsm ~addr))
+        xs)
+    [ Homes.central; Homes.round_robin; Homes.block 3; Homes.first_toucher ]
 
 let test_policy_of_string () =
   List.iter
@@ -249,7 +255,7 @@ let suite =
   [
     Alcotest.test_case "policy assignment" `Quick test_policy_assignment;
     Alcotest.test_case "home_of by address" `Quick test_home_of_addr;
-    Alcotest.test_case "manager_host semantics" `Quick test_manager_host_semantics;
+    Alcotest.test_case "home_of agrees with homes" `Quick test_home_of_agrees_with_homes;
     Alcotest.test_case "policy names" `Quick test_policy_of_string;
     Alcotest.test_case "first-toucher migrates" `Quick test_first_toucher_migrates;
     Alcotest.test_case "first touch by host 0 stays" `Quick
