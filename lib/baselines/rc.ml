@@ -520,8 +520,8 @@ module Make (G : GRAIN) = struct
   let write_int ctx addr v = Vm.write_int (vm ctx) addr v
   let read_i32 ctx addr = Vm.read_i32 (vm ctx) addr
   let write_i32 ctx addr v = Vm.write_i32 (vm ctx) addr v
-  let read_f32 ctx addr = Int32.float_of_bits (read_i32 ctx addr)
-  let write_f32 ctx addr v = write_i32 ctx addr (Int32.bits_of_float v)
+  let read_f32 ctx addr = Vm.read_f32 (vm ctx) addr
+  let write_f32 ctx addr v = Vm.write_f32 (vm ctx) addr v
   let read_u8 ctx addr = Vm.read_u8 (vm ctx) addr
   let write_u8 ctx addr v = Vm.write_u8 (vm ctx) addr v
   let charge_synch h dt = h.bd.Breakdown.synch <- h.bd.Breakdown.synch +. dt

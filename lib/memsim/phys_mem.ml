@@ -77,23 +77,25 @@ let set_u8 t off v =
   check t off 1;
   Bytes.set_uint8 (writable t (off lsr granule_bits)) (off land granule_mask) (v land 0xFF)
 
-let get_i32 t off =
+(* The 4- and 8-byte accessors are inlined into each typed one, so an
+   [int] or [float] access never boxes an [int32] or [int64] on the fast
+   path. *)
+let[@inline] get32 t off =
   check t off 4;
   if fits off 4 then Bytes.get_int32_le t.granules.(off lsr granule_bits) (off land granule_mask)
   else Bytes.get_int32_le (gather t off 4) 0
 
-let set_i32 t off v =
+let set32_straddling t off v =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_le b 0 v;
+  write_from t off b
+
+let[@inline] set32 t off v =
   check t off 4;
   if fits off 4 then
     Bytes.set_int32_le (writable t (off lsr granule_bits)) (off land granule_mask) v
-  else begin
-    let b = Bytes.create 4 in
-    Bytes.set_int32_le b 0 v;
-    write_from t off b
-  end
+  else set32_straddling t off v
 
-(* The 8-byte accessors are inlined into each typed one, so an [int] or
-   [float] access never boxes an [int64] on the fast path. *)
 let[@inline] get64 t off =
   check t off 8;
   if fits off 8 then Bytes.get_int64_le t.granules.(off lsr granule_bits) (off land granule_mask)
@@ -110,6 +112,10 @@ let[@inline] set64 t off v =
     Bytes.set_int64_le (writable t (off lsr granule_bits)) (off land granule_mask) v
   else set64_straddling t off v
 
+let get_i32 t off = get32 t off
+let set_i32 t off v = set32 t off v
+let get_f32 t off = Int32.float_of_bits (get32 t off)
+let set_f32 t off v = set32 t off (Int32.bits_of_float v)
 let get_i64 t off = get64 t off
 let set_i64 t off v = set64 t off v
 let get_f64 t off = Int64.float_of_bits (get64 t off)

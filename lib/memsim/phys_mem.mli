@@ -21,6 +21,12 @@ val set_u8 : t -> int -> int -> unit
 val get_i32 : t -> int -> int32
 val set_i32 : t -> int -> int32 -> unit
 
+val get_f32 : t -> int -> float
+(** IEEE single precision, widened to a [float]. *)
+
+val set_f32 : t -> int -> float -> unit
+(** Rounds to single precision. *)
+
 val get_i64 : t -> int -> int64
 val set_i64 : t -> int -> int64 -> unit
 

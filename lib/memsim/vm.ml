@@ -164,6 +164,8 @@ let read_u8 t addr = Phys_mem.get_u8 t.mem (read_access t addr 1)
 let write_u8 t addr v = Phys_mem.set_u8 t.mem (write_access t addr 1) v
 let read_i32 t addr = Phys_mem.get_i32 t.mem (read_access t addr 4)
 let write_i32 t addr v = Phys_mem.set_i32 t.mem (write_access t addr 4) v
+let read_f32 t addr = Phys_mem.get_f32 t.mem (read_access t addr 4)
+let write_f32 t addr v = Phys_mem.set_f32 t.mem (write_access t addr 4) v
 let read_f64 t addr = Phys_mem.get_f64 t.mem (read_access t addr 8)
 let write_f64 t addr v = Phys_mem.set_f64 t.mem (write_access t addr 8) v
 let read_int t addr = Phys_mem.get_int t.mem (read_access t addr 8)

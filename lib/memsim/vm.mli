@@ -84,12 +84,15 @@ val counters : t -> Mp_util.Stats.Counters.t
 (** {2 Typed access through views (protection-checked)}
 
     An access that lies within one vpage whose protection allows it
-    allocates nothing beyond its boxed result ([read_f64], [read_i32]). *)
+    allocates nothing beyond its boxed result ([read_f64], [read_f32],
+    [read_i32]). *)
 
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
 val read_i32 : t -> int -> int32
 val write_i32 : t -> int -> int32 -> unit
+val read_f32 : t -> int -> float
+val write_f32 : t -> int -> float -> unit
 val read_f64 : t -> int -> float
 val write_f64 : t -> int -> float -> unit
 val read_int : t -> int -> int

@@ -3316,7 +3316,7 @@ let init_vm t = t.host_states.(manager).vm
 let init_write_f64 t addr v = Vm.write_f64 (init_vm t) addr v
 let init_write_int t addr v = Vm.write_int (init_vm t) addr v
 let init_write_i32 t addr v = Vm.write_i32 (init_vm t) addr v
-let init_write_f32 t addr v = Vm.write_i32 (init_vm t) addr (Int32.bits_of_float v)
+let init_write_f32 t addr v = Vm.write_f32 (init_vm t) addr v
 let init_write_u8 t addr v = Vm.write_u8 (init_vm t) addr v
 
 let spawn t ~host ?name f =
@@ -3381,8 +3381,8 @@ let read_int ctx addr = Vm.read_int ctx.hs.vm addr
 let write_int ctx addr v = Vm.write_int ctx.hs.vm addr v
 let read_i32 ctx addr = Vm.read_i32 ctx.hs.vm addr
 let write_i32 ctx addr v = Vm.write_i32 ctx.hs.vm addr v
-let read_f32 ctx addr = Int32.float_of_bits (Vm.read_i32 ctx.hs.vm addr)
-let write_f32 ctx addr v = Vm.write_i32 ctx.hs.vm addr (Int32.bits_of_float v)
+let read_f32 ctx addr = Vm.read_f32 ctx.hs.vm addr
+let write_f32 ctx addr v = Vm.write_f32 ctx.hs.vm addr v
 let read_u8 ctx addr = Vm.read_u8 ctx.hs.vm addr
 let write_u8 ctx addr v = Vm.write_u8 ctx.hs.vm addr v
 

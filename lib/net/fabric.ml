@@ -1,7 +1,13 @@
 open Mp_util
 open Mp_sim
 
-type 'a msg = { src : int; dst : int; bytes : int; body : 'a }
+type 'a msg = { src : int; dst : int; mutable bytes : int; mutable body : 'a }
+
+(* A carrier is a message record and the engine event that delivers it.
+   Both are reused, message after message on one channel: a carrier is
+   free from when its message is done with (its handler has returned, or a
+   dead host dropped it) until the channel's next send. *)
+type 'a carrier = { msg : 'a msg; mutable deliver : Engine.event }
 
 type faults = {
   drop : float;  (* P(a copy is discarded on the wire) *)
@@ -20,12 +26,30 @@ let faults_active f =
    uses it to keep the ghost copy strictly behind the original. *)
 let fifo_spacing_us = 0.001
 
+(* Marks a node without an armed poll timer, and a carrier under
+   construction. *)
+let no_event = Engine.event ~label:"" ignore
+
+(* [a] with twice its slots, or 16 slots of [x] when it has none.  Doubling
+   copies [a] into both halves instead of filling them with [x], which may
+   be young: an array of more than 256 slots is made in the major heap, and
+   [Array.make] of one with a young filler forces a minor collection. *)
+let grown a x = if Array.length a = 0 then Array.make 16 x else Array.append a a
+
+(* Free carriers or poll timers: the first [len] slots of [items]. *)
+type 'a stack = { mutable items : 'a array; mutable len : int }
+
+let push s x =
+  if s.len = Array.length s.items then s.items <- grown s.items x;
+  s.items.(s.len) <- x;
+  s.len <- s.len + 1
+
 (* Arrived, unhandled messages are the [len] slots of [ring] from [head]
    on, a ring whose capacity is a power of two.  It grows by doubling, so
    queueing a message allocates nothing once it has grown. *)
 type 'a node = {
   id : int;
-  mutable ring : 'a msg array;
+  mutable ring : 'a carrier array;
   mutable head : int;
   mutable len : int;
   wake : Sync.Event.t;
@@ -33,8 +57,8 @@ type 'a node = {
   polling : Polling.t;
   mutable busy : bool;
   mutable pending_poll : float;  (* earliest scheduled wake; infinity when none *)
-  mutable poll_seq : int;  (* engine seq of the armed poll timer; 0 when none *)
-  mutable on_poll : unit -> unit;  (* the poll timers' callback, built once *)
+  mutable armed : Engine.event;  (* the armed poll timer; [no_event] when none *)
+  timers : Engine.event stack;  (* free poll timers *)
   mutable dead : bool;  (* crashed host: endpoint silent both ways *)
   mutable stalled_until : float;  (* polls deferred past this instant *)
   handled_key : string;  (* precomputed counter keys (hot path) *)
@@ -50,6 +74,7 @@ type 'a t = {
   latency : latency;
   chan_last : float array;  (* per (src,dst) last arrival, for FIFO *)
   chan_label : string array;  (* per (src,dst) "net:hS>hD" event label *)
+  free : 'a carrier stack array;  (* per (src,dst) free carriers *)
   counters : Stats.Counters.t;
   faults : faults;
   fault_rngs : Prng.t array option;  (* per (src,dst); None when fault-free *)
@@ -63,17 +88,10 @@ let fm_latency = { base_us = 11.4; per_byte_us = 0.0196 }
 let latency_us l ~bytes = l.base_us +. (l.per_byte_us *. float_of_int bytes)
 let default_latency ~bytes = latency_us fm_latency ~bytes
 
-let ring_push n m =
-  let cap = Array.length n.ring in
-  if n.len = cap then begin
-    let grown = Array.make (max 16 (2 * cap)) m in
-    for i = 0 to n.len - 1 do
-      grown.(i) <- n.ring.((n.head + i) land (cap - 1))
-    done;
-    n.ring <- grown;
-    n.head <- 0
-  end;
-  n.ring.((n.head + n.len) land (Array.length n.ring - 1)) <- m;
+(* A full ring doubled holds its [len] messages in order from [head]. *)
+let ring_push n c =
+  if n.len = Array.length n.ring then n.ring <- grown n.ring c;
+  n.ring.((n.head + n.len) land (Array.length n.ring - 1)) <- c;
   n.len <- n.len + 1
 
 let ring_take n =
@@ -82,16 +100,20 @@ let ring_take n =
   n.len <- n.len - 1;
   m
 
+let release t c = push t.free.((c.msg.src * Array.length t.nodes) + c.msg.dst) c
+
 let disarm_poll n =
-  n.poll_seq <- 0;
+  n.armed <- no_event;
   n.pending_poll <- infinity
 
 (* A poll timer superseded by a later arm or a disarm does nothing when it
    fires: signalling the auto-reset wake event spuriously would satisfy the
    server's next wait for free.  It stays queued rather than being removed,
-   because schedule exploration counts it in its tie groups. *)
-let poll_fired t n () =
-  if Engine.firing_seq t.engine = n.poll_seq then begin
+   because schedule exploration counts it in its tie groups.  Either way,
+   once fired it is free again. *)
+let poll_fired t n timer =
+  push n.timers timer;
+  if n.armed == timer then begin
     disarm_poll n;
     (match t.obs with
     | Some (obs, _) when n.busy ->
@@ -121,8 +143,8 @@ let create engine ~hosts ?(latency = fm_latency) ?(poll_idle_us = 2.0)
       polling = Polling.create polling ~poll_idle_us ~rng:(Prng.split root_rng);
       busy = false;
       pending_poll = infinity;
-      poll_seq = 0;
-      on_poll = ignore;
+      armed = no_event;
+      timers = { items = [||]; len = 0 };
       dead = false;
       stalled_until = neg_infinity;
       handled_key = Printf.sprintf "handled.h%d" id;
@@ -149,6 +171,7 @@ let create engine ~hosts ?(latency = fm_latency) ?(poll_idle_us = 2.0)
       chan_label =
         Array.init (hosts * hosts) (fun c ->
             Printf.sprintf "net:h%d>h%d" (c / hosts) (c mod hosts));
+      free = Array.init (hosts * hosts) (fun _ -> { items = [||]; len = 0 });
       counters = Stats.Counters.create ();
       faults;
       fault_rngs;
@@ -159,7 +182,6 @@ let create engine ~hosts ?(latency = fm_latency) ?(poll_idle_us = 2.0)
      at a time, on the host's DSM server thread. *)
   Array.iter
     (fun n ->
-      n.on_poll <- poll_fired t n;
       Engine.spawn engine
         ~name:(Printf.sprintf "fabric.server.h%d" n.id)
         ~group:n.id
@@ -167,7 +189,8 @@ let create engine ~hosts ?(latency = fm_latency) ?(poll_idle_us = 2.0)
           let rec loop () =
             Sync.Event.wait n.wake;
             while n.len > 0 do
-              let m = ring_take n in
+              let c = ring_take n in
+              let m = c.msg in
               (match t.obs with
               | Some (obs, describe) when Mp_obs.Recorder.enabled obs ->
                 Mp_obs.Recorder.msg_recv obs ~time:(Engine.now engine) ~host:n.id
@@ -177,6 +200,7 @@ let create engine ~hosts ?(latency = fm_latency) ?(poll_idle_us = 2.0)
               (match n.handler with
               | Some h -> h m
               | None -> failwith "Fabric: message for host without handler");
+              release t c;
               Stats.Counters.incr t.counters n.handled_key
             done;
             loop ()
@@ -206,29 +230,63 @@ let schedule_poll t n ~arrival =
   if n.pending_poll <= Engine.now t.engine || n.pending_poll > pt then begin
     n.pending_poll <- pt;
     (* arming supersedes any timer still queued *)
-    n.poll_seq <- Engine.schedule_seq t.engine ~at:pt ~label:n.poll_label n.on_poll
+    let timer =
+      if n.timers.len > 0 then begin
+        n.timers.len <- n.timers.len - 1;
+        n.timers.items.(n.timers.len)
+      end
+      else begin
+        let self = ref no_event in
+        self := Engine.event ~label:n.poll_label (fun () -> poll_fired t n !self);
+        !self
+      end
+    in
+    n.armed <- timer;
+    Engine.post t.engine timer ~at:pt
   end
   end
 
-let deliver t (dst_node : 'a node) m ~at =
-  ignore
-    (Engine.schedule_seq t.engine ~at
-       ~label:t.chan_label.((m.src * Array.length t.nodes) + m.dst)
-       (fun () ->
-         if dst_node.dead then Stats.Counters.incr t.counters "net.dead_dropped"
-         else begin
-           ring_push dst_node m;
-           schedule_poll t dst_node ~arrival:(Engine.now t.engine)
-         end))
+let arrive t n c =
+  if n.dead then begin
+    Stats.Counters.incr t.counters "net.dead_dropped";
+    release t c
+  end
+  else begin
+    ring_push n c;
+    schedule_poll t n ~arrival:(Engine.now t.engine)
+  end
+
+(* Posts a copy of [body] on channel [chan] in a free carrier, or in a new
+   one when the channel has none. *)
+let deliver t (dst_node : 'a node) ~chan ~src ~bytes body ~at =
+  let free = t.free.(chan) in
+  let c =
+    if free.len > 0 then begin
+      free.len <- free.len - 1;
+      let c = free.items.(free.len) in
+      c.msg.bytes <- bytes;
+      c.msg.body <- body;
+      c
+    end
+    else begin
+      let c = { msg = { src; dst = dst_node.id; bytes; body }; deliver = no_event } in
+      c.deliver <- Engine.event ~label:t.chan_label.(chan) (fun () -> arrive t dst_node c);
+      c
+    end
+  in
+  Engine.post t.engine c.deliver ~at
 
 let crash t ~host =
   let n = node t host in
   if not n.dead then begin
     n.dead <- true;
     n.stalled_until <- neg_infinity;
-    (* Arrived-but-unhandled messages die with the host; cancel any armed
-       poll so the (killed) server process is never signalled again. *)
-    n.len <- 0;
+    (* Arrived-but-unhandled messages die with the host, and their carriers
+       are free again; cancel any armed poll so the (killed) server process
+       is never signalled again. *)
+    while n.len > 0 do
+      release t (ring_take n)
+    done;
     disarm_poll n;
     Stats.Counters.incr t.counters "net.crashed_hosts"
   end
@@ -264,7 +322,6 @@ let send t ~src ~dst ~bytes body =
       ~label:(describe body)
   | Some _ | None -> ());
   let chan = (src * Array.length t.nodes) + dst in
-  let m = { src; dst; bytes; body } in
   (* Schedule exploration: a chooser may stretch this delivery's latency.
      The perturbation lands before the FIFO clamp, so a perturbed channel
      still delivers in order — only cross-channel races move. *)
@@ -281,7 +338,7 @@ let send t ~src ~dst ~bytes body =
       Float.max (now +. latency) (t.chan_last.(chan) +. fifo_spacing_us)
     in
     t.chan_last.(chan) <- arrival;
-    deliver t dst_node m ~at:arrival
+    deliver t dst_node ~chan ~src ~bytes body ~at:arrival
   | Some rngs ->
     let f = t.faults and rng = rngs.(chan) in
     let label () =
@@ -339,7 +396,8 @@ let send t ~src ~dst ~bytes body =
       end
       else
         (* the ghost copy trails the original without advancing the clamp *)
-        deliver t dst_node m ~at:(arrival +. (float_of_int copy *. fifo_spacing_us))
+        deliver t dst_node ~chan ~src ~bytes body
+          ~at:(arrival +. (float_of_int copy *. fifo_spacing_us))
     done
   end
 

@@ -18,7 +18,11 @@
     reorder and jitter messages per (src, dst) channel — off by default, in
     which case delivery keeps the exact FM guarantees above. *)
 
-type 'a msg = { src : int; dst : int; bytes : int; body : 'a }
+type 'a msg = private { src : int; dst : int; mutable bytes : int; mutable body : 'a }
+(** A message as its handler sees it.  The record is the fabric's: it is
+    reused for a later message on the same channel once the handler
+    returns, so a handler reads its fields while it runs and keeps none of
+    the record itself. *)
 
 type faults = {
   drop : float;  (** probability a copy is discarded on the wire, [0, 1) *)
@@ -74,7 +78,9 @@ val engine : 'a t -> Mp_sim.Engine.t
 val set_handler : 'a t -> host:int -> ('a msg -> unit) -> unit
 (** Must be installed before the first send to [host].  The handler runs
     inside a simulated process and may delay/suspend; messages on one host
-    are handled strictly sequentially in arrival order. *)
+    are handled strictly sequentially in arrival order.  The message record
+    stays valid until the handler returns, across its delays and
+    suspensions, and not after (see {!msg}). *)
 
 val send : 'a t -> src:int -> dst:int -> bytes:int -> 'a -> unit
 (** Fire-and-forget, like [FM_send].  May be called from any process or

@@ -1,15 +1,19 @@
-(* [at] repeats the event's queue time as a boxed float, so firing the
-   event sets the clock without boxing one. *)
-type ev = { run : unit -> unit; label : string; mutable at : float }
+(* An event is built once, with its label and callback, and posted again and
+   again.  [at] repeats its queue time as a boxed float, so firing it sets the
+   clock without boxing one; it is [idle] while the event is not queued. *)
+type event = { run : unit -> unit; label : string; mutable at : float }
+
+let idle = neg_infinity
 
 (* A process has at most one pending event at a time, its delay timer or
    its resumption, so it needs one slot for the continuation it is parked
-   on, and its two wake-up events are built once, at spawn. *)
+   on, made at its first park, and its two wake-up events are built once,
+   at spawn. *)
 type proc = {
   name : string;
   mutable cancelled : bool;
   mutable finished : bool;
-  mutable parked : (unit, unit) Effect.Deep.continuation option;
+  mutable parked : (unit, unit) Effect.Deep.continuation array;
   mutable susp : int;  (* id of the live suspension; 0 when none *)
   mutable on : string;  (* name of the live suspension *)
 }
@@ -21,9 +25,8 @@ type chooser = {
 
 type t = {
   mutable now : float;
-  queue : ev Pqueue.t;
+  queue : event Pqueue.t;
   mutable seq : int;
-  mutable firing : int;  (* seq of the event being run *)
   mutable live : int;
   mutable stopped : bool;
   blocked_tbl : (int, proc) Hashtbl.t;  (* live suspensions by id *)
@@ -50,7 +53,6 @@ let create () =
     now = 0.0;
     queue = Pqueue.create ();
     seq = 0;
-    firing = 0;
     live = 0;
     stopped = false;
     blocked_tbl = Hashtbl.create 32;
@@ -72,28 +74,29 @@ let perturb_latency t ~label =
   | None -> 0.0
   | Some c -> Float.max 0.0 (c.perturb_latency ~label ~now:t.now)
 
-let push t ev =
-  if ev.at < t.now then ev.at <- t.now;
+let event ~label run = { run; label; at = idle }
+
+(* A queued event's time is never below the clock, so never [idle]. *)
+let post t ev ~at =
+  if ev.at <> idle then invalid_arg "Engine.post: event already queued";
+  ev.at <- at;
+  if at < t.now then ev.at <- t.now;
   t.seq <- t.seq + 1;
   Pqueue.push t.queue ~time:ev.at ~seq:t.seq ev
 
-let schedule_seq t ~at ~label run =
-  push t { run; label; at };
-  t.seq
+let schedule t ~at ?(label = "cb") run = post t (event ~label run) ~at
 
-let schedule t ~at ?(label = "cb") run = ignore (schedule_seq t ~at ~label run)
-let firing_seq t = t.firing
+let park st k = if Array.length st.parked = 0 then st.parked <- [| k |] else st.parked.(0) <- k
 
+(* A continuation left in the slot has been resumed, and resuming it again
+   raises. *)
 let take_parked st =
-  match st.parked with
-  | Some k ->
-    st.parked <- None;
-    k
-  | None -> invalid_arg "Engine: no parked continuation"
+  if Array.length st.parked = 0 then invalid_arg "Engine: no parked continuation";
+  st.parked.(0)
 
 let spawn t ?(name = "proc") ?group f =
   t.live <- t.live + 1;
-  let st = { name; cancelled = false; finished = false; parked = None; susp = 0; on = "" } in
+  let st = { name; cancelled = false; finished = false; parked = [||]; susp = 0; on = "" } in
   (match group with
   | None -> ()
   | Some g ->
@@ -111,22 +114,12 @@ let spawn t ?(name = "proc") ?group f =
     t.live <- t.live - 1
   in
   let delay_ev =
-    {
-      run =
-        (fun () ->
-          let k = take_parked st in
-          if st.cancelled then Effect.Deep.discontinue k Killed
-          else Effect.Deep.continue k ());
-      label = "delay:" ^ name;
-      at = 0.0;
-    }
+    event ~label:("delay:" ^ name) (fun () ->
+        let k = take_parked st in
+        if st.cancelled then Effect.Deep.discontinue k Killed else Effect.Deep.continue k ())
   in
   let resume_ev =
-    {
-      run = (fun () -> Effect.Deep.continue (take_parked st) ());
-      label = "resume:" ^ name;
-      at = 0.0;
-    }
+    event ~label:("resume:" ^ name) (fun () -> Effect.Deep.continue (take_parked st) ())
   in
   (* the one-shot [resume] handed out by suspension [id] *)
   let resume id () =
@@ -137,19 +130,15 @@ let spawn t ?(name = "proc") ?group f =
         (* Unwind the fiber so daemon loops exit cleanly. *)
         Effect.Deep.discontinue (take_parked st) Stopped
       else if st.cancelled then Effect.Deep.discontinue (take_parked st) Killed
-      else begin
-        resume_ev.at <- t.now;
-        push t resume_ev
-      end
+      else post t resume_ev ~at:t.now
     end
   in
   let on_delay =
     Some
       (fun k ->
-        st.parked <- Some k;
+        park st k;
         let d = if t.arg_delay < 0.0 then 0.0 else t.arg_delay in
-        delay_ev.at <- t.now +. d;
-        push t delay_ev)
+        post t delay_ev ~at:(t.now +. d))
   in
   let on_suspend =
     Some
@@ -159,7 +148,7 @@ let spawn t ?(name = "proc") ?group f =
         t.susp_id <- t.susp_id + 1;
         let id = t.susp_id in
         Hashtbl.replace t.blocked_tbl id st;
-        st.parked <- Some k;
+        park st k;
         st.susp <- id;
         st.on <- t.arg_label;
         register (resume id))
@@ -184,12 +173,10 @@ let spawn t ?(name = "proc") ?group f =
           | _ -> None);
     }
   in
-  push t
-    {
-      run = (fun () -> if st.cancelled then finish () else Effect.Deep.match_with f () handler);
-      label = "start:" ^ name;
-      at = t.now;
-    }
+  post t
+    (event ~label:("start:" ^ name) (fun () ->
+         if st.cancelled then finish () else Effect.Deep.match_with f () handler))
+    ~at:t.now
 
 (* A process finds its engine through a domain-local "current engine", set
    for the length of each [run]/[run_until].  Domain-local storage (not a
@@ -218,16 +205,17 @@ let suspend ~name register =
 
 let self_name () = perform Self_name
 
-let run_next t =
-  t.firing <- Pqueue.min_seq t.queue;
-  let e = Pqueue.pop t.queue in
+(* A fired event is no longer queued, so its callback may post it again. *)
+let fire t e =
   t.now <- e.at;
+  e.at <- idle;
   e.run ()
 
 (* Exploration path: pop the whole same-instant group, let the chooser pick
    one, and push the rest back with their seqs intact — so a chooser that
    always answers 0 reproduces the deterministic order exactly, and a group
-   of n events yields n-1 successive choice points. *)
+   of n events yields n-1 successive choice points.  The events pushed back
+   keep their time, so they stay marked queued. *)
 let run_chosen t c =
   match Pqueue.pop_min_group t.queue with
   | None -> ()
@@ -237,17 +225,14 @@ let run_chosen t c =
     let pick = c.choose ~time ~labels in
     let pick = if pick < 0 || pick >= Array.length group then 0 else pick in
     Array.iteri (fun i (seq, e) -> if i <> pick then Pqueue.push t.queue ~time ~seq e) group;
-    let seq, e = group.(pick) in
-    t.firing <- seq;
-    t.now <- e.at;
-    e.run ()
+    fire t (snd group.(pick))
 
 let step t =
   if Pqueue.is_empty t.queue then false
   else begin
     (match t.chooser with
     | Some c when Pqueue.min_tied t.queue -> run_chosen t c
-    | Some _ | None -> run_next t);
+    | Some _ | None -> fire t (Pqueue.pop t.queue));
     true
   end
 

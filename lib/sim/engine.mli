@@ -6,14 +6,16 @@
     resumes it.  Everything is deterministic: events scheduled for the same
     instant fire in scheduling order.
 
-    The per-event cost is kept allocation-lean.  Each process's wake-up
-    events and effect handlers are built once, at spawn, and {!delay} and
-    {!suspend} pass their arguments through the engine instead of an effect
-    payload.  So a delay allocates only its continuation, the slot that
-    parks it, and its boxed wake-up time; a suspension adds the one-shot
-    [resume] thunk and its deadlock-report entry.  A callback from
-    {!schedule} allocates its event record, and firing an event allocates
-    nothing. *)
+    Everything the engine runs is an {!event}: a label and a callback,
+    built once and posted again and again, but never queued twice at once.
+    A process's start, delay and resumption are events built at spawn, and
+    the network fabric reuses its message deliveries and poll timers the
+    same way.  Posting and firing an event allocate nothing but the
+    caller's boxed time.  A process parks its continuation in a one-slot
+    array made at its first park, so a delay allocates only its
+    continuation and its boxed wake-up time; a suspension adds the
+    one-shot [resume] thunk and its deadlock-report entry.  {!schedule}
+    posts a fresh event. *)
 
 type t
 
@@ -40,21 +42,24 @@ val spawn : t -> ?name:string -> ?group:int -> (unit -> unit) -> unit
     whole run.  [group] tags the process for {!kill_group} (used to model
     host crashes: everything running on host [h] is spawned in group [h]). *)
 
+type event
+(** A reusable callback with its label: while it is queued, it is not posted
+    again; once it fires, it may be. *)
+
+val event : label:string -> (unit -> unit) -> event
+(** [event ~label run] builds an event that runs the plain callback [run]
+    (not a process: it must not perform effects).  [label] names it for
+    the {!chooser}'s same-instant tie-breaks. *)
+
+val post : t -> event -> at:float -> unit
+(** Queue the event to fire at absolute time [at], clamped to now.  Raises
+    [Invalid_argument] when the event is still queued: queued twice, it
+    would fire with the wrong time.  Its callback may post it again. *)
+
 val schedule : t -> at:float -> ?label:string -> (unit -> unit) -> unit
-(** Run a plain callback (not a process: it must not perform effects) at
-    absolute time [at].  [at] below the current time is clamped to now.
-    [label] names the event for the {!chooser}'s same-instant tie-breaks
-    (default ["cb"]); internal events are labeled ["start:"], ["delay:"] and
+(** [schedule t ~at run] posts a fresh event.  [label] defaults to ["cb"];
+    the engine's own events are labeled ["start:"], ["delay:"] and
     ["resume:"] plus the process name. *)
-
-val schedule_seq : t -> at:float -> label:string -> (unit -> unit) -> int
-(** {!schedule} with a required label, which a hot caller can pass without
-    allocating an option.  Returns the event's sequence number, which
-    {!firing_seq} reports while the event runs: a caller that re-arms a
-    timer recognises a superseded one by it. *)
-
-val firing_seq : t -> int
-(** Sequence number of the event being run (see {!schedule_seq}). *)
 
 val delay : float -> unit
 (** Advance this process's clock by the given number of µs. *)

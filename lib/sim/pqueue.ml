@@ -56,7 +56,6 @@ let push t ~time ~seq value =
   done
 
 let min_time t = if t.size = 0 then infinity else Float.Array.get t.times 0
-let min_seq t = if t.size = 0 then invalid_arg "Pqueue.min_seq: empty" else t.seqs.(0)
 
 let pop t =
   if t.size = 0 then invalid_arg "Pqueue.pop: empty";

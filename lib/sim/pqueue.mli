@@ -15,9 +15,6 @@ val push : 'a t -> time:float -> seq:int -> 'a -> unit
 val min_time : 'a t -> float
 (** Time of the smallest entry; [infinity] when empty. *)
 
-val min_seq : 'a t -> int
-(** [seq] of the smallest entry.  Raises [Invalid_argument] when empty. *)
-
 val pop : 'a t -> 'a
 (** Removes and returns the smallest [(time, seq)] entry; read its time with
     {!min_time} first.  Raises [Invalid_argument] when empty. *)

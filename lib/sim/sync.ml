@@ -23,22 +23,18 @@ module Event = struct
     end
     else Engine.suspend ~name:t.name t.park
 
+  (* Here and in [Mutex] and [Semaphore], a wake checks [Queue.is_empty]
+     before [Queue.take]: [Queue.take_opt] would allocate an option per
+     waiter woken. *)
   let set t =
     if t.auto_reset then begin
-      match Queue.take_opt t.waiters with
-      | Some resume -> resume ()
-      | None -> t.signaled <- true
+      if Queue.is_empty t.waiters then t.signaled <- true else (Queue.take t.waiters) ()
     end
     else begin
       t.signaled <- true;
-      let rec drain () =
-        match Queue.take_opt t.waiters with
-        | Some resume ->
-          resume ();
-          drain ()
-        | None -> ()
-      in
-      drain ()
+      while not (Queue.is_empty t.waiters) do
+        (Queue.take t.waiters) ()
+      done
     end
 
   let reset t = t.signaled <- false
@@ -57,9 +53,8 @@ module Mutex = struct
 
   let unlock t =
     if not t.held then invalid_arg "Sync.Mutex.unlock: not locked";
-    match Queue.take_opt t.waiters with
-    | Some resume -> resume () (* ownership transfers directly to the waiter *)
-    | None -> t.held <- false
+    if Queue.is_empty t.waiters then t.held <- false
+    else (Queue.take t.waiters) () (* ownership transfers directly to the waiter *)
 
   let with_lock t f =
     lock t;
@@ -80,9 +75,7 @@ module Semaphore = struct
     else Engine.suspend ~name:t.name (fun resume -> Queue.add resume t.waiters)
 
   let release t =
-    match Queue.take_opt t.waiters with
-    | Some resume -> resume ()
-    | None -> t.count <- t.count + 1
+    if Queue.is_empty t.waiters then t.count <- t.count + 1 else (Queue.take t.waiters) ()
 
   let count t = t.count
 end

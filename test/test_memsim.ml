@@ -356,7 +356,21 @@ let test_vm_hits_allocate_nothing () =
         done)
   in
   Alcotest.(check (float 0.0)) "write_f64 hits" 0.0 writes;
-  Alcotest.(check (float 0.0)) "read_int hits" 0.0 reads
+  Alcotest.(check (float 0.0)) "read_int hits" 0.0 reads;
+  (* a 4-byte read allocates only its boxed result: a float is 2 words, an
+     int32 3 *)
+  let per_hit access =
+    allocated_words (fun () ->
+        for i = 0 to 9_999 do
+          access (addr i)
+        done)
+    /. 10_000.0
+  in
+  let check name words access = Alcotest.(check (float 0.0)) name words (per_hit access) in
+  check "read_f32 hit" 2.0 (fun a -> ignore (Sys.opaque_identity (Vm.read_f32 vm a)));
+  check "write_f32 hit" 0.0 (fun a -> Vm.write_f32 vm a 1.5);
+  check "read_i32 hit" 3.0 (fun a -> ignore (Sys.opaque_identity (Vm.read_i32 vm a)));
+  check "write_i32 hit" 0.0 (fun a -> Vm.write_i32 vm a 7l)
 
 let test_protect_range () =
   let vm = mk_vm () in

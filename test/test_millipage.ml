@@ -417,7 +417,7 @@ let read_fault_run_words n =
    is 85 of its words. *)
 let test_read_fault_allocation () =
   let per_fault = (read_fault_run_words 2_000 -. read_fault_run_words 1_000) /. 1_000.0 in
-  Alcotest.(check (float 0.5)) "words per read fault" 595.0 per_fault
+  Alcotest.(check (float 0.5)) "words per read fault" 452.0 per_fault
 
 let suite =
   [

@@ -245,9 +245,9 @@ let test_stop () =
   Engine.run e;
   Alcotest.(check int) "stopped at 10" 10 !ticks
 
-(* Each process's wake-up events and effect handlers are built at spawn, so
-   a delay allocates only its continuation, the slot that parks it and its
-   boxed wake-up time. *)
+(* Each process's wake-up events and effect handlers are built at spawn,
+   and it parks in a slot made at its first park, so a delay allocates only
+   its continuation and its boxed wake-up time. *)
 let test_delay_allocation () =
   let n = 10_000 in
   let words =
@@ -259,10 +259,78 @@ let test_delay_allocation () =
             done);
         Engine.run e)
   in
-  let per_delay = words /. float_of_int n in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.1f words per delay <= 20" per_delay)
-    true (per_delay <= 20.0)
+  Alcotest.(check (float 0.05)) "words per delay" 4.0 (words /. float_of_int n)
+
+(* A wait/set cycle on an auto-reset event allocates the waiter's
+   suspension (its continuation, one-shot [resume], deadlock-report entry
+   and queue cell) and the setter's delay: parking and waking the waiter
+   allocate no option. *)
+let test_wait_set_allocation () =
+  let n = 10_000 in
+  let words =
+    Test_memsim.allocated_words (fun () ->
+        let e = Engine.create () in
+        let ev = Sync.Event.create () in
+        Engine.spawn e ~name:"waiter" (fun () ->
+            for _ = 1 to n do
+              Sync.Event.wait ev
+            done);
+        Engine.spawn e ~name:"setter" (fun () ->
+            for _ = 1 to n do
+              Engine.delay 1.0;
+              Sync.Event.set ev
+            done);
+        Engine.run e)
+  in
+  Alcotest.(check (float 0.05)) "words per wait/set cycle" 18.0 (words /. float_of_int n)
+
+(* An event is posted again only once it has fired: posting it while it is
+   queued raises, and its own callback may post it again. *)
+let test_event_reuse () =
+  let e = Engine.create () in
+  let fired = ref [] and self = ref None in
+  let tick =
+    Engine.event ~label:"tick" (fun () ->
+        fired := Engine.now e :: !fired;
+        if List.length !fired < 3 then
+          Engine.post e (Option.get !self) ~at:(Engine.now e +. 10.0))
+  in
+  self := Some tick;
+  Engine.post e tick ~at:5.0;
+  Alcotest.check_raises "posted while queued"
+    (Invalid_argument "Engine.post: event already queued") (fun () ->
+      Engine.post e tick ~at:7.0);
+  Engine.run e;
+  Alcotest.(check (list (float 0.0))) "fired" [ 5.0; 15.0; 25.0 ] (List.rev !fired)
+
+(* The events of a tie group that a chooser passes over stay queued. *)
+let test_event_reuse_chosen () =
+  let e = Engine.create () in
+  Engine.set_chooser e
+    (Some
+       {
+         Engine.choose = (fun ~time:_ ~labels:_ -> 1);
+         perturb_latency = (fun ~label:_ ~now:_ -> 0.0);
+       });
+  let fired = ref [] in
+  let note name = fired := (name, Engine.now e) :: !fired in
+  let a = Engine.event ~label:"a" (fun () -> note "a") in
+  let b =
+    Engine.event ~label:"b" (fun () ->
+        note "b";
+        match Engine.post e a ~at:2.0 with
+        | () -> Alcotest.fail "posted a queued event"
+        | exception Invalid_argument _ -> ())
+  in
+  Engine.post e a ~at:1.0;
+  Engine.post e b ~at:1.0;
+  Engine.run e;
+  Engine.post e a ~at:3.0;
+  Engine.run e;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "fired"
+    [ ("b", 1.0); ("a", 1.0); ("a", 3.0) ]
+    (List.rev !fired)
 
 (* A chooser that always keeps the default order, recording every tie group
    it is shown. *)
@@ -326,4 +394,7 @@ let suite =
     Alcotest.test_case "stop" `Quick test_stop;
     Alcotest.test_case "delay allocation" `Quick test_delay_allocation;
     Alcotest.test_case "chooser labels" `Quick test_chooser_labels;
+    Alcotest.test_case "wait/set allocation" `Quick test_wait_set_allocation;
+    Alcotest.test_case "event reuse" `Quick test_event_reuse;
+    Alcotest.test_case "event reuse under a chooser" `Quick test_event_reuse_chosen;
   ]
