@@ -162,7 +162,7 @@ module Runner (D : Mp_dsm.Dsm_intf.S) = struct
       ?(degraded = fun () -> false) () =
     if Obs_opts.active o then begin
       let obs = D.obs t in
-      if Obs_opts.tracing o then Mp_obs.Recorder.set_capacity obs (1 lsl 20);
+      if Obs_opts.tracing o then Mp_obs.Recorder.set_capacity obs (1 lsl 22);
       Mp_obs.Recorder.set_enabled obs true;
       if Obs_opts.profiling o then ignore (Mp_obs.Profile.attach obs)
     end;

@@ -441,13 +441,12 @@ let run ?(profile = false) t ~sched =
   let end_us = Engine.now e in
   let crashed = Dsm.declared_dead dsm in
   let coherence = List.map (fun v -> "coherence: " ^ v) (Coherence.check log) in
+  let events = Mp_obs.Recorder.events obs in
   let invariants =
     (* The invariant checker models the crash-free protocol: a host that
        dies mid-span leaves legitimately unmatched events. *)
     if t.crashes <> [] || Mp_obs.Recorder.dropped obs > 0 then []
-    else
-      List.map (fun v -> "invariant: " ^ v)
-        (Mp_obs.Invariants.check (Mp_obs.Recorder.events obs))
+    else List.map (fun v -> "invariant: " ^ v) (Mp_obs.Invariants.check events)
   in
   let result =
     (* Results are only meaningful when every thread ran to completion. *)
@@ -525,7 +524,7 @@ let run ?(profile = false) t ~sched =
     state_sig;
     trace_sig;
     ops = Coherence.operations log;
-    obs_events = List.length (Mp_obs.Recorder.events obs);
+    obs_events = List.length events;
     mutation_fired = Dsm.Testonly.mutation_fired dsm;
     crashed;
     profile = prof;

@@ -98,67 +98,68 @@ type packet = Data of { seq : int; body : body } | Tack of { seq : int }
 
 let access_to_string = function Read -> "read" | Write -> "write"
 
+(* Labels are built with [^] rather than [Printf]: one is formatted for
+   every recorded message, and [Printf.sprintf] costs several times the
+   words of the string it returns. *)
+let str = string_of_int
+
+(* [prefix ^ n ^ ")"], the shape of most labels *)
+let tag prefix n = prefix ^ str n ^ ")"
+
 let describe_record = function
-  | L_admit { req_id; mp_id } -> Printf.sprintf "admit r%d mp%d" req_id mp_id
-  | L_complete { req_id; _ } -> Printf.sprintf "complete r%d" req_id
+  | L_admit { req_id; mp_id } -> "admit r" ^ str req_id ^ " mp" ^ str mp_id
+  | L_complete { req_id; _ } -> "complete r" ^ str req_id
   | L_state { mp_id; owner; copyset } ->
-    Printf.sprintf "state mp%d o%d c%d" mp_id owner (List.length copyset)
-  | L_shadow { mp_id; data } ->
-    Printf.sprintf "shadow mp%d %dB" mp_id (Bytes.length data)
+    "state mp" ^ str mp_id ^ " o" ^ str owner ^ " c" ^ str (List.length copyset)
+  | L_shadow { mp_id; data } -> "shadow mp" ^ str mp_id ^ " " ^ str (Bytes.length data) ^ "B"
   | L_mode { mp_id; mode; epoch } ->
-    Printf.sprintf "mode mp%d %s e%d" mp_id (mode_to_string mode) epoch
+    "mode mp" ^ str mp_id ^ " " ^ mode_to_string mode ^ " e" ^ str epoch
   | L_diff { mp_id; diff } ->
-    Printf.sprintf "diff mp%d %dB" mp_id (Twin_diff.encoded_bytes diff)
+    "diff mp" ^ str mp_id ^ " " ^ str (Twin_diff.encoded_bytes diff) ^ "B"
 
 let describe = function
-  | Request { access; addr; _ } ->
-    Printf.sprintf "REQUEST(%s @%d)" (access_to_string access) addr
-  | Forward { access; info; _ } ->
-    Printf.sprintf "FORWARD(%s mp%d)" (access_to_string access) info.mp_id
-  | Reply_header { info; _ } -> Printf.sprintf "REPLY_HDR(mp%d)" info.mp_id
-  | Reply_data { info; _ } -> Printf.sprintf "REPLY_DATA(mp%d)" info.mp_id
-  | Write_grant { info; _ } -> Printf.sprintf "WRITE_GRANT(mp%d)" info.mp_id
-  | Invalidate { info; _ } -> Printf.sprintf "INVALIDATE(mp%d)" info.mp_id
-  | Invalidate_reply { mp_id; _ } -> Printf.sprintf "INVALIDATE_REPLY(mp%d)" mp_id
-  | Ack { mp_id; _ } -> Printf.sprintf "ACK(mp%d)" mp_id
-  | Home_redirect { mp_id; home; _ } ->
-    Printf.sprintf "HOME_REDIRECT(mp%d -> h%d)" mp_id home
-  | Barrier_enter { from; phase; _ } ->
-    Printf.sprintf "BARRIER_ENTER(h%d p%d)" from phase
-  | Barrier_release { phase } -> Printf.sprintf "BARRIER_RELEASE(p%d)" phase
-  | Lock_acquire { lock; from; _ } -> Printf.sprintf "LOCK_ACQ(l%d h%d)" lock from
-  | Lock_grant { lock; _ } -> Printf.sprintf "LOCK_GRANT(l%d)" lock
-  | Lock_release { lock; from } -> Printf.sprintf "LOCK_REL(l%d h%d)" lock from
-  | Push { info; _ } -> Printf.sprintf "PUSH(mp%d)" info.mp_id
-  | Push_update { info; _ } -> Printf.sprintf "PUSH_UPDATE(mp%d)" info.mp_id
-  | Push_update_ack { mp_id; _ } -> Printf.sprintf "PUSH_UPDATE_ACK(mp%d)" mp_id
+  | Request { access; addr; _ } -> "REQUEST(" ^ access_to_string access ^ tag " @" addr
+  | Forward { access; info; _ } -> "FORWARD(" ^ access_to_string access ^ tag " mp" info.mp_id
+  | Reply_header { info; _ } -> tag "REPLY_HDR(mp" info.mp_id
+  | Reply_data { info; _ } -> tag "REPLY_DATA(mp" info.mp_id
+  | Write_grant { info; _ } -> tag "WRITE_GRANT(mp" info.mp_id
+  | Invalidate { info; _ } -> tag "INVALIDATE(mp" info.mp_id
+  | Invalidate_reply { mp_id; _ } -> tag "INVALIDATE_REPLY(mp" mp_id
+  | Ack { mp_id; _ } -> tag "ACK(mp" mp_id
+  | Home_redirect { mp_id; home; _ } -> "HOME_REDIRECT(mp" ^ str mp_id ^ tag " -> h" home
+  | Barrier_enter { from; phase; _ } -> "BARRIER_ENTER(h" ^ str from ^ tag " p" phase
+  | Barrier_release { phase } -> tag "BARRIER_RELEASE(p" phase
+  | Lock_acquire { lock; from; _ } -> "LOCK_ACQ(l" ^ str lock ^ tag " h" from
+  | Lock_grant { lock; _ } -> tag "LOCK_GRANT(l" lock
+  | Lock_release { lock; from } -> "LOCK_REL(l" ^ str lock ^ tag " h" from
+  | Push { info; _ } -> tag "PUSH(mp" info.mp_id
+  | Push_update { info; _ } -> tag "PUSH_UPDATE(mp" info.mp_id
+  | Push_update_ack { mp_id; _ } -> tag "PUSH_UPDATE_ACK(mp" mp_id
   | Push_complete _ -> "PUSH_COMPLETE"
-  | Group_fetch { group_id; from; _ } ->
-    Printf.sprintf "GROUP_FETCH(g%d h%d)" group_id from
-  | Group_plan { batches; _ } -> Printf.sprintf "GROUP_PLAN(%d batches)" batches
+  | Group_fetch { group_id; from; _ } -> "GROUP_FETCH(g" ^ str group_id ^ tag " h" from
+  | Group_plan { batches; _ } -> "GROUP_PLAN(" ^ str batches ^ " batches)"
   | Forward_group { members; _ } ->
-    Printf.sprintf "FORWARD_GROUP(%d minipages)" (List.length members)
-  | Group_data { members; _ } ->
-    Printf.sprintf "GROUP_DATA(%d minipages)" (List.length members)
-  | Group_ack { mp_ids; _ } -> Printf.sprintf "GROUP_ACK(%d minipages)" (List.length mp_ids)
-  | Group_replan { drop; _ } -> Printf.sprintf "GROUP_REPLAN(-%d batches)" drop
+    "FORWARD_GROUP(" ^ str (List.length members) ^ " minipages)"
+  | Group_data { members; _ } -> "GROUP_DATA(" ^ str (List.length members) ^ " minipages)"
+  | Group_ack { mp_ids; _ } -> "GROUP_ACK(" ^ str (List.length mp_ids) ^ " minipages)"
+  | Group_replan { drop; _ } -> "GROUP_REPLAN(-" ^ str drop ^ " batches)"
   (* [Rc_data] keeps "REPLY_" and [Rc_diff] keeps "DATA" in their labels so
      the profiler's cause buckets classify both as data traffic. *)
-  | Rc_data { info; _ } -> Printf.sprintf "REPLY_RC(mp%d)" info.mp_id
-  | Rc_diff { mp_id; _ } -> Printf.sprintf "DIFF_DATA(mp%d)" mp_id
-  | Rc_diff_ack { mp_id; _ } -> Printf.sprintf "DIFF_ACK(mp%d)" mp_id
+  | Rc_data { info; _ } -> tag "REPLY_RC(mp" info.mp_id
+  | Rc_diff { mp_id; _ } -> tag "DIFF_DATA(mp" mp_id
+  | Rc_diff_ack { mp_id; _ } -> tag "DIFF_ACK(mp" mp_id
   | Mode_switch { mp_id; mode; epoch; _ } ->
-    Printf.sprintf "MODE_SWITCH(mp%d %s e%d)" mp_id (mode_to_string mode) epoch
+    "MODE_SWITCH(mp" ^ str mp_id ^ " " ^ mode_to_string mode ^ tag " e" epoch
   | Mode_ack { mp_id; epoch; data; _ } ->
-    Printf.sprintf "MODE_ACK(mp%d e%d%s)" mp_id epoch
-      (match data with Some _ -> " +data" | None -> "")
-  | Heartbeat { from; beat } -> Printf.sprintf "HEARTBEAT(h%d b%d)" from beat
-  | Dead_notice { dead } -> Printf.sprintf "DEAD_NOTICE(h%d)" dead
+    "MODE_ACK(mp" ^ str mp_id ^ " e" ^ str epoch
+    ^ (match data with Some _ -> " +data)" | None -> ")")
+  | Heartbeat { from; beat } -> "HEARTBEAT(h" ^ str from ^ tag " b" beat
+  | Dead_notice { dead } -> tag "DEAD_NOTICE(h" dead
   | Log_append { primary; lseq; record } ->
-    Printf.sprintf "LOG_APPEND(h%d #%d %s)" primary lseq (describe_record record)
+    "LOG_APPEND(h" ^ str primary ^ " #" ^ str lseq ^ " " ^ describe_record record ^ ")"
 
 (* Data packets keep the bare body label so fault-free traces are identical
    with or without the transport wrapper. *)
 let describe_packet = function
   | Data { body; _ } -> describe body
-  | Tack { seq } -> Printf.sprintf "TACK(s%d)" seq
+  | Tack { seq } -> tag "TACK(s" seq

@@ -11,9 +11,12 @@ type fault_state = {
   mutable f_waiters : int;
 }
 
+(* The ring holds up to [capacity] events.  [buf] starts empty and doubles
+   as events land, so a run pays for the events it records, not for the
+   bound; once [buf] reaches [capacity] it wraps. *)
 type t = {
   mutable capacity : int;
-  mutable buf : Event.t option array;
+  mutable buf : Event.t array;
   mutable next : int;  (* total events ever recorded *)
   mutable on : bool;
   metrics : Metrics.t;
@@ -21,11 +24,16 @@ type t = {
   mutable tap : (Event.t -> unit) option;
 }
 
+(* Fills the slots no event holds.  Its fields are all literals, so it is
+   static data, never a young block: filling a major-heap ring with it
+   neither forces a minor collection nor adds remembered-set entries. *)
+let filler = { Event.time = 0.0; host = 0; span = 0; kind = Event.Sweeper_wake }
+
 let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Recorder.create";
   {
     capacity;
-    buf = Array.make capacity None;
+    buf = [||];
     next = 0;
     on = false;
     metrics = Metrics.create ();
@@ -41,13 +49,24 @@ let set_tap t tap = t.tap <- tap
 let set_capacity t capacity =
   if capacity <= 0 then invalid_arg "Recorder.set_capacity";
   t.capacity <- capacity;
-  t.buf <- Array.make capacity None;
+  t.buf <- [||];
   t.next <- 0
+
+(* Doubles [buf], capped at [capacity]. *)
+let grow t =
+  let len = Array.length t.buf in
+  t.buf <-
+    (if len = 0 then Array.make 1 filler
+     else if 2 * len <= t.capacity then Array.append t.buf t.buf
+     else Array.append t.buf (Array.sub t.buf 0 (t.capacity - len)))
 
 let record t ~time ~host ?(span = Event.no_span) kind =
   if t.on then begin
     let e = { Event.time; host; span; kind } in
-    t.buf.(t.next mod t.capacity) <- Some e;
+    (* [i] reaches the end of [buf] only while [buf] is still growing *)
+    let i = t.next mod t.capacity in
+    if i = Array.length t.buf then grow t;
+    t.buf.(i) <- e;
     t.next <- t.next + 1;
     match t.tap with None -> () | Some f -> f e
   end
@@ -56,16 +75,16 @@ let events t =
   let start = max 0 (t.next - t.capacity) in
   let out = ref [] in
   for i = t.next - 1 downto start do
-    match t.buf.(i mod t.capacity) with
-    | Some e -> out := e :: !out
-    | None -> ()
+    out := t.buf.(i mod t.capacity) :: !out
   done;
   !out
 
 let dropped t = max 0 (t.next - t.capacity)
 
+(* Keeps the grown ring, so a recorder cleared between runs does not regrow
+   it; the filler leaves no event reachable. *)
 let clear t =
-  Array.fill t.buf 0 t.capacity None;
+  Array.fill t.buf 0 (Array.length t.buf) filler;
   t.next <- 0;
   Hashtbl.reset t.faults
 

@@ -10,8 +10,10 @@
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Default capacity 65536 events; older events are dropped (the metrics
-    registry is unaffected by drops). *)
+(** [capacity] (default 65536) bounds the ring: once it holds that many
+    events, older ones are dropped (the metrics registry is unaffected by
+    drops).  It is a bound, not an allocation: the ring starts empty and
+    doubles as events land, so a recorder costs what it holds. *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
@@ -24,8 +26,9 @@ val set_tap : t -> (Event.t -> unit) option -> unit
     {!Profile} can stream-process events without growing the ring. *)
 
 val set_capacity : t -> int -> unit
-(** Replace the ring (clearing it) — call before a run that needs the full
-    event stream, e.g. for export or invariant checking. *)
+(** Empty the ring and set its bound — call before a run that needs the full
+    event stream, e.g. for export or invariant checking.  A large bound
+    costs nothing until events fill it. *)
 
 val record : t -> time:float -> host:int -> ?span:int -> Event.kind -> unit
 (** Raw append; the typed hooks below are preferred where they apply. *)
@@ -34,7 +37,10 @@ val events : t -> Event.t list
 (** Oldest first. *)
 
 val dropped : t -> int
+
 val clear : t -> unit
+(** Empty the ring, keeping the array it has grown to. *)
+
 val metrics : t -> Metrics.t
 
 val observe : t -> ?bucket_width:float -> ?buckets:int -> string -> float -> unit

@@ -79,11 +79,23 @@ module Counters = struct
 end
 
 module Histogram = struct
-  type t = { width : float; counts : int array; mutable n : int }
+  (* [counts] covers the buckets up to the highest one used so far; it
+     doubles as samples land, capped at the declared [buckets]. *)
+  type t = { width : float; buckets : int; mutable counts : int array; mutable n : int }
 
   let create ~bucket_width ~buckets =
     if bucket_width <= 0.0 || buckets <= 0 then invalid_arg "Histogram.create";
-    { width = bucket_width; counts = Array.make buckets 0; n = 0 }
+    { width = bucket_width; buckets; counts = [||]; n = 0 }
+
+  (* Widens [counts] to the smallest doubling that covers bucket [i]. *)
+  let grow t i =
+    let len = ref (Stdlib.max 1 (Array.length t.counts)) in
+    while !len <= i do
+      len := 2 * !len
+    done;
+    let counts = Array.make (Stdlib.min !len t.buckets) 0 in
+    Array.blit t.counts 0 counts 0 (Array.length t.counts);
+    t.counts <- counts
 
   (* NaN and out-of-range samples land in defined buckets: NaN and +inf /
      overflow clamp into the last bucket, negatives (and -inf) into the
@@ -91,7 +103,7 @@ module Histogram = struct
      never applied to a value outside the bucket range (where its result is
      unspecified). *)
   let add t x =
-    let last = Array.length t.counts - 1 in
+    let last = t.buckets - 1 in
     let q = x /. t.width in
     let i =
       if Float.is_nan q then last
@@ -99,12 +111,19 @@ module Histogram = struct
       else if q >= float_of_int last then last
       else int_of_float q
     in
+    if i >= Array.length t.counts then grow t i;
     t.counts.(i) <- t.counts.(i) + 1;
     t.n <- t.n + 1
 
   let count t = t.n
-  let bucket_counts t = Array.copy t.counts
 
+  let bucket_counts t =
+    let all = Array.make t.buckets 0 in
+    Array.blit t.counts 0 all 0 (Array.length t.counts);
+    all
+
+  (* Every sample sits inside [counts], so the walk reaches its target
+     before running off the end; the buckets past it are all zero. *)
   let percentile t p =
     if t.n = 0 then invalid_arg "Histogram.percentile: empty";
     if p < 0.0 || p > 1.0 then invalid_arg "Histogram.percentile: p";

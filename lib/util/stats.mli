@@ -43,7 +43,9 @@ end
 
 module Histogram : sig
   (** Fixed-width bucket histogram over \[0, width*buckets); overflow goes to
-      the last bucket. *)
+      the last bucket.  [buckets] is a bound: the bucket array grows by
+      doubling up to the highest bucket a sample has reached, so a series
+      whose samples stay low allocates few buckets. *)
 
   type t
 
@@ -55,7 +57,10 @@ module Histogram : sig
       the last bucket's edge count into the last. *)
 
   val count : t -> int
+
   val bucket_counts : t -> int array
+  (** All [buckets] counts, zero for buckets no sample reached. *)
+
   val percentile : t -> float -> float
   (** [percentile t 0.99] returns the upper edge of the bucket containing the
       given quantile.  Raises [Invalid_argument] when empty or p outside

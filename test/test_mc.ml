@@ -476,6 +476,22 @@ let test_golden_lost_diff_replay () =
   Alcotest.(check bool) "the lost diff still reproduces" true
     (any_contains "refinement" a.Scenario.violations)
 
+(* What one mpcheck schedule of the adaptive racer allocates, end to end:
+   DSM set-up, the run with its recorder on, and every check.  The
+   recorder's ring and latency histograms grow with what the run records,
+   so their bounds (a 2^18-event ring, 4096 buckets per series) cost
+   nothing up front.  Measured after a warm-up run, so lazily built
+   globals are not counted. *)
+let test_schedule_allocation () =
+  let racer =
+    Scenario.of_string
+      "app=racer hosts=4 homes=rr consistency=adaptive barrier=3 lockread=1 refine=1"
+  in
+  let run () = ignore (Sys.opaque_identity (Scenario.run_plan racer Plan.empty)) in
+  run ();
+  let words = Test_memsim.allocated_words run in
+  Alcotest.(check (float 1871.0)) "words per schedule" 187_134.0 words
+
 let suite =
   [
     Alcotest.test_case "plan round-trip" `Quick test_plan_roundtrip;
@@ -509,4 +525,5 @@ let suite =
       test_refinement_end_to_end;
     Alcotest.test_case "golden lost-diff artifact replay" `Quick
       test_golden_lost_diff_replay;
+    Alcotest.test_case "schedule allocation" `Quick test_schedule_allocation;
   ]

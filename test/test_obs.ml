@@ -32,7 +32,54 @@ let test_ring_drops_oldest () =
   let evs = Obs.events r in
   Alcotest.(check int) "capacity bounds the ring" 4 (List.length evs);
   Alcotest.(check int) "dropped counted" 2 (Obs.dropped r);
-  Alcotest.(check (float 0.0)) "oldest surviving event" 3.0 (List.hd evs).Event.time
+  Alcotest.(check (float 0.0)) "oldest surviving event" 3.0 (List.hd evs).Event.time;
+  (* The ring grows by doubling up to its capacity, then wraps.  At every
+     fill level it holds the newest [min n cap] events, oldest first, and a
+     cleared or re-capacitated ring reads back exactly what follows. *)
+  let fill r ~cap n =
+    for i = 1 to n do
+      Obs.msg_send r ~time:(float_of_int i) ~host:0 ~dst:1 ~bytes:i ~label:"m"
+    done;
+    let kept = min n cap in
+    let what = Printf.sprintf "cap %d, %d events" cap n in
+    Alcotest.(check (list (float 0.0)))
+      what
+      (List.init kept (fun j -> float_of_int (n - kept + 1 + j)))
+      (List.map (fun e -> e.Event.time) (Obs.events r));
+    Alcotest.(check int) (what ^ ": dropped") (max 0 (n - cap)) (Obs.dropped r)
+  in
+  List.iter
+    (fun cap ->
+      let counts = [ 0; 1; cap - 1; cap; cap + 1; (3 * cap) + 2 ] in
+      List.iter
+        (fun n ->
+          List.iter
+            (fun m ->
+              let r = Obs.create ~capacity:cap () in
+              Obs.set_enabled r true;
+              fill r ~cap n;
+              Obs.clear r;
+              fill r ~cap m;
+              Obs.set_capacity r cap;
+              fill r ~cap n)
+            counts)
+        counts)
+    [ 1; 4; 5 ]
+
+(* The capacity is a bound, not an allocation: a 2^18-event ring holding
+   100 events costs their records and a few small doublings. *)
+let test_ring_allocates_what_it_holds () =
+  let r = Obs.create () in
+  Obs.set_enabled r true;
+  let words =
+    Test_memsim.allocated_words (fun () ->
+        Obs.set_capacity r (1 lsl 18);
+        for _ = 1 to 100 do
+          Obs.record r ~time:1.0 ~host:0 Event.Sweeper_wake
+        done)
+  in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words < 2000" words) true (words < 2000.0);
+  Alcotest.(check int) "all kept" 100 (List.length (Obs.events r))
 
 (* The per-home gauge name is formatted only while recording. *)
 let test_home_queue_depth_off_allocates_nothing () =
@@ -246,6 +293,8 @@ let suite =
       test_disabled_records_nothing;
     Alcotest.test_case "recorder: bounded ring drops oldest" `Quick
       test_ring_drops_oldest;
+    Alcotest.test_case "recorder: ring allocates what it holds" `Quick
+      test_ring_allocates_what_it_holds;
     Alcotest.test_case "recorder: home queue depth off allocates nothing" `Quick
       test_home_queue_depth_off_allocates_nothing;
     Alcotest.test_case "metrics: percentiles" `Quick test_metrics_percentiles;

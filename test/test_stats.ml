@@ -105,6 +105,82 @@ let test_histogram_percentile () =
   Alcotest.(check bool) "p50" true (feq (Stats.Histogram.percentile h 0.5) 50.0);
   Alcotest.(check bool) "p99" true (feq (Stats.Histogram.percentile h 0.99) 99.0)
 
+(* An eager model: every declared bucket allocated up front, the clamping
+   rule of [Histogram.add], and the percentile walk over all of them. *)
+let model_counts ~width ~buckets xs =
+  let counts = Array.make buckets 0 in
+  let last = buckets - 1 in
+  List.iter
+    (fun x ->
+      let q = x /. width in
+      let i =
+        if Float.is_nan q then last
+        else if q < 0.0 then 0
+        else if q >= float_of_int last then last
+        else int_of_float q
+      in
+      counts.(i) <- counts.(i) + 1)
+    xs;
+  counts
+
+let model_percentile ~width counts n p =
+  let target = max 1 (int_of_float (ceil (p *. float_of_int n))) in
+  let rec go i seen =
+    let seen = seen + counts.(i) in
+    if seen >= target || i = Array.length counts - 1 then float_of_int (i + 1) *. width
+    else go (i + 1) seen
+  in
+  go 0 0
+
+let qcheck_histogram_matches_eager_model =
+  let gen =
+    QCheck.Gen.(
+      let* width = float_range 0.01 100.0 in
+      let* buckets = int_range 1 4096 in
+      let edge = width *. float_of_int buckets in
+      let sample =
+        frequency
+          [
+            (6, float_range 0.0 edge);
+            (2, float_range (-.edge) (2.0 *. edge));
+            (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -1.0; edge; 1e300 ]);
+          ]
+      in
+      let* xs = list_size (int_range 0 200) sample in
+      return (width, buckets, xs))
+  in
+  let print (width, buckets, xs) =
+    Printf.sprintf "width=%g buckets=%d samples=[%s]" width buckets
+      (String.concat "; " (List.map string_of_float xs))
+  in
+  QCheck.Test.make ~name:"histogram matches an eager model" ~count:300
+    (QCheck.make ~print gen)
+    (fun (width, buckets, xs) ->
+      let h = Stats.Histogram.create ~bucket_width:width ~buckets in
+      List.iter (Stats.Histogram.add h) xs;
+      let model = model_counts ~width ~buckets xs in
+      let n = List.length xs in
+      Stats.Histogram.count h = n
+      && Stats.Histogram.bucket_counts h = model
+      && (n = 0
+         || List.for_all
+              (fun p ->
+                Stats.Histogram.percentile h p = model_percentile ~width model n p)
+              [ 0.0; 0.5; 0.95; 0.99; 1.0 ]))
+
+(* Buckets are allocated as samples reach them: 100 samples under 64 in a
+   4096-bucket histogram cost a 64-entry array, not 4096 entries. *)
+let test_histogram_grows_on_demand () =
+  (* boxed up front, so the measurement counts only the histogram *)
+  let xs = List.init 100 (fun i -> float_of_int (i * 37 mod 64) +. 0.5) in
+  let words =
+    Test_memsim.allocated_words (fun () ->
+        let h = Stats.Histogram.create ~bucket_width:1.0 ~buckets:4096 in
+        List.iter (Stats.Histogram.add h) xs;
+        ignore (Sys.opaque_identity h))
+  in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words < 100" words) true (words < 100.0)
+
 let qcheck_merge_commutative =
   QCheck.Test.make ~name:"summary merge commutative" ~count:200
     QCheck.(pair (list (float_range (-100.) 100.)) (list (float_range (-100.) 100.)))
@@ -145,6 +221,8 @@ let suite =
       test_histogram_pathological_inputs;
     Alcotest.test_case "histogram boundary values" `Quick test_histogram_boundary_values;
     Alcotest.test_case "histogram percentile" `Quick test_histogram_percentile;
+    Alcotest.test_case "histogram grows on demand" `Quick test_histogram_grows_on_demand;
+    QCheck_alcotest.to_alcotest qcheck_histogram_matches_eager_model;
     QCheck_alcotest.to_alcotest qcheck_merge_commutative;
     Alcotest.test_case "tab render" `Quick test_tab_render;
   ]
