@@ -19,6 +19,22 @@ let run ?(full = false) () =
   in
   let view_counts = [ 16; 32; 64; 128; 256; 512 ] in
   let iterations = if full then 3 else 2 in
+  (* The chart and the sections after the table re-read the table's
+     configurations, so each distinct one runs once. *)
+  let runs = Hashtbl.create 64 in
+  let model ?(order = `Interleaved) ~array_bytes ?(allocated_bytes = array_bytes) views =
+    let key = (order, array_bytes, allocated_bytes, views) in
+    match Hashtbl.find_opt runs key with
+    | Some r -> r
+    | None ->
+      let r = Overhead_model.run ~iterations ~order ~allocated_bytes ~array_bytes ~views () in
+      Hashtbl.add runs key r;
+      r
+  in
+  let slowdown ?order ~array_bytes ?allocated_bytes views =
+    Overhead_model.slowdown ~baseline:(model ~array_bytes 1)
+      (model ?order ~array_bytes ?allocated_bytes views)
+  in
   let header =
     "array"
     :: List.map (fun v -> Printf.sprintf "%dv" v) view_counts
@@ -27,14 +43,11 @@ let run ?(full = false) () =
   let rows =
     List.map
       (fun array_bytes ->
-        let baseline = Overhead_model.run ~iterations ~array_bytes ~views:1 () in
         let cells =
           List.map
             (fun views ->
               if views > Overhead_model.max_views_for ~array_bytes () then "-"
-              else
-                let r = Overhead_model.run ~iterations ~array_bytes ~views () in
-                Tab.fx (Overhead_model.slowdown ~baseline r))
+              else Tab.fx (slowdown ~array_bytes views))
             view_counts
         in
         let predicted_break = 512 * mb / array_bytes in
@@ -50,7 +63,6 @@ let run ?(full = false) () =
          (fun i _ -> i < 4)
          (List.map
             (fun array_bytes ->
-              let baseline = Overhead_model.run ~iterations ~array_bytes ~views:1 () in
               let label =
                 (* distinct first letters: a=512K, b=1M, c=2M, d=4M *)
                 match array_bytes / 1024 with
@@ -63,9 +75,7 @@ let run ?(full = false) () =
                 List.filter_map
                   (fun views ->
                     if views > Overhead_model.max_views_for ~array_bytes () then None
-                    else
-                      let r = Overhead_model.run ~iterations ~array_bytes ~views () in
-                      Some (float_of_int views, Overhead_model.slowdown ~baseline r))
+                    else Some (float_of_int views, slowdown ~array_bytes views))
                   view_counts ))
             sizes))
     ();
@@ -80,13 +90,10 @@ let run ?(full = false) () =
   let rows =
     List.map
       (fun (array_bytes, views) ->
-        let baseline = Overhead_model.run ~iterations ~array_bytes ~views:1 () in
-        let inter = Overhead_model.run ~iterations ~array_bytes ~views () in
-        let major = Overhead_model.run ~iterations ~order:`View_major ~array_bytes ~views () in
         [
           Printf.sprintf "%d KB x %d views" (array_bytes / 1024) views;
-          Tab.fx (Overhead_model.slowdown ~baseline inter);
-          Tab.fx (Overhead_model.slowdown ~baseline major);
+          Tab.fx (slowdown ~array_bytes views);
+          Tab.fx (slowdown ~order:`View_major ~array_bytes views);
         ])
       [ (2 * mb, 512); (4 * mb, 256); (8 * mb, 128) ]
   in
@@ -101,15 +108,10 @@ let run ?(full = false) () =
     ~header:[ "allocated"; "touched"; "views"; "slowdown vs 1 view" ]
     (List.map
        (fun allocated ->
-         let baseline = Overhead_model.run ~iterations ~array_bytes:touched ~views:1 () in
-         let r =
-           Overhead_model.run ~iterations ~array_bytes:touched
-             ~allocated_bytes:allocated ~views:256 ()
-         in
          [
            Printf.sprintf "%d MB" (allocated / mb);
            "1 MB";
            "256";
-           Tab.fx (Overhead_model.slowdown ~baseline r);
+           Tab.fx (slowdown ~array_bytes:touched ~allocated_bytes:allocated 256);
          ])
        [ mb; 2 * mb; 4 * mb ])

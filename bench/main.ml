@@ -17,8 +17,7 @@ let all_experiments ~full ~fast () =
   Exp_crash.run ();
   Exp_shard.run ();
   Exp_mc.run ();
-  Exp_scale.run ~max_hosts:16 ();
-  Bechamel_bench.run ()
+  Exp_scale.run ~max_hosts:16 ()
 
 let full_flag =
   Arg.(value & flag & info [ "full" ] ~doc:"Run Figure 5 over the full size grid.")
@@ -109,10 +108,6 @@ let scale =
       const (fun max_hosts check -> Exp_scale.run ~max_hosts ~check ())
       $ max_hosts_arg $ check_arg)
 
-let bechamel =
-  cmd "bechamel" "Wall-clock microbenchmarks of simulator primitives"
-    Term.(const Bechamel_bench.run $ const ())
-
 let all_cmd =
   cmd "all" "Run every experiment"
     Term.(const (fun full fast -> all_experiments ~full ~fast ()) $ full_flag $ fast_flag)
@@ -128,4 +123,4 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           [ table1; costs; fig5; table2; fig6; fig7; ablation; gms; soak; crash;
-            shard; mc; scale; bechamel; all_cmd ]))
+            shard; mc; scale; all_cmd ]))

@@ -1,10 +1,9 @@
 type t = {
-  name : string;
   line_shift : int;
   set_mask : int;
   assoc : int;
   tags : int array;  (* sets * assoc; -1 = invalid *)
-  stamps : int array;  (* LRU timestamps *)
+  stamps : int array;  (* LRU timestamps; 0 = invalid *)
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -16,7 +15,7 @@ let log2 n =
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
-let create ~name ~size_bytes ~line_bytes ~assoc =
+let create ~size_bytes ~line_bytes ~assoc =
   if not (is_power_of_two line_bytes) then invalid_arg "Cache.create: line size";
   if assoc <= 0 then invalid_arg "Cache.create: assoc";
   if size_bytes mod (line_bytes * assoc) <> 0 then
@@ -24,7 +23,6 @@ let create ~name ~size_bytes ~line_bytes ~assoc =
   let sets = size_bytes / (line_bytes * assoc) in
   if not (is_power_of_two sets) then invalid_arg "Cache.create: set count";
   {
-    name;
     line_shift = log2 line_bytes;
     set_mask = sets - 1;
     assoc;
@@ -35,26 +33,27 @@ let create ~name ~size_bytes ~line_bytes ~assoc =
     misses = 0;
   }
 
-let locate t addr =
-  let line = addr lsr t.line_shift in
-  let set = line land t.set_mask in
-  (line, set * t.assoc)
+(* The slot holding [line] among the ways [slot .. stop - 1], or -1. *)
+let rec find t line slot stop =
+  if slot = stop then -1 else if t.tags.(slot) = line then slot else find t line (slot + 1) stop
 
-let find t line base =
-  let rec go i = if i = t.assoc then None else if t.tags.(base + i) = line then Some (base + i) else go (i + 1) in
-  go 0
+(* First way of the set [line] maps to. *)
+let set_base t line = (line land t.set_mask) * t.assoc
 
 let access t addr =
-  let line, base = locate t addr in
+  let line = addr lsr t.line_shift in
+  let base = set_base t line in
   t.clock <- t.clock + 1;
-  match find t line base with
-  | Some slot ->
+  let slot = find t line base (base + t.assoc) in
+  if slot >= 0 then begin
     t.hits <- t.hits + 1;
     t.stamps.(slot) <- t.clock;
     true
-  | None ->
+  end
+  else begin
     t.misses <- t.misses + 1;
-    (* evict LRU way of the set *)
+    (* evict the set's LRU way; an invalid way's stamp 0 is below any
+       valid one, so a set fills before it evicts *)
     let victim = ref base in
     for i = 1 to t.assoc - 1 do
       if t.stamps.(base + i) < t.stamps.(!victim) then victim := base + i
@@ -62,16 +61,12 @@ let access t addr =
     t.tags.(!victim) <- line;
     t.stamps.(!victim) <- t.clock;
     false
+  end
 
 let probe t addr =
-  let line, base = locate t addr in
-  find t line base <> None
+  let line = addr lsr t.line_shift in
+  let base = set_base t line in
+  find t line base (base + t.assoc) >= 0
 
 let hits t = t.hits
 let misses t = t.misses
-
-let flush t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0
-
-let name t = t.name

@@ -39,43 +39,38 @@ end
 
 type t = {
   p : Params.t;
-  tlb : Tlb.t;
+  tlb : Cache.t;  (* one set: fully associative over vpns *)
   l1 : Cache.t;
   l2 : Cache.t;
-  active_vpns : (int, unit) Hashtbl.t;
-      (* distinct vpages ever touched: their PTEs are the "active PT entries"
-         of §4.1; the OS surcharge applies once 4 bytes per entry exceed the
-         L2-sized budget, which is where the paper locates the breaking
-         points. *)
-  mutable committed_vpns : int;  (* mapped but untouched; PTEs still exist *)
+  mutable mapped_vpns : int;
+      (* declared through [commit_vpns]: their PTEs are the "active PT
+         entries" of §4.1; the OS surcharge applies once 4 bytes per entry
+         exceed the L2-sized budget, which is where the paper locates the
+         breaking points. *)
 }
 
 (* PTEs live in their own region of the physical address space, far above any
    data the model touches, but they compete for the same L2 sets. *)
 let pt_base = 1 lsl 40
 
-let create ?(params = Params.pentium_ii) () =
-  let p = params in
+let create () =
+  let p = Params.pentium_ii in
   {
     p;
-    tlb = Tlb.create ~entries:p.tlb_entries;
-    l1 = Cache.create ~name:"L1" ~size_bytes:p.l1_size ~line_bytes:p.l1_line ~assoc:p.l1_assoc;
-    l2 = Cache.create ~name:"L2" ~size_bytes:p.l2_size ~line_bytes:p.l2_line ~assoc:p.l2_assoc;
-    active_vpns = Hashtbl.create 4096;
-    committed_vpns = 0;
+    tlb = Cache.create ~size_bytes:p.tlb_entries ~line_bytes:1 ~assoc:p.tlb_entries;
+    l1 = Cache.create ~size_bytes:p.l1_size ~line_bytes:p.l1_line ~assoc:p.l1_assoc;
+    l2 = Cache.create ~size_bytes:p.l2_size ~line_bytes:p.l2_line ~assoc:p.l2_assoc;
+    mapped_vpns = 0;
   }
 
 let params t = t.p
 
 let touch_vpage t ~vpn =
-  if not (Hashtbl.mem t.active_vpns vpn) then Hashtbl.add t.active_vpns vpn ();
-  if Tlb.access t.tlb vpn then 0.0
+  if Cache.access t.tlb vpn then 0.0
   else begin
     let pte_addr = pt_base + (vpn * 4) in
     let surcharge =
-      if 4 * (Hashtbl.length t.active_vpns + t.committed_vpns) > t.p.l2_size then
-        t.p.cyc_pte_evicted_os
-      else 0.0
+      if 4 * t.mapped_vpns > t.p.l2_size then t.p.cyc_pte_evicted_os else 0.0
     in
     let cost =
       if Cache.access t.l2 pte_addr then t.p.cyc_l2_hit else t.p.cyc_mem +. surcharge
@@ -92,15 +87,9 @@ let touch_data t ~addr =
 
 let commit_vpns t n =
   if n < 0 then invalid_arg "Mmu.commit_vpns";
-  t.committed_vpns <- t.committed_vpns + n
+  t.mapped_vpns <- t.mapped_vpns + n
 
 let cycles_to_us t cycles = cycles /. t.p.mhz
 
-let tlb_misses t = Tlb.misses t.tlb
+let tlb_misses t = Cache.misses t.tlb
 let l2_misses t = Cache.misses t.l2
-
-let reset t =
-  Tlb.flush t.tlb;
-  Cache.flush t.l1;
-  Cache.flush t.l2;
-  Hashtbl.reset t.active_vpns

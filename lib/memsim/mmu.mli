@@ -38,18 +38,23 @@ end
 
 type t
 
-val create : ?params:Params.t -> unit -> t
+val create : unit -> t
+(** A cold machine with {!Params.pentium_ii} and no mapped vpages.  The TLB
+    is a one-set {!Cache} of [tlb_entries] ways indexed by vpn. *)
+
 val params : t -> Params.t
 
 val touch_vpage : t -> vpn:int -> float
 (** TLB lookup for virtual page [vpn]; on a miss, walks the page table and
-    reads the PTE through L2.  Returns the cycle cost. *)
+    reads the PTE through L2.  Returns the cycle cost.  Records no touch:
+    the working set the OS surcharge sees is only what {!commit_vpns}
+    declared. *)
 
 val commit_vpns : t -> int -> unit
-(** Declare additional committed-but-not-yet-touched vpages.  Their PTEs
-    count toward the working set the OS manages, which is why the paper saw
-    the breaking point "appear earlier" when allocating a large region and
-    accessing only a fraction of it (§4.1, observation 4). *)
+(** Declare [n] more mapped vpages, touched or not.  Every mapped vpage's
+    PTE counts toward the working set the OS manages, which is why the paper
+    saw the breaking point "appear earlier" when allocating a large region
+    and accessing only a fraction of it (§4.1, observation 4). *)
 
 val touch_data : t -> addr:int -> float
 (** One data-cache-line access at physical address [addr] through L1/L2.
@@ -59,4 +64,3 @@ val cycles_to_us : t -> float -> float
 
 val tlb_misses : t -> int
 val l2_misses : t -> int
-val reset : t -> unit

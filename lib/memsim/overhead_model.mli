@@ -17,8 +17,6 @@ type result = {
 }
 
 val run :
-  ?params:Mmu.Params.t ->
-  ?warmup:int ->
   ?iterations:int ->
   ?order:[ `Interleaved | `View_major ] ->
   ?allocated_bytes:int ->
@@ -26,9 +24,10 @@ val run :
   views:int ->
   unit ->
   result
-(** [views] must divide the page size.  Defaults: 1 warmup + 3 measured
-    iterations, [`Interleaved] order (the paper's traversal: consecutive
-    elements, hence alternating views).  [`View_major] visits all minipages
+(** [views] must divide the page size.  One unmeasured warm-up traversal
+    precedes [iterations] (default 3) measured ones, in [`Interleaved] order
+    by default (the paper's traversal: consecutive elements, hence
+    alternating views).  [`View_major] visits all minipages
     of one view before moving to the next — the access-locality experiment
     of §5: PTE locality "is not completely lost, but is preserved across
     views", so this order blunts the post-breaking-point overhead.

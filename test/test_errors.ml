@@ -80,9 +80,7 @@ let test_memsim_bad_args () =
     (raises_invalid (fun () -> ignore (Memobject.create ~page_size:3000 ~size:8192 ())));
   Alcotest.(check bool) "cache bad assoc" true
     (raises_invalid (fun () ->
-         ignore (Cache.create ~name:"x" ~size_bytes:1024 ~line_bytes:32 ~assoc:0)));
-  Alcotest.(check bool) "tlb zero entries" true
-    (raises_invalid (fun () -> ignore (Tlb.create ~entries:0)));
+         ignore (Cache.create ~size_bytes:1024 ~line_bytes:32 ~assoc:0)));
   Alcotest.(check bool) "overhead model: views must divide page" true
     (raises_invalid (fun () ->
          ignore (Overhead_model.run ~array_bytes:(1 lsl 20) ~views:3 ())))

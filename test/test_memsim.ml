@@ -381,7 +381,7 @@ let test_protect_range () =
   Alcotest.(check check_prot) "page2 untouched" Prot.No_access (Vm.protection vm ~view:v0 ~vpage:2)
 
 let suite_cache () =
-  let c = Cache.create ~name:"t" ~size_bytes:1024 ~line_bytes:32 ~assoc:2 in
+  let c = Cache.create ~size_bytes:1024 ~line_bytes:32 ~assoc:2 in
   Alcotest.(check bool) "first access misses" false (Cache.access c 0);
   Alcotest.(check bool) "second hits" true (Cache.access c 0);
   Alcotest.(check bool) "same line hits" true (Cache.access c 31);
@@ -391,7 +391,7 @@ let suite_cache () =
 
 let test_cache_lru_eviction () =
   (* 2-way, 16 sets of 32B lines: addresses 0, 1024, 2048 map to set 0 *)
-  let c = Cache.create ~name:"t" ~size_bytes:1024 ~line_bytes:32 ~assoc:2 in
+  let c = Cache.create ~size_bytes:1024 ~line_bytes:32 ~assoc:2 in
   ignore (Cache.access c 0);
   ignore (Cache.access c 1024);
   ignore (Cache.access c 0);
@@ -402,7 +402,7 @@ let test_cache_lru_eviction () =
   Alcotest.(check bool) "2048 resident" true (Cache.probe c 2048)
 
 let test_cache_capacity () =
-  let c = Cache.create ~name:"t" ~size_bytes:1024 ~line_bytes:32 ~assoc:2 in
+  let c = Cache.create ~size_bytes:1024 ~line_bytes:32 ~assoc:2 in
   (* fill the whole cache, touch again: all hits *)
   for i = 0 to 31 do
     ignore (Cache.access c (i * 32))
@@ -413,14 +413,64 @@ let test_cache_capacity () =
   done;
   Alcotest.(check int) "all hit" (h0 + 32) (Cache.hits c)
 
+(* The TLB shape: one set of 1-byte lines, indexed by vpn. *)
+let one_set ~ways = Cache.create ~size_bytes:ways ~line_bytes:1 ~assoc:ways
+
 let test_tlb_lru () =
-  let tlb = Tlb.create ~entries:2 in
-  Alcotest.(check bool) "miss" false (Tlb.access tlb 1);
-  Alcotest.(check bool) "miss" false (Tlb.access tlb 2);
-  Alcotest.(check bool) "hit" true (Tlb.access tlb 1);
+  let tlb = one_set ~ways:2 in
+  Alcotest.(check bool) "miss" false (Cache.access tlb 1);
+  Alcotest.(check bool) "miss" false (Cache.access tlb 2);
+  Alcotest.(check bool) "hit" true (Cache.access tlb 1);
   (* inserting 3 evicts LRU = 2 *)
-  Alcotest.(check bool) "miss" false (Tlb.access tlb 3);
-  Alcotest.(check bool) "2 evicted" false (Tlb.access tlb 2)
+  Alcotest.(check bool) "miss" false (Cache.access tlb 3);
+  Alcotest.(check bool) "2 evicted" false (Cache.access tlb 2)
+
+(* A one-set cache is fully associative: it must hit exactly when a
+   most-recent-first list of its last [ways] distinct vpns holds the vpn. *)
+let qcheck_one_set_cache_is_lru =
+  let open QCheck in
+  let stream =
+    Gen.(
+      int_range 1 64 >>= fun ways ->
+      pair (return ways) (list_size (int_range 1 300) (int_range 0 (2 * ways))))
+  in
+  Test.make ~name:"one-set cache: hits match a list LRU" ~count:1000
+    (make ~print:Print.(pair int (list int)) stream)
+    (fun (ways, vpns) ->
+      let c = one_set ~ways in
+      let recent = ref [] in
+      List.for_all
+        (fun vpn ->
+          let hit = List.mem vpn !recent in
+          recent := List.filteri (fun i _ -> i < ways) (vpn :: List.filter (( <> ) vpn) !recent);
+          Cache.access c vpn = hit)
+        vpns)
+
+let test_cache_access_allocates_nothing () =
+  let check name c ~line =
+    let n = 10_000 in
+    ignore (Cache.access c 0);
+    let hits =
+      allocated_words (fun () ->
+          for _ = 1 to n do
+            ignore (Sys.opaque_identity (Cache.access c 0))
+          done)
+    in
+    (* every [i * line] is a new line of set 0, so each access misses *)
+    let misses =
+      allocated_words (fun () ->
+          for i = 1 to n do
+            ignore (Sys.opaque_identity (Cache.access c (i * line)))
+          done)
+    in
+    Alcotest.(check (pair int int)) (name ^ " counted") (n, n + 1) (Cache.hits c, Cache.misses c);
+    Alcotest.(check (float 0.0)) (name ^ " hit words") 0.0 hits;
+    Alcotest.(check (float 0.0)) (name ^ " miss words") 0.0 misses
+  in
+  (* 4,096 sets of 4 ways: a multiple of 4,096 lines stays in set 0 *)
+  check "4-way L2" (Cache.create ~size_bytes:(512 * 1024) ~line_bytes:32 ~assoc:4)
+    ~line:(4096 * 32);
+  check "64-entry TLB" (one_set ~ways:64) ~line:1
 
 let test_mmu_pte_surcharge_gating () =
   let mmu = Mmu.create () in
@@ -510,6 +560,9 @@ let suite =
     Alcotest.test_case "cache lru" `Quick test_cache_lru_eviction;
     Alcotest.test_case "cache capacity" `Quick test_cache_capacity;
     Alcotest.test_case "tlb lru" `Quick test_tlb_lru;
+    QCheck_alcotest.to_alcotest qcheck_one_set_cache_is_lru;
+    Alcotest.test_case "cache access allocates nothing" `Quick
+      test_cache_access_allocates_nothing;
     Alcotest.test_case "mmu cheap walk" `Quick test_mmu_pte_surcharge_gating;
     Alcotest.test_case "fig5 breaking point" `Slow test_overhead_model_breaking_point;
     Alcotest.test_case "fig5 same slope" `Slow test_overhead_model_same_slope;
