@@ -78,7 +78,23 @@ let install t e =
        })
 
 let choice_points t = t.pos
-let steps t = Array.of_list (List.rev t.steps_rev)
+
+(* The filler of [steps]'s array, a constant: a schedule can log more than
+   256 steps, and [Array.make] (or [Array.of_list]) of that many with a
+   young step forces a minor collection. *)
+let no_step = Net { n = 0; pick = 0; time = 0.0; label = "" }
+
+let steps t =
+  let a = Array.make t.pos no_step in
+  let rec fill i = function
+    | [] -> ()
+    | s :: rest ->
+      a.(i) <- s;
+      fill (i - 1) rest
+  in
+  fill (t.pos - 1) t.steps_rev;
+  a
+
 let taken t = List.rev t.taken_rev
 
 let is_digit c = c >= '0' && c <= '9'

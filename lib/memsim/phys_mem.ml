@@ -37,7 +37,7 @@ let writable t g =
 
 (* Unchecked copies between [\[off, off + Bytes.length b)] and [b], one
    granule piece at a time. *)
-let read_into t off b =
+let copy_out t off b =
   let len = Bytes.length b in
   let pos = ref 0 in
   while !pos < len do
@@ -66,7 +66,7 @@ let fits off w = off land granule_mask <= granule - w
 
 let gather t off w =
   let b = Bytes.create w in
-  read_into t off b;
+  copy_out t off b;
   b
 
 let get_u8 t off =
@@ -126,6 +126,10 @@ let set_int t off v = set64 t off (Int64.of_int v)
 let read_bytes t ~off ~len =
   check t off len;
   gather t off len
+
+let read_into t ~off b =
+  check t off (Bytes.length b);
+  copy_out t off b
 
 let write_bytes t ~off b =
   check t off (Bytes.length b);

@@ -39,4 +39,9 @@ val get_int : t -> int -> int
 val set_int : t -> int -> int -> unit
 
 val read_bytes : t -> off:int -> len:int -> bytes
+
+val read_into : t -> off:int -> bytes -> unit
+(** [read_into t ~off b] fills [b] from [\[off, off + Bytes.length b)];
+    allocates nothing. *)
+
 val write_bytes : t -> off:int -> bytes -> unit

@@ -172,4 +172,5 @@ let read_int t addr = Phys_mem.get_int t.mem (read_access t addr 8)
 let write_int t addr v = Phys_mem.set_int t.mem (write_access t addr 8) v
 
 let priv_read_bytes t ~off ~len = Phys_mem.read_bytes t.mem ~off ~len
+let priv_read_into t ~off b = Phys_mem.read_into t.mem ~off b
 let priv_write_bytes t ~off b = Phys_mem.write_bytes t.mem ~off b

@@ -104,4 +104,10 @@ val write_int : t -> int -> int -> unit
     privileged view, which is always [Read_write]. *)
 
 val priv_read_bytes : t -> off:int -> len:int -> bytes
+
+val priv_read_into : t -> off:int -> bytes -> unit
+(** [priv_read_into t ~off b] fills [b] from physical offset [off], as
+    {!priv_read_bytes} with [~len:(Bytes.length b)] would, without
+    allocating. *)
+
 val priv_write_bytes : t -> off:int -> bytes -> unit

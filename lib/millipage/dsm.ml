@@ -221,15 +221,37 @@ exception Crash_unrecoverable of string
     already dead and its shard still held entries, or a survivor touched a
     minipage that died with no shadow to roll back to. *)
 
+(* Free records or buffers: the first [len] slots of [items], grown by
+   doubling with [Array.append] as [Fabric]'s carrier stacks are, which
+   never forces a minor collection. *)
+type 'a stack = { mutable items : 'a array; mutable len : int }
+
+let empty_stack () = { items = [||]; len = 0 }
+
+let push s x =
+  if s.len = Array.length s.items then
+    s.items <- (if s.len = 0 then Array.make 16 x else Array.append s.items s.items);
+  s.items.(s.len) <- x;
+  s.len <- s.len + 1
+
+(* [s] must not be empty. *)
+let pop s =
+  s.len <- s.len - 1;
+  s.items.(s.len)
+
+(* A fault in flight.  Records are reused: one goes back to its host's free
+   stack once its last waiter has read it after the wake, or at the wake
+   when no thread waits on it (a prefetch).  A free record has no waiter
+   and owes no ack, so reuse resets only its event and the request. *)
 type inflight = {
   mutable req_id : int;
-      (* mutable: crash recovery resends the request under a fresh id when
-         its home died with the original in flight *)
-  access : Proto.access;
-  addr : int;  (* the faulting address, kept so the request can be resent *)
+      (* crash recovery resends the request under a fresh id when its home
+         died with the original in flight *)
+  mutable access : Proto.access;
+  mutable addr : int;  (* the faulting address, kept so the request can be resent *)
   mutable target : int;  (* the home the request was sent to *)
-  event : Sync.Event.t;
-  mutable waiters : int;
+  event : Sync.Event.t;  (* manual-reset; reset when the record is reused *)
+  mutable waiters : int;  (* threads blocked on [event], or still to read the record *)
   mutable by_prefetch : bool;
   mutable ack_req : int;
   mutable ack_mp : int;  (* the ack a woken waiter owes; [ack_mp] -1 when none *)
@@ -294,6 +316,7 @@ type host_state = {
   rc_flush_waiters : Sync.Event.t Queue.t;
       (* one event per thread blocked in a release, each woken on every diff
          ack (two threads of one host can flush concurrently) *)
+  free_flights : inflight stack;
 }
 
 (* [holder = None] means free.  Holding a lock is a lease: when the holder is
@@ -352,7 +375,7 @@ type test_mutation =
 type t = {
   engine : Engine.t;
   config : Config.t;
-  fabric : Proto.packet Fabric.t;
+  fabric : Proto.body Fabric.t;
   transport : transport option;
   host_states : host_state array;
   allocator : Allocator.t;
@@ -388,6 +411,12 @@ type t = {
       (* lock -> (host, target home) releases sent and not yet processed *)
   groups : (int, int list) Hashtbl.t;  (* composed views: group -> minipage ids *)
   mutable next_group : int;
+  reply_bufs : (int, bytes stack) Hashtbl.t;
+      (* length -> free [Reply_data] buffers.  A buffer is taken by the
+         supplier and goes back once the requester's dispatch of the reply
+         returns; no other copy of the message is ever read (the transport
+         suppresses a duplicate or retransmission before dispatch, and
+         labels it from its [info]). *)
   counters : Stats.Counters.t;
   recorder : Mp_obs.Recorder.t;
   mutable started : bool;
@@ -414,14 +443,10 @@ type t = {
   replicas : Directory.Replica.t array;
   log_seq : int array;
   promoted : bool array;
-  mutable promotions : int;
-  mutable tail_repairs : int;
-  mutable rolled_back : int;
   mutable log_applies : int;
   (* adaptive-consistency state: governor signatures (keyed by mp_id, held
      logically at the minipage's home shard) and run-level mode accounting *)
   gov : (int, gov) Hashtbl.t;
-  mutable mode_switches : int;
   mutable rc_twins : int;
   mutable rc_diffs : int;
   mutable rc_diff_bytes : int;
@@ -574,7 +599,7 @@ let rec transport_arm t tr ~chan ~src ~dst ~seq ~timeout =
 
 let send t ~src ~dst ~bytes body =
   match t.transport with
-  | None -> Fabric.send t.fabric ~src ~dst ~bytes (Proto.Data { seq = 0; body })
+  | None -> Fabric.send t.fabric ~src ~dst ~bytes body
   | Some tr ->
     let chan = chan_of t ~src ~dst in
     let seq = tr.tx_next.(chan) in
@@ -1222,7 +1247,6 @@ let demote_entry t ~home (e : Directory.entry) =
   let targets = Host_set.filter (fun x -> not t.declared.(x)) e.copyset in
   e.mode <- Proto.Sc;
   e.epoch <- e.epoch + 1;
-  t.mode_switches <- t.mode_switches + 1;
   Stats.Counters.incr t.counters "rc.demotes";
   t.mode_switch_log <- (rnow t, info.mp_id, Proto.Sc) :: t.mode_switch_log;
   if Host_set.is_empty targets then complete_mode_switch t ~home e
@@ -1252,7 +1276,6 @@ let promote_entry t ~home (e : Directory.entry) =
   then begin
     e.mode <- Proto.Rc;
     e.epoch <- e.epoch + 1;
-    t.mode_switches <- t.mode_switches + 1;
     Stats.Counters.incr t.counters "rc.promotes";
     t.mode_switch_log <- (rnow t, info.mp_id, Proto.Rc) :: t.mode_switch_log;
     if home_has_copy then begin
@@ -1575,6 +1598,16 @@ let shadow_refresh t (info : Proto.info) data =
     log_shadow t ~home e
   end
 
+(* A [Reply_data] buffer of [len] bytes, from the free stack when it has
+   one.  Its bytes are stale until the caller fills them. *)
+let take_reply_buf t len =
+  match Hashtbl.find t.reply_bufs len with
+  | s when s.len > 0 -> pop s
+  | _ -> Bytes.create len
+  | exception Not_found ->
+    Hashtbl.add t.reply_bufs len (empty_stack ());
+    Bytes.create len
+
 let host_forward t (h : host_state) ~req_id ~from ~access (info : Proto.info) =
   let cost = t.config.cost in
   if ft_on t && Host_set.mem from h.dead_peers then
@@ -1595,22 +1628,20 @@ let host_forward t (h : host_state) ~req_id ~from ~access (info : Proto.info) =
       (* the supplier gives its copy away *)
       Engine.delay (set_prot_cost t info);
       protect_info t h info Prot.No_access);
-    let data = Vm.priv_read_bytes h.vm ~off:info.base_off ~len:info.length in
+    let data = take_reply_buf t info.length in
+    Vm.priv_read_into h.vm ~off:info.base_off data;
     shadow_refresh t info data;
     (* test-only mutation: the nth data reply serves the minipage's initial
        (all-zero) snapshot instead of the current bytes — the stale-supply
        bug mpcheck's coherence checker must catch *)
-    let data =
-      match t.mutation with
-      | Some (Stale_reply_data { nth }) ->
-        t.mutation_count <- t.mutation_count + 1;
-        if t.mutation_count = nth then begin
-          t.mutation_fired <- true;
-          Bytes.make info.length '\000'
-        end
-        else data
-      | _ -> data
-    in
+    (match t.mutation with
+    | Some (Stale_reply_data { nth }) ->
+      t.mutation_count <- t.mutation_count + 1;
+      if t.mutation_count = nth then begin
+        t.mutation_fired <- true;
+        Bytes.fill data 0 info.length '\000'
+      end
+    | _ -> ());
     send t ~src:h.id ~dst:from ~bytes:(header t)
       (Proto.Reply_header { req_id; access; info });
     Stats.Counters.incr t.counters "replies.data";
@@ -1618,6 +1649,13 @@ let host_forward t (h : host_state) ~req_id ~from ~access (info : Proto.info) =
       ~bytes:(Cost_model.data_message_bytes cost info.length)
       (Proto.Reply_data { req_id; access; info; data })
   end
+
+(* Wake the threads blocked on a fault record [e] already removed from the
+   in-flight table.  With none, nothing reads [e] again, so it is free at
+   once; otherwise the last of them frees it ([on_fault]). *)
+let wake_flight (h : host_state) e =
+  Sync.Event.set e.event;
+  if e.waiters = 0 then push h.free_flights e
 
 (* Wake the fault in flight on [vp] for [idx], if any; true when it was
    [req_id]'s.  The key is built once for the lookup and the removal. *)
@@ -1635,7 +1673,7 @@ let wake_inflight t (h : host_state) ~req_id (info : Proto.info) vp idx =
       end
       else server_ack t h ~req_id ~mp_id:info.mp_id
     end;
-    Sync.Event.set e.event;
+    wake_flight h e;
     mine
 
 (* Wake the faulting thread(s) a landed data message satisfies and route the
@@ -1850,7 +1888,7 @@ let wake_read_entries (h : host_state) t (info : Proto.info) =
     match Hashtbl.find_opt h.inflight (info.mp_view, vp, access_idx Proto.Read) with
     | Some e ->
       Hashtbl.remove h.inflight (info.mp_view, vp, access_idx Proto.Read);
-      Sync.Event.set e.event
+      wake_flight h e
     | None -> ()
   done
 
@@ -2108,10 +2146,7 @@ let install_shadow t (e : Directory.entry) ~dead ~at =
     e.lost <- true;
     t.lost_mps <- info.mp_id :: t.lost_mps
   end;
-  if rolled then begin
-    t.rolled_back <- t.rolled_back + 1;
-    Stats.Counters.incr t.counters "replicate.rollbacks"
-  end;
+  if rolled then Stats.Counters.incr t.counters "replicate.rollbacks";
   Stats.Counters.incr t.counters
     (if lost then "ft.lost_minipages" else "ft.recovered_minipages");
   Obs.recover_minipage (obs t) ~time:(rnow t) ~host:at ~span:0
@@ -2446,7 +2481,6 @@ let promote_backup t ~dead:h ~backup:b =
     (fun (req_id, at) ->
       if not (Directory.completed dir_b ~req_id) then begin
         Directory.mark_completed dir_b ~req_id ~now:at;
-        t.tail_repairs <- t.tail_repairs + 1;
         Stats.Counters.incr t.counters "replicate.tail_repairs";
         Obs.log_replay (obs t) ~time:now ~host:b ~span:req_id ~primary:h
           ~mp_id:(-1) ~via:"completion" ()
@@ -2556,7 +2590,6 @@ let promote_backup t ~dead:h ~backup:b =
         if agreed then
           Obs.log_replay (obs t) ~time:now ~host:b ~primary:h ~mp_id ~via:"log" ()
         else begin
-          t.tail_repairs <- t.tail_repairs + 1;
           Stats.Counters.incr t.counters "replicate.tail_repairs";
           Obs.log_replay (obs t) ~time:now ~host:b ~primary:h ~mp_id
             ~via:"protections" ()
@@ -2582,7 +2615,6 @@ let promote_backup t ~dead:h ~backup:b =
           ~via:"open-admission" ()
       end)
     (Directory.Replica.open_admissions rep);
-  t.promotions <- t.promotions + 1;
   Stats.Counters.incr t.counters "replicate.promotions";
   Obs.backup_promote (obs t) ~time:now ~host:b ~primary:h ~backup:b
     ~entries:(List.length entries) ~applied:(Directory.Replica.applied rep)
@@ -2867,7 +2899,9 @@ let dispatch t (h : host_state) (body : Proto.body) =
     Engine.delay cost.sync_dispatch_us
   | Proto.Reply_data { req_id; access; info; data } ->
     Engine.delay cost.dispatch_us;
-    host_reply t h ~req_id ~access info (Some data)
+    host_reply t h ~req_id ~access info (Some data);
+    (* [host_reply] has written the bytes: the buffer is free *)
+    push (Hashtbl.find t.reply_bufs info.length) data
   | Proto.Write_grant { req_id; info } ->
     Engine.delay cost.dispatch_us;
     host_reply t h ~req_id ~access:Proto.Write info None
@@ -2964,22 +2998,20 @@ let dispatch t (h : host_state) (body : Proto.body) =
            ~before:(rnow t -. t.idem_retention_us));
     Obs.log_apply (obs t) ~time:(rnow t) ~host:h.id ~span:(record_span record)
       ~primary ~lseq ~record_tag:(record_tag record)
+  | Proto.Data _ | Proto.Tack _ -> failwith "millipage: a transport packet reached dispatch"
 
 (* Transport receive: unwrap packets, ack and resequence on a faulty fabric.
    Every Data is Tack'ed (even duplicates — the original Tack may itself have
    been dropped); delivery to [dispatch] is strictly in sequence order, so
    the protocol handlers above never see loss, duplication or reordering. *)
-let on_message t (h : host_state) (m : Proto.packet Fabric.msg) =
+let on_message t (h : host_state) (m : Proto.body Fabric.msg) =
   if ft_on t && t.declared.(m.Fabric.src) then
     (* a straggler from a declared-dead host (sent before it was silenced):
        never let the protocol hear from the dead *)
     Stats.Counters.incr t.counters "ft.msgs_from_dead_dropped"
   else
   match t.transport with
-  | None -> (
-    match m.Fabric.body with
-    | Proto.Data { body; _ } -> dispatch t h body
-    | Proto.Tack _ -> failwith "millipage: TACK on a reliable fabric")
+  | None -> dispatch t h m.Fabric.body
   | Some tr -> (
     match m.Fabric.body with
     | Proto.Tack { seq } ->
@@ -3014,7 +3046,8 @@ let on_message t (h : host_state) (m : Proto.packet Fabric.msg) =
           | None -> ()
         in
         drain ()
-      end)
+      end
+    | _ -> failwith "millipage: bare body on a faulty fabric")
 
 (* ------------------------------------------------------------------ *)
 (* Faulting-thread side                                                *)
@@ -3037,17 +3070,28 @@ let send_request t (h : host_state) ~key ~access ~addr ~by_prefetch =
   let mp = Mpt.find_exn (Allocator.mpt t.allocator) (Vm.phys_off h.vm addr) in
   let target = hint_of h mp.Minipage.id in
   let e =
-    {
-      req_id;
-      access;
-      addr;
-      target;
-      event = Sync.Event.create ~auto_reset:false ~name:"fault" ();
-      waiters = 0;
-      by_prefetch;
-      ack_req = 0;
-      ack_mp = -1;
-    }
+    if h.free_flights.len > 0 then begin
+      let e = pop h.free_flights in
+      Sync.Event.reset e.event;
+      e.req_id <- req_id;
+      e.access <- access;
+      e.addr <- addr;
+      e.target <- target;
+      e.by_prefetch <- by_prefetch;
+      e
+    end
+    else
+      {
+        req_id;
+        access;
+        addr;
+        target;
+        event = Sync.Event.create ~auto_reset:false ~name:"fault" ();
+        waiters = 0;
+        by_prefetch;
+        ack_req = 0;
+        ack_mp = -1;
+      }
   in
   Hashtbl.replace h.inflight key e;
   Obs.request_sent (obs t) ~time:(rnow t) ~host:h.id ~span:req_id
@@ -3124,7 +3168,10 @@ let on_fault t (h : host_state) (f : Vm.fault) =
     let mp_id = e.ack_mp in
     e.ack_mp <- -1;
     server_ack t h ~req_id:e.ack_req ~mp_id
-  end
+  end;
+  (* the last waiter to read [e] frees it *)
+  e.waiters <- e.waiters - 1;
+  if e.waiters = 0 then push h.free_flights e
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -3193,6 +3240,7 @@ let create engine ~hosts:nhosts ?(config = Config.default) () =
       rc_out = Hashtbl.create 16;
       rc_flush_pending = 0;
       rc_flush_waiters = Queue.create ();
+      free_flights = empty_stack ();
     }
   in
   (* completed-request retention: twice the worst-case retransmission span
@@ -3232,6 +3280,7 @@ let create engine ~hosts:nhosts ?(config = Config.default) () =
       pending_releases = Hashtbl.create 8;
       groups = Hashtbl.create 8;
       next_group = 0;
+      reply_bufs = Hashtbl.create 8;
       counters = Stats.Counters.create ();
       recorder = Mp_obs.Recorder.create ~capacity:4096 ();
       started = false;
@@ -3251,12 +3300,8 @@ let create engine ~hosts:nhosts ?(config = Config.default) () =
       replicas = Array.init nhosts (fun _ -> Directory.Replica.create ());
       log_seq = Array.make nhosts 0;
       promoted = Array.make nhosts false;
-      promotions = 0;
-      tail_repairs = 0;
-      rolled_back = 0;
       log_applies = 0;
       gov = Hashtbl.create 64;
-      mode_switches = 0;
       rc_twins = 0;
       rc_diffs = 0;
       rc_diff_bytes = 0;
@@ -3266,7 +3311,7 @@ let create engine ~hosts:nhosts ?(config = Config.default) () =
       mutation_fired = false;
     }
   in
-  Fabric.attach_obs fabric ~obs:t.recorder ~describe:Proto.describe_packet;
+  Fabric.attach_obs fabric ~obs:t.recorder ~describe:Proto.describe;
   Array.iter
     (fun h ->
       Vm.set_fault_handler h.vm (fun f -> on_fault t h f);
@@ -3658,11 +3703,11 @@ let idempotence_size t =
 (* Replication statistics                                              *)
 (* ------------------------------------------------------------------ *)
 
-let backup_promotions t = t.promotions
+let backup_promotions t = Stats.Counters.get t.counters "replicate.promotions"
 let log_records_sent t = Array.fold_left ( + ) 0 t.log_seq
 let log_records_applied t = t.log_applies
-let tail_repairs t = t.tail_repairs
-let rolled_back_minipages t = t.rolled_back
+let tail_repairs t = Stats.Counters.get t.counters "replicate.tail_repairs"
+let rolled_back_minipages t = Stats.Counters.get t.counters "replicate.rollbacks"
 let promoted_homes t = hosts_where t.promoted
 
 (* ------------------------------------------------------------------ *)
@@ -3691,7 +3736,7 @@ let modes t =
     t.dirs;
   [ (Proto.Sc, !sc); (Proto.Rc, !rc) ]
 
-let mode_switches t = t.mode_switches
+let mode_switches t = List.length t.mode_switch_log
 let rc_twins t = t.rc_twins
 let rc_diffs t = t.rc_diffs
 let rc_diff_bytes t = t.rc_diff_bytes

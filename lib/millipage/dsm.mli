@@ -348,11 +348,11 @@ val home_redirects : t -> int
 (** {2 Fault injection and reliable transport}
 
     When {!Config.Net.t.faults} enables any fault, protocol bodies travel in
-    sequence-numbered {!Proto.packet}s under a hop-by-hop ARQ: every Data is
-    acknowledged with a Tack, unacknowledged packets are retransmitted with
-    exponential backoff, and receivers resequence and dedupe so the protocol
-    still sees exactly-once FIFO delivery.  All of it is inert on a reliable
-    fabric. *)
+    sequence-numbered {!Proto.Data} packets under a hop-by-hop ARQ: every
+    Data is acknowledged with a {!Proto.Tack}, unacknowledged packets are
+    retransmitted with exponential backoff, and receivers resequence and
+    dedupe so the protocol still sees exactly-once FIFO delivery.  A
+    reliable fabric carries bare bodies. *)
 
 val faulty : t -> bool
 val retransmits : t -> int

@@ -88,13 +88,12 @@ type body =
   | Log_append of { primary : int; lseq : int; record : log_record }
       (** home → its backup: the [lseq]'th record of the home's directory
           log (per-primary sequence, counted from 1) *)
-
-(* Wire packets: protocol bodies travel inside [Data] with a per-channel
-   sequence number so the reliable-transport layer in [Dsm] can detect loss,
-   duplication and reordering; [Tack] is its transport-level acknowledgement.
-   On a fault-free fabric the transport is inert and every body is sent as
-   [Data { seq = 0; _ }]. *)
-type packet = Data of { seq : int; body : body } | Tack of { seq : int }
+  | Data of { seq : int; body : body }
+      (** sent only by the reliable-transport layer in [Dsm], which runs only
+          on a faulty fabric: any other body with its channel's sequence
+          number, so loss, duplication and reordering can be detected.  A
+          reliable fabric carries bare bodies. *)
+  | Tack of { seq : int }  (** that layer's acknowledgement *)
 
 let access_to_string = function Read -> "read" | Write -> "write"
 
@@ -117,7 +116,7 @@ let describe_record = function
   | L_diff { mp_id; diff } ->
     "diff mp" ^ str mp_id ^ " " ^ str (Twin_diff.encoded_bytes diff) ^ "B"
 
-let describe = function
+let rec describe = function
   | Request { access; addr; _ } -> "REQUEST(" ^ access_to_string access ^ tag " @" addr
   | Forward { access; info; _ } -> "FORWARD(" ^ access_to_string access ^ tag " mp" info.mp_id
   | Reply_header { info; _ } -> tag "REPLY_HDR(mp" info.mp_id
@@ -157,9 +156,7 @@ let describe = function
   | Dead_notice { dead } -> tag "DEAD_NOTICE(h" dead
   | Log_append { primary; lseq; record } ->
     "LOG_APPEND(h" ^ str primary ^ " #" ^ str lseq ^ " " ^ describe_record record ^ ")"
-
-(* Data packets keep the bare body label so fault-free traces are identical
-   with or without the transport wrapper. *)
-let describe_packet = function
+  (* a [Data] keeps its body's label, so a trace labels a message the same
+     on either fabric *)
   | Data { body; _ } -> describe body
   | Tack { seq } -> tag "TACK(s" seq

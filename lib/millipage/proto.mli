@@ -134,15 +134,13 @@ type body =
   | Log_append of { primary : int; lseq : int; record : log_record }
       (** home → its backup: the [lseq]'th record of the home's directory
           log (per-primary sequence, counted from 1) *)
-
-(** What actually travels on the fabric: a protocol body stamped with the
-    sending channel's sequence number, or a transport-level acknowledgement.
-    The sequence numbers drive the hop-by-hop retransmission layer in {!Dsm}
-    that restores FastMessages semantics over a faulty fabric; on a reliable
-    fabric the transport is inert and [seq] is always 0. *)
-type packet =
   | Data of { seq : int; body : body }
-  | Tack of { seq : int }  (** transport ack: "I have received [seq]" *)
+      (** Sent only by the hop-by-hop retransmission layer in {!Dsm}, which
+          runs only on a faulty fabric and restores FastMessages semantics
+          there: any other body, stamped with the sending channel's sequence
+          number.  A reliable fabric carries bare bodies. *)
+  | Tack of { seq : int }
+      (** Sent only by that layer: "I have received [seq]". *)
 
 val access_to_string : access -> string
 
@@ -150,8 +148,6 @@ val describe_record : log_record -> string
 (** Short tag for logging/debugging, e.g. ["complete r17"]. *)
 
 val describe : body -> string
-(** Short tag for logging/debugging. *)
-
-val describe_packet : packet -> string
-(** [Data] packets render as their body ({!describe}), so fault-free traces
-    are unchanged by the transport wrapper; [Tack]s render as ["TACK(s<n>)"]. *)
+(** Short tag for logging/debugging.  A [Data] renders as the body it
+    carries, so a message has the same label on either fabric; a [Tack]
+    renders as ["TACK(s<n>)"]. *)

@@ -68,7 +68,7 @@ let contains hay needle =
   go 0
 
 (* message-label taxonomy for the cause split; labels come from
-   Proto.describe_packet and the transport.  Substrings are chosen against
+   Proto.describe and the transport.  Substrings are chosen against
    those labels: "REPLY_" (not "REPLY") so INVALIDATE_REPLY stays control,
    "LEASE_" (not "LEASE") so BARRIER_RELEASE / LOCK_REL stay control. *)
 type msg_cause = Data | Heartbeat | Recovery | Control

@@ -215,6 +215,58 @@ let test_sor_survives_duplication () =
   Alcotest.(check (list string)) "invariants clean" [] violations;
   Alcotest.(check bool) "duplicates suppressed" true (Dsm.dups_suppressed dsm > 0)
 
+(* Every message is duplicated, and some are dropped or reordered, so
+   replies are retransmitted and duplicated while their buffers carry later
+   replies.  Three threads per host keep several replies in flight both
+   ways: in turn [g], host [h]'s threads check every f64 of their share of
+   group [(g + h) mod 2] and overwrite it, and every value read must be the
+   last one written. *)
+let test_reply_buffers_under_dup_and_loss () =
+  let faults = { Fabric.no_faults with drop = 0.05; duplicate = 1.0; reorder = 0.1 } in
+  let e = Engine.create () in
+  let config =
+    {
+      Dsm.Config.default with
+      polling = Polling.Fast;
+      net = { Dsm.Config.Net.default with faults; seed = 7 };
+    }
+  in
+  let dsm = Dsm.create e ~hosts:2 ~config () in
+  let threads = 3 and per_thread = 4 and slots = 84 and turns = 6 in
+  let group = threads * per_thread in
+  let mps = Array.init (2 * group) (fun _ -> Dsm.malloc dsm (8 * slots)) in
+  let value gen i j = float_of_int ((gen * 100_000) + (i * 100) + j) in
+  Array.iteri
+    (fun i a ->
+      for j = 0 to slots - 1 do
+        Dsm.init_write_f64 dsm (a + (8 * j)) (value 0 i j)
+      done)
+    mps;
+  let reads = ref 0 and bad = ref 0 in
+  for host = 0 to 1 do
+    for k = 0 to threads - 1 do
+      Dsm.spawn dsm ~host (fun ctx ->
+          for g = 0 to turns - 1 do
+            let first = ((g + host) mod 2 * group) + (k * per_thread) in
+            for i = first to first + per_thread - 1 do
+              for j = 0 to slots - 1 do
+                incr reads;
+                if Dsm.read_f64 ctx (mps.(i) + (8 * j)) <> value g i j then incr bad
+              done;
+              for j = 0 to slots - 1 do
+                Dsm.write_f64 ctx (mps.(i) + (8 * j)) (value (g + 1) i j)
+              done
+            done;
+            Dsm.barrier ctx
+          done)
+    done
+  done;
+  Dsm.run dsm;
+  Alcotest.(check int) "values read" (turns * 2 * group * slots) !reads;
+  Alcotest.(check int) "stale values" 0 !bad;
+  Alcotest.(check bool) "duplicates suppressed" true (Dsm.dups_suppressed dsm > 0);
+  Alcotest.(check bool) "losses retransmitted" true (Dsm.retransmits dsm > 0)
+
 (* ---------------- qcheck properties ---------------- *)
 
 (* Fault-free delivery is per-channel FIFO and lossless, for any message
@@ -294,6 +346,8 @@ let suite =
     Alcotest.test_case "directory request dedupe" `Quick test_directory_dedupes_requests;
     Alcotest.test_case "sor survives loss" `Quick test_sor_survives_loss;
     Alcotest.test_case "sor survives duplication" `Quick test_sor_survives_duplication;
+    Alcotest.test_case "reply buffers under dup + loss" `Quick
+      test_reply_buffers_under_dup_and_loss;
     QCheck_alcotest.to_alcotest qcheck_fault_free_fifo_lossless;
     QCheck_alcotest.to_alcotest qcheck_invariants_clean_under_faults;
     Alcotest.test_case "soak sweep 2-8 hosts" `Slow test_soak_sweep;

@@ -116,6 +116,33 @@ let test_perturbation_clamped () =
   Alcotest.(check (float 0.0)) "negative perturbation clamped" 0.0
     (Engine.perturb_latency e ~label:"net:h0>h1")
 
+(* [steps] returns the log in encounter order, and builds its array without
+   a minor collection even past 256 choice points, where the array is made
+   in the major heap and a young filler would force one. *)
+let test_steps_no_minor_collection () =
+  let e = Engine.create () in
+  let sched =
+    Sched.create ~quantum_us:1.0 ~max_delay_steps:3 ~mode:Sched.Follow ~plan:Plan.empty ()
+  in
+  Sched.install sched e;
+  let n = 300 in
+  let labels = Array.init n (fun i -> "net:h0>h" ^ string_of_int i) in
+  (* the steps are logged into an empty minor heap, so they are still
+     young when [steps] reads them *)
+  Gc.minor ();
+  Array.iter (fun label -> ignore (Engine.perturb_latency e ~label)) labels;
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let steps = Sched.steps sched in
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  Alcotest.(check int) "minor collections" 0 (after - before);
+  Alcotest.(check int) "one step per choice point" n (Array.length steps);
+  Array.iteri
+    (fun i step ->
+      match step with
+      | Sched.Net { label; _ } -> Alcotest.(check string) "logging order" labels.(i) label
+      | Sched.Tie _ -> Alcotest.fail "unexpected tie step")
+    steps
+
 (* ---------------- replay determinism ---------------- *)
 
 let racer20 =
@@ -490,7 +517,7 @@ let test_schedule_allocation () =
   let run () = ignore (Sys.opaque_identity (Scenario.run_plan racer Plan.empty)) in
   run ();
   let words = Test_memsim.allocated_words run in
-  Alcotest.(check (float 1871.0)) "words per schedule" 187_134.0 words
+  Alcotest.(check (float 1845.0)) "words per schedule" 184_475.0 words
 
 let suite =
   [
@@ -526,4 +553,6 @@ let suite =
     Alcotest.test_case "golden lost-diff artifact replay" `Quick
       test_golden_lost_diff_replay;
     Alcotest.test_case "schedule allocation" `Quick test_schedule_allocation;
+    Alcotest.test_case "steps: logging order, no minor collection" `Quick
+      test_steps_no_minor_collection;
   ]

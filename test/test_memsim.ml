@@ -40,6 +40,9 @@ let test_phys_mem_bytes_roundtrip () =
   Phys_mem.write_bytes m ~off:(granule - 20) data;
   Alcotest.(check bytes) "roundtrip" data
     (Phys_mem.read_bytes m ~off:(granule - 20) ~len:(Bytes.length data));
+  let into = Bytes.create (Bytes.length data) in
+  Phys_mem.read_into m ~off:(granule - 20) into;
+  Alcotest.(check bytes) "read_into" data into;
   Alcotest.(check bytes) "untouched prefix" (Bytes.make 8 '\000')
     (Phys_mem.read_bytes m ~off:(granule - 28) ~len:8)
 
@@ -357,6 +360,16 @@ let test_vm_hits_allocate_nothing () =
   in
   Alcotest.(check (float 0.0)) "write_f64 hits" 0.0 writes;
   Alcotest.(check (float 0.0)) "read_int hits" 0.0 reads;
+  (* a server thread's copy of a 672-byte minipage into a reused reply
+     buffer, across a granule boundary *)
+  let buf = Bytes.create 672 in
+  let copies =
+    allocated_words (fun () ->
+        for _ = 1 to 1_000 do
+          Vm.priv_read_into vm ~off:(4096 - 100) buf
+        done)
+  in
+  Alcotest.(check (float 0.0)) "priv_read_into" 0.0 copies;
   (* a 4-byte read allocates only its boxed result: a float is 2 words, an
      int32 3 *)
   let per_hit access =

@@ -415,11 +415,46 @@ let read_fault_run_words n =
   words
 
 (* The marginal cost of one SC read fault's round trip: fault, request,
-   forward, reply and ack, five messages.  The 672-byte reply's data copy
-   is 85 of its words. *)
+   forward, reply and ack, five messages.  The reply's buffer and the
+   fault's in-flight record and event are reused, so none of its words
+   is a copy of the minipage. *)
 let test_read_fault_allocation () =
   let per_fault = (read_fault_run_words 2_000 -. read_fault_run_words 1_000) /. 1_000.0 in
-  Alcotest.(check (float 0.5)) "words per read fault" 452.0 per_fault
+  Alcotest.(check (float 0.5)) "words per read fault" 326.97 per_fault
+
+(* Faults that join one in flight share its record, which is reused only
+   once its last waiter has read it.  Two threads of host 1 read each of [n]
+   minipages together, so each fault has two waiters.  After each read the
+   first thread prefetches the next minipage, so every later fault joins a
+   prefetch; that prefetch takes its record while the other thread has yet
+   to read the record of the fault just served. *)
+let test_joined_faults () =
+  let n = 30 in
+  let e = Engine.create () in
+  let dsm = Dsm.create e ~hosts:2 ~config:Dsm.Config.default () in
+  let addrs = Array.init n (fun _ -> Dsm.malloc dsm 672) in
+  Array.iteri (fun i a -> Dsm.init_write_f64 dsm a (float_of_int i)) addrs;
+  let sums = Array.make 2 0.0 and first_fault = ref 0.0 in
+  for k = 0 to 1 do
+    Dsm.spawn dsm ~host:1 (fun ctx ->
+        for i = 0 to n - 1 do
+          let t0 = Engine.now e in
+          sums.(k) <- sums.(k) +. Dsm.read_f64 ctx addrs.(i);
+          if k = 0 then begin
+            if i = 0 then first_fault := Engine.now e -. t0;
+            if i + 1 < n then Dsm.prefetch ctx addrs.(i + 1) Proto.Read
+          end
+        done)
+  done;
+  Dsm.run dsm;
+  let expected = float_of_int (n * (n - 1) / 2) in
+  Alcotest.(check (float 0.0)) "values, first thread" expected sums.(0);
+  Alcotest.(check (float 0.0)) "values, second thread" expected sums.(1);
+  Alcotest.(check int) "read faults" (2 * n) (Dsm.read_faults dsm);
+  (* the first minipage's two faults are the only ones that joined no
+     prefetch, and both lasted [!first_fault] *)
+  Alcotest.(check (float 0.0)) "read-fault time" (2.0 *. !first_fault)
+    (Dsm.breakdown dsm ~host:1).Breakdown.read_fault
 
 (* One label per body constructor, [Tack], and every log record inside a
    [Log_append]: the strings the profiler and exporters have always seen. *)
@@ -495,7 +530,7 @@ let label_table =
 let test_protocol_labels () =
   List.iter
     (fun (packet, label) ->
-      Alcotest.(check string) label label (Proto.describe_packet packet))
+      Alcotest.(check string) label label (Proto.describe packet))
     label_table
 
 (* A label is formatted for every recorded message, so it costs the few
@@ -534,6 +569,7 @@ let suite =
     Alcotest.test_case "many minipages stress" `Quick test_many_minipages_stress;
     Alcotest.test_case "create allocation" `Quick test_create_allocation;
     Alcotest.test_case "read fault allocation" `Quick test_read_fault_allocation;
+    Alcotest.test_case "joined faults and a prefetch" `Quick test_joined_faults;
     Alcotest.test_case "protocol labels" `Quick test_protocol_labels;
     Alcotest.test_case "label allocation" `Quick test_label_allocation;
   ]
