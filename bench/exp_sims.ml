@@ -1,0 +1,203 @@
+(** Simulated results that a change to the simulator's own cost must leave
+    untouched: one line per run, with its end time as a hex float (so
+    sub-µs drift shows), its message and byte counts, its read and write
+    faults and its verdict.
+
+    The runs are the [mprun] invocations the CI jobs make: every app at 8
+    hosts on Millipage, WATER at 8 hosts on the three baselines, the four
+    fault-soak runs and the WATER crash run, the last five traced and
+    checked by the invariant checker as [--trace-out] does.  Each is built
+    here the way [mprun] builds it from those flags.
+
+    [bench sims > test/golden/sims.txt] regenerates the golden after an
+    intended change; [bench sims --check] names every run whose line moved
+    and fails. *)
+
+open Mp_sim
+open Mp_apps
+module Dsm = Mp_millipage.Dsm
+module Recorder = Mp_obs.Recorder
+
+let golden = "test/golden/sims.txt"
+
+module Line (D : Mp_dsm.Dsm_intf.S) = struct
+  let run_app (t : D.t) = function
+    | "sor" ->
+      let module A = Sor.Make (D) in
+      let h = A.setup t Sor.default_params in
+      D.run t;
+      A.verify h
+    | "is" ->
+      let module A = Is.Make (D) in
+      let h = A.setup t Is.default_params in
+      D.run t;
+      A.verify ~hosts:(D.hosts t) h
+    | "water" ->
+      let module A = Water.Make (D) in
+      let h = A.setup t Water.default_params in
+      D.run t;
+      A.verify h
+    | "lu" ->
+      let module A = Lu.Make (D) in
+      let h = A.setup t Lu.default_params in
+      D.run t;
+      A.verify h
+    | "tsp" ->
+      let module A = Tsp.Make (D) in
+      let h = A.setup t Tsp.default_params in
+      D.run t;
+      A.verify h
+    | other -> invalid_arg ("Exp_sims: unknown app " ^ other)
+
+  (* A traced run arms the recorder as [mprun --trace-out] does, and its
+     verdict adds the invariant checker's. *)
+  let run ~name ?(traced = false) ?(degraded = fun () -> false) (t : D.t) app =
+    let obs = D.obs t in
+    if traced then begin
+      Recorder.set_capacity obs (1 lsl 22);
+      Recorder.set_enabled obs true
+    end;
+    let verdict =
+      match run_app t app with
+      | true -> "verified"
+      | false -> if degraded () then "degraded" else "MISMATCH"
+      | exception Dsm.Deadlock _ -> "deadlock"
+      | exception Dsm.Crash_unrecoverable _ -> "unrecoverable"
+    in
+    let verdict =
+      if not traced then verdict
+      else if Recorder.dropped obs > 0 then verdict ^ ",invariants-skipped"
+      else
+        match Mp_obs.Invariants.check (Recorder.events obs) with
+        | [] -> verdict ^ ",invariants-ok"
+        | v -> Printf.sprintf "%s,invariants-%d" verdict (List.length v)
+    in
+    Printf.sprintf "%s end_us=%h msgs=%d bytes=%d rf=%d wf=%d %s" name
+      (Engine.now (D.engine t)) (D.messages_sent t) (D.bytes_sent t)
+      (D.read_faults t) (D.write_faults t) verdict
+end
+
+module Millipage_line = Line (Mp_dsm.Millipage_impl)
+module Ivy_line = Line (Mp_baselines.Ivy)
+module Lrc_line = Line (Mp_baselines.Lrc)
+module Mrc_line = Line (Mp_baselines.Mrc)
+
+(* [mprun]'s Millipage configuration for its default flags, with the given
+   faults, net seed, homes and crashes. *)
+let millipage ~name ?(hosts = 8) ?(faults = Mp_net.Fabric.no_faults) ?(net_seed = 9)
+    ?(homes = Dsm.Config.Homes.default) ?(crashes = []) app () =
+  let consistency =
+    let module C = Dsm.Config.Consistency in
+    C.with_adapt_interval (C.with_mode C.default `Sc) 2
+  in
+  let config =
+    {
+      Dsm.Config.default with
+      polling = Mp_net.Polling.nt_mode;
+      chunking = Mp_multiview.Allocator.Fine 1;
+      net = { Dsm.Config.Net.default with faults; seed = net_seed };
+      ft =
+        (if crashes = [] then None
+         else Some { Dsm.Config.Ft.default with crashes; stalls = [] });
+      homes;
+      consistency;
+    }
+  in
+  let t = Dsm.create (Engine.create ()) ~hosts ~config () in
+  let traced = Mp_net.Fabric.faults_active faults || crashes <> [] in
+  Millipage_line.run ~name ~traced ~degraded:(fun () -> Dsm.declared_dead t <> []) t app
+
+let soak app seed =
+  let faults =
+    { Mp_net.Fabric.no_faults with drop = 0.1; duplicate = 0.05; reorder = 0.1 }
+  in
+  millipage
+    ~name:(Printf.sprintf "soak/%s/h4/seed%d" app seed)
+    ~hosts:4 ~faults ~net_seed:seed app
+
+let runs =
+  List.map
+    (fun app -> millipage ~name:("millipage/" ^ app ^ "/h8") app)
+    [ "sor"; "is"; "water"; "lu"; "tsp" ]
+  @ [
+      (fun () ->
+        let e = Engine.create () in
+        Ivy_line.run ~name:"ivy/water/h8"
+          (Mp_baselines.Ivy.create e ~hosts:8 ~polling:Mp_net.Polling.nt_mode ())
+          "water");
+      (fun () ->
+        let e = Engine.create () in
+        Lrc_line.run ~name:"lrc/water/h8"
+          (Mp_baselines.Lrc.create e ~hosts:8 ~polling:Mp_net.Polling.nt_mode ())
+          "water");
+      (fun () ->
+        let e = Engine.create () in
+        Mrc_line.run ~name:"mrc/water/h8"
+          (Mp_baselines.Mrc.create e ~hosts:8 ~chunking:(Mp_multiview.Allocator.Fine 1)
+             ~polling:Mp_net.Polling.nt_mode ())
+          "water");
+      soak "sor" 42;
+      soak "lu" 42;
+      soak "sor" 7;
+      soak "water" 42;
+      millipage ~name:"crash/water/h4/rr/3@2000000" ~hosts:4
+        ~homes:{ Dsm.Config.Homes.default with policy = Dsm.Config.Homes.Round_robin }
+        ~crashes:[ (3, 2000000.0) ] "water";
+    ]
+
+let name_of line =
+  match String.index_opt line ' ' with Some i -> String.sub line 0 i | None -> line
+
+let read_golden () =
+  match open_in golden with
+  | exception Sys_error msg ->
+    failwith
+      (Printf.sprintf "bench sims --check: cannot read %s (%s); run from the repo root"
+         golden msg)
+  | ic ->
+    let rec lines acc =
+      match input_line ic with
+      | l -> lines (if String.trim l = "" then acc else l :: acc)
+      | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+    in
+    lines []
+
+let run ?(check = false) () =
+  let got = List.map (fun f -> f ()) runs in
+  if not check then List.iter print_endline got
+  else begin
+    let want = read_golden () in
+    let moved =
+      List.filter_map
+        (fun line ->
+          let name = name_of line in
+          match List.find_opt (fun w -> name_of w = name) want with
+          | Some w when w = line -> None
+          | Some w ->
+            Printf.printf "moved: %s\n  golden:  %s\n  current: %s\n" name w line;
+            Some name
+          | None ->
+            Printf.printf "moved: %s is not in %s\n  current: %s\n" name golden line;
+            Some name)
+        got
+      @ List.filter_map
+          (fun w ->
+            let name = name_of w in
+            if List.exists (fun l -> name_of l = name) got then None
+            else begin
+              Printf.printf "moved: %s is in %s but was not run\n" name golden;
+              Some name
+            end)
+          want
+    in
+    if moved = [] then
+      Printf.printf "sims: all %d runs match %s\n%!" (List.length got) golden
+    else
+      failwith
+        (Printf.sprintf
+           "bench sims: %d run(s) moved (%s); if the change is intended, \
+            regenerate with 'bench sims > %s'"
+           (List.length moved) (String.concat ", " moved) golden)
+  end

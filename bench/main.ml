@@ -108,6 +108,19 @@ let scale =
       const (fun max_hosts check -> Exp_scale.run ~max_hosts ~check ())
       $ max_hosts_arg $ check_arg)
 
+let sims_check_arg =
+  Arg.(
+    value & flag
+    & info [ "check" ]
+        ~doc:
+          "Compare every run's line against the committed \
+           test/golden/sims.txt instead of printing the lines; name each run \
+           that moved and exit non-zero.")
+
+let sims =
+  cmd "sims" "Simulated results of the CI runs, one line per run"
+    Term.(const (fun check -> Exp_sims.run ~check ()) $ sims_check_arg)
+
 let all_cmd =
   cmd "all" "Run every experiment"
     Term.(const (fun full fast -> all_experiments ~full ~fast ()) $ full_flag $ fast_flag)
@@ -123,4 +136,4 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           [ table1; costs; fig5; table2; fig6; fig7; ablation; gms; soak; crash;
-            shard; mc; scale; all_cmd ]))
+            shard; mc; scale; sims; all_cmd ]))

@@ -56,7 +56,6 @@ type 'a node = {
   mutable handler : ('a msg -> unit) option;
   polling : Polling.t;
   mutable busy : bool;
-  mutable pending_poll : float;  (* earliest scheduled wake; infinity when none *)
   mutable armed : Engine.event;  (* the armed poll timer; [no_event] when none *)
   timers : Engine.event stack;  (* free poll timers *)
   mutable dead : bool;  (* crashed host: endpoint silent both ways *)
@@ -68,11 +67,16 @@ type 'a node = {
 
 type latency = { base_us : float; per_byte_us : float }
 
+(* The times a send and a poll arm compute live in [Float.Array] slots and
+   are posted from there: a float passed to another module's function is
+   boxed. *)
 type 'a t = {
   engine : Engine.t;
   nodes : 'a node array;
   latency : latency;
-  chan_last : float array;  (* per (src,dst) last arrival, for FIFO *)
+  chan_last : Float.Array.t;  (* per (src,dst) last arrival, for FIFO *)
+  pending_poll : Float.Array.t;  (* per host earliest scheduled wake; infinity when none *)
+  spare : Float.Array.t;  (* one slot for a time a send or a poll arm computes *)
   chan_label : string array;  (* per (src,dst) "net:hS>hD" event label *)
   free : 'a carrier stack array;  (* per (src,dst) free carriers *)
   counters : Stats.Counters.t;
@@ -102,9 +106,9 @@ let ring_take n =
 
 let release t c = push t.free.((c.msg.src * Array.length t.nodes) + c.msg.dst) c
 
-let disarm_poll n =
+let disarm_poll t n =
   n.armed <- no_event;
-  n.pending_poll <- infinity
+  Float.Array.set t.pending_poll n.id infinity
 
 (* A poll timer superseded by a later arm or a disarm does nothing when it
    fires: signalling the auto-reset wake event spuriously would satisfy the
@@ -114,7 +118,7 @@ let disarm_poll n =
 let poll_fired t n timer =
   push n.timers timer;
   if n.armed == timer then begin
-    disarm_poll n;
+    disarm_poll t n;
     (match t.obs with
     | Some (obs, _) when n.busy ->
       Mp_obs.Recorder.sweeper_wake obs ~time:(Engine.now t.engine) ~host:n.id
@@ -142,7 +146,6 @@ let create engine ~hosts ?(latency = fm_latency) ?(poll_idle_us = 2.0)
       handler = None;
       polling = Polling.create polling ~poll_idle_us ~rng:(Prng.split root_rng);
       busy = false;
-      pending_poll = infinity;
       armed = no_event;
       timers = { items = [||]; len = 0 };
       dead = false;
@@ -167,7 +170,9 @@ let create engine ~hosts ?(latency = fm_latency) ?(poll_idle_us = 2.0)
       engine;
       nodes = Array.init hosts node;
       latency;
-      chan_last = Array.make (hosts * hosts) neg_infinity;
+      chan_last = Float.Array.make (hosts * hosts) neg_infinity;
+      pending_poll = Float.Array.make hosts infinity;
+      spare = Float.Array.make 1 0.0;
       chan_label =
         Array.init (hosts * hosts) (fun c ->
             Printf.sprintf "net:h%d>h%d" (c / hosts) (c mod hosts));
@@ -221,29 +226,35 @@ let node t host =
 
 let set_handler t ~host h = (node t host).handler <- Some h
 
-let schedule_poll t n ~arrival =
+(* Arms a poll for messages that arrived now, unless one is armed for no
+   later than the poll would come. *)
+let schedule_poll t n =
   if n.dead then ()
   else begin
-  let pt = Polling.next_poll_time n.polling ~now:arrival ~busy:n.busy in
-  (* A stalled host's CPU is frozen: it cannot poll before the stall ends. *)
-  let pt = Float.max pt n.stalled_until in
-  if n.pending_poll <= Engine.now t.engine || n.pending_poll > pt then begin
-    n.pending_poll <- pt;
-    (* arming supersedes any timer still queued *)
-    let timer =
-      if n.timers.len > 0 then begin
-        n.timers.len <- n.timers.len - 1;
-        n.timers.items.(n.timers.len)
-      end
-      else begin
-        let self = ref no_event in
-        self := Engine.event ~label:n.poll_label (fun () -> poll_fired t n !self);
-        !self
-      end
-    in
-    n.armed <- timer;
-    Engine.post t.engine timer ~at:pt
-  end
+    Engine.now_into t.engine t.spare 0;
+    let now = Float.Array.get t.spare 0 in
+    Polling.next_poll_time n.polling ~busy:n.busy t.spare 0;
+    (* A stalled host's CPU is frozen: it cannot poll before the stall ends. *)
+    if n.stalled_until > Float.Array.get t.spare 0 then
+      Float.Array.set t.spare 0 n.stalled_until;
+    let pending = Float.Array.get t.pending_poll n.id in
+    if pending <= now || pending > Float.Array.get t.spare 0 then begin
+      Float.Array.set t.pending_poll n.id (Float.Array.get t.spare 0);
+      (* arming supersedes any timer still queued *)
+      let timer =
+        if n.timers.len > 0 then begin
+          n.timers.len <- n.timers.len - 1;
+          n.timers.items.(n.timers.len)
+        end
+        else begin
+          let self = ref no_event in
+          self := Engine.event ~label:n.poll_label (fun () -> poll_fired t n !self);
+          !self
+        end
+      in
+      n.armed <- timer;
+      Engine.post_slot t.engine timer t.pending_poll n.id
+    end
   end
 
 let arrive t n c =
@@ -253,12 +264,12 @@ let arrive t n c =
   end
   else begin
     ring_push n c;
-    schedule_poll t n ~arrival:(Engine.now t.engine)
+    schedule_poll t n
   end
 
-(* Posts a copy of [body] on channel [chan] in a free carrier, or in a new
-   one when the channel has none. *)
-let deliver t (dst_node : 'a node) ~chan ~src ~bytes body ~at =
+(* Posts a copy of [body] on channel [chan], to arrive at the time in
+   [a.(i)], in a free carrier, or in a new one when the channel has none. *)
+let deliver t (dst_node : 'a node) ~chan ~src ~bytes body a i =
   let free = t.free.(chan) in
   let c =
     if free.len > 0 then begin
@@ -274,7 +285,7 @@ let deliver t (dst_node : 'a node) ~chan ~src ~bytes body ~at =
       c
     end
   in
-  Engine.post t.engine c.deliver ~at
+  Engine.post_slot t.engine c.deliver a i
 
 let crash t ~host =
   let n = node t host in
@@ -287,7 +298,7 @@ let crash t ~host =
     while n.len > 0 do
       release t (ring_take n)
     done;
-    disarm_poll n;
+    disarm_poll t n;
     Stats.Counters.incr t.counters "net.crashed_hosts"
   end
 
@@ -297,10 +308,9 @@ let stall t ~host ~until =
     n.stalled_until <- until;
     (* Disarm any poll that would fire during the stall and re-poll once the
        CPU thaws, so queued traffic is picked up then. *)
-    if n.pending_poll < until then disarm_poll n;
+    if Float.Array.get t.pending_poll n.id < until then disarm_poll t n;
     Engine.schedule t.engine ~at:until (fun () ->
-        if (not n.dead) && n.len > 0 then
-          schedule_poll t n ~arrival:(Engine.now t.engine))
+        if (not n.dead) && n.len > 0 then schedule_poll t n)
   end
 
 let dead t ~host = (node t host).dead
@@ -315,7 +325,8 @@ let send t ~src ~dst ~bytes body =
   Stats.Counters.incr t.counters "send.count";
   Stats.Counters.add t.counters "send.bytes" bytes;
   Stats.Counters.incr t.counters src_node.send_key;
-  let now = Engine.now t.engine in
+  Engine.now_into t.engine t.spare 0;
+  let now = Float.Array.get t.spare 0 in
   (match t.obs with
   | Some (obs, describe) when Mp_obs.Recorder.enabled obs ->
     Mp_obs.Recorder.msg_send obs ~time:now ~host:src ~dst ~bytes
@@ -331,14 +342,14 @@ let send t ~src ~dst ~bytes body =
       l +. Engine.perturb_latency t.engine ~label:t.chan_label.(chan)
     else l
   in
+  let clamp = Float.Array.get t.chan_last chan +. fifo_spacing_us in
   match t.fault_rngs with
   | None ->
-    (* reliable FIFO: clamp behind the channel's previous arrival *)
-    let arrival =
-      Float.max (now +. latency) (t.chan_last.(chan) +. fifo_spacing_us)
-    in
-    t.chan_last.(chan) <- arrival;
-    deliver t dst_node ~chan ~src ~bytes body ~at:arrival
+    (* reliable FIFO: clamp behind the channel's previous arrival, which the
+       arrival replaces in place *)
+    let arrival = now +. latency in
+    Float.Array.set t.chan_last chan (if clamp > arrival then clamp else arrival);
+    deliver t dst_node ~chan ~src ~bytes body t.chan_last chan
   | Some rngs ->
     let f = t.faults and rng = rngs.(chan) in
     let label () =
@@ -354,7 +365,7 @@ let send t ~src ~dst ~bytes body =
     let reordered =
       f.reorder > 0.0
       && Prng.float rng 1.0 < f.reorder
-      && base < t.chan_last.(chan) +. fifo_spacing_us
+      && base < clamp
     in
     let arrival =
       if reordered then begin
@@ -368,8 +379,8 @@ let send t ~src ~dst ~bytes body =
         base
       end
       else begin
-        let a = Float.max base (t.chan_last.(chan) +. fifo_spacing_us) in
-        t.chan_last.(chan) <- a;
+        let a = if clamp > base then clamp else base in
+        Float.Array.set t.chan_last chan a;
         a
       end
     in
@@ -394,10 +405,11 @@ let send t ~src ~dst ~bytes body =
             ~label:(label ())
         | None -> ()
       end
-      else
+      else begin
         (* the ghost copy trails the original without advancing the clamp *)
-        deliver t dst_node ~chan ~src ~bytes body
-          ~at:(arrival +. (float_of_int copy *. fifo_spacing_us))
+        Float.Array.set t.spare 0 (arrival +. (float_of_int copy *. fifo_spacing_us));
+        deliver t dst_node ~chan ~src ~bytes body t.spare 0
+      end
     done
   end
 
@@ -407,8 +419,7 @@ let set_busy t ~host b =
   n.busy <- b;
   (* Returning to idle re-arms the poller: pending messages get picked up
      promptly instead of waiting for the sweeper. *)
-  if was && (not b) && n.len > 0 then
-    schedule_poll t n ~arrival:(Engine.now t.engine)
+  if was && (not b) && n.len > 0 then schedule_poll t n
 
 let busy t ~host = (node t host).busy
 let counters t = t.counters

@@ -15,27 +15,30 @@ let default_nt =
 
 let nt_mode = Nt_timer default_nt
 
-type t = { mode : mode; poll_idle_us : float; rng : Prng.t; mutable next_tick : float }
+(* [next_tick] is a one-slot [Float.Array], so advancing it boxes nothing. *)
+type t = { mode : mode; poll_idle_us : float; rng : Prng.t; next_tick : Float.Array.t }
 
-let create mode ~poll_idle_us ~rng = { mode; poll_idle_us; rng; next_tick = 0.0 }
+let create mode ~poll_idle_us ~rng =
+  { mode; poll_idle_us; rng; next_tick = Float.Array.make 1 0.0 }
 
-let sample_interval rng p =
-  if Prng.float rng 1.0 < p.p_short then
-    p.short_lo +. Prng.float rng (p.short_hi -. p.short_lo)
-  else p.long_lo +. Prng.float rng (p.long_hi -. p.long_lo)
-
-let next_poll_time t ~now ~busy =
+(* An interval is drawn as [lo + (hi - lo) * u] with [u = Prng.float rng 1.0],
+   which equals [lo + Prng.float rng (hi - lo)] bit for bit and passes no
+   float to [Prng]. *)
+let next_poll_time t ~busy a i =
   match t.mode with
-  | Fast -> now +. t.poll_idle_us
-  | Nt_timer p ->
-    if not busy then now +. t.poll_idle_us
-    else begin
-      (* advance the sweeper's tick stream past [now] *)
-      while t.next_tick <= now do
-        t.next_tick <- t.next_tick +. sample_interval t.rng p
-      done;
-      t.next_tick
-    end
+  | Nt_timer p when busy ->
+    (* advance the sweeper's tick stream past the arrival *)
+    let now = Float.Array.get a i in
+    while Float.Array.get t.next_tick 0 <= now do
+      let interval =
+        if Prng.float t.rng 1.0 < p.p_short then
+          p.short_lo +. ((p.short_hi -. p.short_lo) *. Prng.float t.rng 1.0)
+        else p.long_lo +. ((p.long_hi -. p.long_lo) *. Prng.float t.rng 1.0)
+      in
+      Float.Array.set t.next_tick 0 (Float.Array.get t.next_tick 0 +. interval)
+    done;
+    Float.Array.set a i (Float.Array.get t.next_tick 0)
+  | Fast | Nt_timer _ -> Float.Array.set a i (Float.Array.get a i +. t.poll_idle_us)
 
 let mean_busy_wait p =
   (* A random arrival falls into an interval with probability proportional to

@@ -39,8 +39,11 @@ type t
 
 val create : mode -> poll_idle_us:float -> rng:Mp_util.Prng.t -> t
 
-val next_poll_time : t -> now:float -> busy:bool -> float
-(** Earliest instant a message arriving at [now] will be noticed. *)
+val next_poll_time : t -> busy:bool -> Float.Array.t -> int -> unit
+(** [next_poll_time t ~busy a i] replaces the arrival time in [a.(i)] with
+    the earliest instant a message arriving then will be noticed.  The time
+    goes through the slot because a float passed to or returned from another
+    module's function is boxed. *)
 
 val mean_busy_wait : nt_params -> float
 (** Analytic expected wait of a random arrival until the next tick

@@ -2,26 +2,32 @@
 
     Time is a [float] number of microseconds.  Processes are ordinary OCaml
     functions run under an effect handler: inside a process, {!delay} advances
-    simulated time and {!suspend} parks the process until some other party
-    resumes it.  Everything is deterministic: events scheduled for the same
-    instant fire in scheduling order.
+    simulated time and {!park} and {!suspend} park the process until some
+    other party wakes it.  Everything is deterministic: events scheduled for
+    the same instant fire in scheduling order.
 
     Everything the engine runs is an {!event}: a label and a callback,
     built once and posted again and again, but never queued twice at once.
     A process's start, delay and resumption are events built at spawn, and
     the network fabric reuses its message deliveries and poll timers the
-    same way.  Posting and firing an event allocate nothing but the
-    caller's boxed time.  A process parks its continuation in a one-slot
-    array made at its first park, so a delay allocates only its
-    continuation and its boxed wake-up time; a suspension adds the
-    one-shot [resume] thunk and its deadlock-report entry.  {!schedule}
-    posts a fresh event. *)
+    same way.  {!schedule} posts a fresh event.
+
+    On the hot path a time moves through a [Float.Array] slot, not as a
+    float argument or result: the dev profile compiles each module with
+    [-opaque], so a float that crosses a call the compiler does not inline
+    is boxed.  The clock and the queue's times live in slots; a delay
+    writes its wake-up time straight into the queue, and {!post_slot} and
+    {!now_into} move a time between the engine and a slot its caller owns.
+    {!now} boxes the clock once per instant that someone reads it.  So a
+    delay allocates only its continuation, and so does a wait on a {!ring}:
+    a parked process is an entry in the ring's two arrays, which grow by
+    doubling. *)
 
 type t
 
 exception Not_in_process
-(** Raised when {!delay} / {!suspend} / {!self_name} is performed outside a
-    process spawned on an engine. *)
+(** Raised when {!delay} / {!park} / {!suspend} / {!self_name} is performed
+    outside a process spawned on an engine. *)
 
 exception Stopped
 (** Raised inside a process that is resumed after {!stop} was called, letting
@@ -34,7 +40,12 @@ exception Killed
 val create : unit -> t
 
 val now : t -> float
-(** Current simulated time in µs. *)
+(** Current simulated time in µs.  The first read at each instant boxes it;
+    later reads at that instant return the same box. *)
+
+val now_into : t -> Float.Array.t -> int -> unit
+(** [now_into t a i] copies the current time into [a.(i)] without boxing
+    it. *)
 
 val spawn : t -> ?name:string -> ?group:int -> (unit -> unit) -> unit
 (** [spawn t f] registers process [f] to start at the current time.  An
@@ -52,9 +63,14 @@ val event : label:string -> (unit -> unit) -> event
     the {!chooser}'s same-instant tie-breaks. *)
 
 val post : t -> event -> at:float -> unit
-(** Queue the event to fire at absolute time [at], clamped to now.  Raises
-    [Invalid_argument] when the event is still queued: queued twice, it
-    would fire with the wrong time.  Its callback may post it again. *)
+(** Queue the event to fire at absolute time [at]; a time before now fires
+    now.  Raises [Invalid_argument] when [at] is NaN, and when the event is
+    still queued: queued twice, it would fire with the wrong time.  Its
+    callback may post it again. *)
+
+val post_slot : t -> event -> Float.Array.t -> int -> unit
+(** [post_slot t ev a i] is [post t ev ~at:a.(i)] without boxing the
+    time. *)
 
 val schedule : t -> at:float -> ?label:string -> (unit -> unit) -> unit
 (** [schedule t ~at run] posts a fresh event.  [label] defaults to ["cb"];
@@ -62,16 +78,38 @@ val schedule : t -> at:float -> ?label:string -> (unit -> unit) -> unit
     ["resume:"] plus the process name. *)
 
 val delay : float -> unit
-(** Advance this process's clock by the given number of µs. *)
+(** Advance this process's clock by the given number of µs; a negative
+    delay is 0.  Raises [Invalid_argument] on NaN. *)
 
 val yield : unit -> unit
 (** Let every other event scheduled for the current instant run first. *)
 
+(** {2 Waiting} *)
+
+type ring
+(** A FIFO of parked processes. *)
+
+val ring : unit -> ring
+
+val park : ring -> name:string -> unit
+(** [park r ~name] parks the calling process at the tail of [r] until a
+    {!wake} reaches it.  [name] labels the wait for {!blocked}. *)
+
+val wake : ring -> unit
+(** Take the head of the ring, if any, and schedule it to continue at the
+    current time.  A head that {!kill_group} cancelled while it waited has
+    already unwound, and absorbs the wake: nothing continues.  A head
+    cancelled before it parked unwinds with {!Killed} at once, and after
+    {!stop} with {!Stopped}. *)
+
+val parked : ring -> int
+(** Entries in the ring, counting those cancelled since they parked. *)
+
 val suspend : name:string -> ((unit -> unit) -> unit) -> unit
-(** [suspend ~name register] parks the calling process and hands a one-shot
-    [resume] thunk to [register].  Calling [resume] schedules the process to
-    continue at the engine's then-current time; calling it twice is a no-op.
-    [name] labels the suspension for deadlock reports. *)
+(** [suspend ~name register] parks the calling process on a ring of its own
+    and hands a one-shot [resume] thunk to [register], which may call it.
+    Calling [resume] wakes the process; calling it again is a no-op.  [name]
+    labels the suspension for {!blocked}. *)
 
 val self_name : unit -> string
 (** Name of the running process (["proc"] when spawned without a name). *)
@@ -92,7 +130,8 @@ val live : t -> int
 (** Number of spawned processes that have not finished. *)
 
 val blocked : t -> (string * string) list
-(** [(process, suspension)] pairs for every currently suspended process. *)
+(** [(process, wait)] pairs for every currently parked process, in spawn
+    order. *)
 
 (** {2 Schedule exploration}
 
@@ -129,6 +168,9 @@ val perturb_latency : t -> label:string -> float
 
 val kill_group : t -> int -> int
 (** [kill_group t g] cancels every unfinished process spawned with
-    [~group:g]: suspended processes unwind with {!Killed} immediately,
-    delayed ones when their timer fires, unstarted ones never run.  Returns
-    the number of processes cancelled.  Idempotent. *)
+    [~group:g], and no user code of theirs runs after it: parked processes
+    unwind with {!Killed} at once (their ring entries stay and absorb a
+    wake each), and processes whose delay timer or resumption is queued
+    unwind when it fires, even when that is at the same instant.  Unstarted
+    processes never run.  Returns the number of processes cancelled.
+    Idempotent. *)

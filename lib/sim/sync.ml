@@ -1,60 +1,45 @@
+(* Each primitive parks its waiters on an engine ring, so a wait allocates
+   only the waiter's continuation. *)
+
 module Event = struct
-  type t = {
-    name : string;
-    auto_reset : bool;
-    mutable signaled : bool;
-    waiters : (unit -> unit) Queue.t;
-    park : (unit -> unit) -> unit;  (* queues a waiter; built once, not per wait *)
-  }
+  type t = { name : string; auto_reset : bool; mutable signaled : bool; waiters : Engine.ring }
 
   let create ?(auto_reset = true) ?(name = "event") () =
-    let waiters = Queue.create () in
-    {
-      name;
-      auto_reset;
-      signaled = false;
-      waiters;
-      park = (fun resume -> Queue.add resume waiters);
-    }
+    { name; auto_reset; signaled = false; waiters = Engine.ring () }
 
   let wait t =
     if t.signaled then begin
       if t.auto_reset then t.signaled <- false
     end
-    else Engine.suspend ~name:t.name t.park
+    else Engine.park t.waiters ~name:t.name
 
-  (* Here and in [Mutex] and [Semaphore], a wake checks [Queue.is_empty]
-     before [Queue.take]: [Queue.take_opt] would allocate an option per
-     waiter woken. *)
   let set t =
     if t.auto_reset then begin
-      if Queue.is_empty t.waiters then t.signaled <- true else (Queue.take t.waiters) ()
+      if Engine.parked t.waiters = 0 then t.signaled <- true else Engine.wake t.waiters
     end
     else begin
       t.signaled <- true;
-      while not (Queue.is_empty t.waiters) do
-        (Queue.take t.waiters) ()
+      while Engine.parked t.waiters > 0 do
+        Engine.wake t.waiters
       done
     end
 
   let reset t = t.signaled <- false
   let is_set t = t.signaled
-  let waiters t = Queue.length t.waiters
+  let waiters t = Engine.parked t.waiters
 end
 
 module Mutex = struct
-  type t = { name : string; mutable held : bool; waiters : (unit -> unit) Queue.t }
+  type t = { name : string; mutable held : bool; waiters : Engine.ring }
 
-  let create ?(name = "mutex") () = { name; held = false; waiters = Queue.create () }
+  let create ?(name = "mutex") () = { name; held = false; waiters = Engine.ring () }
 
-  let lock t =
-    if not t.held then t.held <- true
-    else Engine.suspend ~name:t.name (fun resume -> Queue.add resume t.waiters)
+  let lock t = if not t.held then t.held <- true else Engine.park t.waiters ~name:t.name
 
   let unlock t =
     if not t.held then invalid_arg "Sync.Mutex.unlock: not locked";
-    if Queue.is_empty t.waiters then t.held <- false
-    else (Queue.take t.waiters) () (* ownership transfers directly to the waiter *)
+    if Engine.parked t.waiters = 0 then t.held <- false
+    else Engine.wake t.waiters (* ownership transfers directly to the waiter *)
 
   let with_lock t f =
     lock t;
@@ -64,18 +49,16 @@ module Mutex = struct
 end
 
 module Semaphore = struct
-  type t = { name : string; mutable count : int; waiters : (unit -> unit) Queue.t }
+  type t = { name : string; mutable count : int; waiters : Engine.ring }
 
   let create ?(name = "sem") count =
     if count < 0 then invalid_arg "Sync.Semaphore.create: negative count";
-    { name; count; waiters = Queue.create () }
+    { name; count; waiters = Engine.ring () }
 
   let acquire t =
-    if t.count > 0 then t.count <- t.count - 1
-    else Engine.suspend ~name:t.name (fun resume -> Queue.add resume t.waiters)
+    if t.count > 0 then t.count <- t.count - 1 else Engine.park t.waiters ~name:t.name
 
-  let release t =
-    if Queue.is_empty t.waiters then t.count <- t.count + 1 else (Queue.take t.waiters) ()
+  let release t = if Engine.parked t.waiters = 0 then t.count <- t.count + 1 else Engine.wake t.waiters
 
   let count t = t.count
 end

@@ -2,7 +2,9 @@
 
     These mirror the Win32 primitives Millipage is built on: waitable events
     (auto- and manual-reset), mutexes and counting semaphores.  All [wait]
-    operations must run inside an {!Engine.spawn}ed process. *)
+    operations must run inside an {!Engine.spawn}ed process.  Each primitive
+    parks its waiters on an {!Engine.ring}, so a wait allocates only the
+    waiter's continuation, and they wake in the order they waited. *)
 
 module Event : sig
   type t
@@ -16,12 +18,15 @@ module Event : sig
       signaled (consuming the signal if auto-reset). *)
 
   val set : t -> unit
-  (** Signal the event.  Auto-reset: wakes exactly one waiter (or latches if
-      none).  Manual-reset: wakes all waiters and stays signaled. *)
+  (** Signal the event.  Auto-reset: wakes the oldest waiter, or latches if
+      none; a waiter killed since it parked absorbs the signal.
+      Manual-reset: wakes every waiter, oldest first, and stays signaled. *)
 
   val reset : t -> unit
   val is_set : t -> bool
+
   val waiters : t -> int
+  (** Parked waiters, counting those killed since they parked. *)
 end
 
 module Mutex : sig

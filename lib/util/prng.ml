@@ -1,4 +1,11 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state is four 64-bit words at byte offsets 0, 8, 16 and
+   24, and [step] leaves each draw at offset 32.  The unboxed [int64]
+   primitives read and write them, so a draw boxes nothing: a record of
+   [int64] fields would box each word it writes. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* splitmix64 is used only to spread a small seed over the 256-bit state. *)
 let splitmix64 state =
@@ -11,46 +18,59 @@ let splitmix64 state =
 
 let create ~seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.make 40 '\000' in
+  set t 0 (splitmix64 state);
+  set t 8 (splitmix64 state);
+  set t 16 (splitmix64 state);
+  set t 24 (splitmix64 state);
+  t
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let step t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
-  result
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  set t 32 (mul (rotl (mul s1 5L) 7) 9L);
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  let s2 = logxor s2 tmp in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 s2;
+  set t 24 (rotl s3 45)
+
+let bits64 t =
+  step t;
+  get t 32
 
 let split t =
-  let seed = Int64.to_int (bits64 t) in
-  create ~seed
+  step t;
+  create ~seed:(Int64.to_int (get t 32))
 
+(* Rejection sampling over the low 62 bits keeps the draw unbiased. *)
 let int t bound =
   assert (bound > 0);
-  (* Rejection sampling over the low 62 bits keeps the draw unbiased. *)
   let mask = 0x3FFF_FFFF_FFFF_FFFF in
-  let rec go () =
-    let r = Int64.to_int (bits64 t) land mask in
-    let v = r mod bound in
-    if r - v > mask - bound + 1 then go () else v
-  in
-  go ()
+  let v = ref (-1) in
+  while !v < 0 do
+    step t;
+    let r = Int64.to_int (get t 32) land mask in
+    let x = r mod bound in
+    if r - x <= mask - bound + 1 then v := x
+  done;
+  !v
 
 let float t bound =
-  let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+  step t;
+  let r = Int64.to_float (Int64.shift_right_logical (get t 32) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t =
+  step t;
+  Int64.to_int (get t 32) land 1 = 1
 
 let gaussian t ~mu ~sigma =
   let rec nonzero () =

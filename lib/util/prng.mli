@@ -3,7 +3,12 @@
     All randomness in the simulator flows from explicitly seeded generators so
     that every experiment is reproducible bit-for-bit.  The implementation is
     xoshiro256** seeded through splitmix64, following the reference
-    constructions of Blackman and Vigna. *)
+    constructions of Blackman and Vigna.
+
+    The state lives in a [Bytes], read and written with the unboxed
+    [int64] primitives, so a draw allocates nothing but a boxed result:
+    {!int} and {!bool} allocate nothing, {!float} 2 words and {!bits64}
+    3. *)
 
 type t
 (** A generator with its own independent state. *)

@@ -420,7 +420,7 @@ let read_fault_run_words n =
    is a copy of the minipage. *)
 let test_read_fault_allocation () =
   let per_fault = (read_fault_run_words 2_000 -. read_fault_run_words 1_000) /. 1_000.0 in
-  Alcotest.(check (float 0.5)) "words per read fault" 326.97 per_fault
+  Alcotest.(check (float 0.5)) "words per read fault" 232.97 per_fault
 
 (* Faults that join one in flight share its record, which is reused only
    once its last waiter has read it.  Two threads of host 1 read each of [n]

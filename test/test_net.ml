@@ -120,11 +120,12 @@ let test_mean_busy_wait_analytic_vs_empirical () =
   let t = Polling.create (Polling.Nt_timer p) ~poll_idle_us:2.0 ~rng in
   let total = ref 0.0 and n = 20_000 in
   let arrival_rng = Mp_util.Prng.create ~seed:7 in
-  let now = ref 0.0 in
+  let now = ref 0.0 and slot = Float.Array.make 1 0.0 in
   for _ = 1 to n do
     now := !now +. Mp_util.Prng.float arrival_rng 3000.0;
-    let pt = Polling.next_poll_time t ~now:!now ~busy:true in
-    total := !total +. (pt -. !now)
+    Float.Array.set slot 0 !now;
+    Polling.next_poll_time t ~busy:true slot 0;
+    total := !total +. (Float.Array.get slot 0 -. !now)
   done;
   let mean = !total /. float_of_int n in
   Alcotest.(check bool) "empirical matches analytic" true
@@ -182,19 +183,50 @@ let words_per_message ~n ~batch =
   words /. float_of_int n
 
 (* A batched message reuses a carrier, a message record and its delivery
-   event, so it allocates the boxed times of its delivery and of its
-   arrival's poll, and its share of the 1,000 carriers a batch keeps in
-   flight: the receive ring, the poll timers and the latency coefficients
-   allocate nothing per message. *)
+   event, and its arrival and poll times stay in float arrays, so it
+   allocates only its share of the 1,000 carriers a batch keeps in flight:
+   the receive ring, the poll timers and the latency coefficients allocate
+   nothing per message. *)
 let test_disabled_recorder_allocation () =
   let per_msg = words_per_message ~n:10_000 ~batch:1_000 in
-  Alcotest.(check (float 0.05)) "words per batched message" 7.0 per_msg
+  Alcotest.(check (float 0.05)) "words per batched message" 2.96 per_msg
 
-(* One message at a time adds to each a poll, the server's suspension and
-   wake-up, and the sender's delay. *)
+(* One message at a time adds to each the continuations of the server's
+   wait and of the sender's delay. *)
 let test_single_message_allocation () =
   let per_msg = words_per_message ~n:2_000 ~batch:1 in
-  Alcotest.(check (float 0.05)) "words per single message" 22.8 per_msg
+  Alcotest.(check (float 0.05)) "words per single message" 4.75 per_msg
+
+(* Arming a poll when no timer is queued takes a fired timer from the free
+   stack and posts it from the host's float slot: no word.  Host 1's server
+   is held in its first message's handler, so the second stays queued, and
+   every 10 µs a callback marks the host busy and idle again, which arms a
+   poll 2 µs later; that poll fires before the next arm. *)
+let test_poll_arm_allocation () =
+  let e = Engine.create () in
+  let fab = Fabric.create e ~hosts:2 ~polling:Polling.Fast () in
+  Fabric.set_handler fab ~host:1 (fun _ -> Engine.delay 1e9);
+  Engine.spawn e (fun () ->
+      Fabric.send fab ~src:0 ~dst:1 ~bytes:32 ();
+      Fabric.send fab ~src:0 ~dst:1 ~bytes:32 ());
+  let slot = Float.Array.make 1 100.0 and arms = ref 0 in
+  let self = ref None in
+  let tick =
+    Engine.event ~label:"tick" (fun () ->
+        Fabric.set_busy fab ~host:1 true;
+        Fabric.set_busy fab ~host:1 false;
+        incr arms;
+        Float.Array.set slot 0 (Float.Array.get slot 0 +. 10.0);
+        Engine.post_slot e (Option.get !self) slot 0)
+  in
+  self := Some tick;
+  Engine.post_slot e tick slot 0;
+  Engine.run_until e 1_000.0;
+  Alcotest.(check int) "second message queued" 1 (Fabric.queue_depth fab ~host:1);
+  let before = !arms in
+  let words = Test_memsim.allocated_words (fun () -> Engine.run_until e 101_000.0) in
+  Alcotest.(check int) "arms" 10_000 (!arms - before);
+  Alcotest.(check (float 0.05)) "words per poll arm" 0.0 (words /. 10_000.0)
 
 (* When host 1 handles the one message sent at 0 µs, on a fabric whose
    idle poll fires 50 µs after an arrival. *)
@@ -413,6 +445,7 @@ let suite =
     Alcotest.test_case "disabled recorder allocation" `Quick
       test_disabled_recorder_allocation;
     Alcotest.test_case "single message allocation" `Quick test_single_message_allocation;
+    Alcotest.test_case "poll arm allocation" `Quick test_poll_arm_allocation;
     Alcotest.test_case "stall disarms poll" `Quick test_stall_disarms_poll;
     Alcotest.test_case "crash disarms poll" `Quick test_crash_disarms_poll;
     Alcotest.test_case "enabled recorder labels" `Quick test_enabled_recorder_labels;

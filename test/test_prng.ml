@@ -79,6 +79,40 @@ let test_shuffle_is_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 100 Fun.id) sorted
 
+(* Draws recorded from the generator's reference construction: a change to
+   how the state is stored must keep every stream bit for bit. *)
+let test_streams_pinned () =
+  let a = Prng.create ~seed:42 in
+  Alcotest.(check (list int64))
+    "seed 42"
+    [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L ]
+    (List.init 3 (fun _ -> Prng.bits64 a));
+  let b = Prng.create ~seed:7 in
+  Alcotest.(check (list int)) "seed 7 ints" [ 186; 770; 926; 952; 952 ]
+    (List.init 5 (fun _ -> Prng.int b 1000));
+  Alcotest.(check (list string))
+    "then floats"
+    [ "0x1.bedc39c76c431p-1"; "0x1.f1ae5852bd8bp-5"; "0x1.abc4dcb546f6p-4" ]
+    (List.init 3 (fun _ -> Printf.sprintf "%h" (Prng.float b 1.0)))
+
+(* The state is read and written unboxed: [int] allocates nothing, and
+   [float] only its boxed result. *)
+let test_draw_allocation () =
+  let rng = Prng.create ~seed:5 and n = 10_000 in
+  let per f = Test_memsim.allocated_words f /. float_of_int n in
+  Alcotest.(check (float 0.05))
+    "words per int" 0.0
+    (per (fun () ->
+         for _ = 1 to n do
+           ignore (Sys.opaque_identity (Prng.int rng 1000))
+         done));
+  Alcotest.(check (float 0.05))
+    "words per float" 2.0
+    (per (fun () ->
+         for _ = 1 to n do
+           ignore (Sys.opaque_identity (Prng.float rng 1.0))
+         done))
+
 let qcheck_int_in_range =
   QCheck.Test.make ~name:"prng int always in range" ~count:500
     QCheck.(pair small_int (int_range 1 1000))
@@ -100,4 +134,6 @@ let suite =
     Alcotest.test_case "split independence" `Quick test_split_independence;
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_is_permutation;
     QCheck_alcotest.to_alcotest qcheck_int_in_range;
+    Alcotest.test_case "streams pinned" `Quick test_streams_pinned;
+    Alcotest.test_case "draw allocation" `Quick test_draw_allocation;
   ]

@@ -1,60 +1,65 @@
 open Mp_sim
 
+(* The engine's event queue is a heap keyed by (time, seq): posts at
+   distinct times fire in time order, and posts at one time in posting
+   order. *)
+let fire_order posts =
+  let e = Engine.create () in
+  let fired = ref [] in
+  List.iter
+    (fun (time, name) ->
+      Engine.post e
+        (Engine.event ~label:name (fun () -> fired := (name, Engine.now e) :: !fired))
+        ~at:time)
+    posts;
+  Engine.run e;
+  List.rev !fired
+
 let test_pqueue_orders_by_time () =
-  let q = Pqueue.create () in
-  Pqueue.push q ~time:3.0 ~seq:1 "c";
-  Pqueue.push q ~time:1.0 ~seq:2 "a";
-  Pqueue.push q ~time:2.0 ~seq:3 "b";
-  let first = Pqueue.pop q in
-  let second = Pqueue.pop q in
-  let third = Pqueue.pop q in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ];
-  Alcotest.(check bool) "drained" true (Pqueue.is_empty q);
-  Alcotest.(check (float 0.0)) "empty min" infinity (Pqueue.min_time q);
-  Alcotest.check_raises "pop empty" (Invalid_argument "Pqueue.pop: empty") (fun () ->
-      ignore (Pqueue.pop q))
+  Alcotest.(check (list (pair string (float 0.0))))
+    "sorted"
+    [ ("a", 1.0); ("b", 2.0); ("c", 3.0) ]
+    (fire_order [ (3.0, "c"); (1.0, "a"); (2.0, "b") ]);
+  let e = Engine.create () in
+  Engine.run e;
+  Alcotest.(check (float 0.0)) "empty run keeps the clock" 0.0 (Engine.now e)
 
 let test_pqueue_fifo_at_equal_time () =
-  let q = Pqueue.create () in
-  for i = 1 to 10 do
-    Pqueue.push q ~time:1.0 ~seq:i i
-  done;
-  let out = ref [] in
-  while not (Pqueue.is_empty q) do
-    out := Pqueue.pop q :: !out
-  done;
-  Alcotest.(check (list int)) "fifo" (List.init 10 (fun i -> i + 1)) (List.rev !out)
+  let names = List.init 10 (fun i -> string_of_int (i + 1)) in
+  Alcotest.(check (list string))
+    "fifo" names
+    (List.map fst (fire_order (List.map (fun n -> (1.0, n)) names)))
 
-(* Pops follow (time, seq) order; [min_tied] and [pop_min_group] agree on
-   the minimal-time group. *)
+(* Events fire in (time, seq) order, and a chooser is shown each tie group
+   whole: n events at one instant make n - 1 choice points, of n, n - 1, ...,
+   2 labels. *)
 let qcheck_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue pops in nondecreasing time order" ~count:200
     QCheck.(list (int_range 0 20))
     (fun times ->
-      let q = Pqueue.create () and sorted = Pqueue.create () in
-      List.iteri
-        (fun i time ->
-          Pqueue.push q ~time:(float_of_int time) ~seq:i i;
-          Pqueue.push sorted ~time:(float_of_int time) ~seq:i i)
-        times;
-      let expected =
-        List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.mapi (fun i t -> (t, i)) times)
+      let posts = List.mapi (fun i time -> (float_of_int time, string_of_int i)) times in
+      let expected = List.stable_sort (fun (a, _) (b, _) -> compare a b) posts in
+      let sorted = fire_order posts = List.map (fun (t, n) -> (n, t)) expected in
+      let e = Engine.create () and shown = ref [] in
+      Engine.set_chooser e
+        (Some
+           {
+             Engine.choose =
+               (fun ~time ~labels ->
+                 shown := (time, Array.length labels) :: !shown;
+                 0);
+             perturb_latency = (fun ~label:_ ~now:_ -> 0.0);
+           });
+      List.iter (fun (time, n) -> Engine.post e (Engine.event ~label:n ignore) ~at:time) posts;
+      Engine.run e;
+      let want =
+        List.concat_map
+          (fun time ->
+            let k = List.length (List.filter (fun (t, _) -> t = time) posts) in
+            List.init (max 0 (k - 1)) (fun j -> (time, k - j)))
+          (List.sort_uniq compare (List.map fst posts))
       in
-      let rec drain = function
-        | [] -> Pqueue.is_empty q
-        | (time, i) :: rest ->
-          Pqueue.min_time q = float_of_int time && Pqueue.pop q = i && drain rest
-      in
-      let rec groups () =
-        if Pqueue.is_empty sorted then true
-        else begin
-          let tied = Pqueue.min_tied sorted in
-          match Pqueue.pop_min_group sorted with
-          | Some (_, group) -> tied = (List.length group > 1) && groups ()
-          | None -> false
-        end
-      in
-      drain expected && groups ())
+      sorted && List.rev !shown = want)
 
 let test_delay_advances_clock () =
   let e = Engine.create () in
@@ -246,8 +251,9 @@ let test_stop () =
   Alcotest.(check int) "stopped at 10" 10 !ticks
 
 (* Each process's wake-up events and effect handlers are built at spawn,
-   and it parks in a slot made at its first park, so a delay allocates only
-   its continuation and its boxed wake-up time. *)
+   it parks in a slot made at its first park, and its wake-up time goes
+   straight into the event queue's float array, so a delay allocates only
+   its continuation. *)
 let test_delay_allocation () =
   let n = 10_000 in
   let words =
@@ -259,12 +265,11 @@ let test_delay_allocation () =
             done);
         Engine.run e)
   in
-  Alcotest.(check (float 0.05)) "words per delay" 4.0 (words /. float_of_int n)
+  Alcotest.(check (float 0.05)) "words per delay" 2.0 (words /. float_of_int n)
 
 (* A wait/set cycle on an auto-reset event allocates the waiter's
-   suspension (its continuation, one-shot [resume], deadlock-report entry
-   and queue cell) and the setter's delay: parking and waking the waiter
-   allocate no option. *)
+   continuation and the setter's: the waiter parks as an entry in the
+   event's ring, and its wake-up is an event built at spawn. *)
 let test_wait_set_allocation () =
   let n = 10_000 in
   let words =
@@ -282,7 +287,7 @@ let test_wait_set_allocation () =
             done);
         Engine.run e)
   in
-  Alcotest.(check (float 0.05)) "words per wait/set cycle" 18.0 (words /. float_of_int n)
+  Alcotest.(check (float 0.05)) "words per wait/set cycle" 4.0 (words /. float_of_int n)
 
 (* An event is posted again only once it has fired: posting it while it is
    queued raises, and its own callback may post it again. *)
@@ -372,6 +377,156 @@ let test_chooser_labels () =
     (ties ());
   Alcotest.(check int) "all finished" 0 (Engine.live e)
 
+(* A process woken and killed at one instant runs no more user code: its
+   resumption is queued when the kill lands, and unwinds when it fires. *)
+let test_kill_after_wake () =
+  let e = Engine.create () in
+  let ev = Sync.Event.create () and log = ref [] in
+  Engine.spawn e ~name:"w" ~group:1 (fun () ->
+      Sync.Event.wait ev;
+      log := Printf.sprintf "ran user code at %g" (Engine.now e) :: !log);
+  Engine.schedule e ~at:5.0 (fun () ->
+      Sync.Event.set ev;
+      Alcotest.(check int) "killed" 1 (Engine.kill_group e 1));
+  Engine.run e;
+  Alcotest.(check (list string)) "no user code after the kill" [] !log;
+  Alcotest.(check int) "finished" 0 (Engine.live e)
+
+(* A NaN time is rejected, so the clock never goes back. *)
+let test_nan_time () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note name = log := (name, Engine.now e) :: !log in
+  Engine.spawn e ~name:"a" (fun () ->
+      (match Engine.delay nan with
+      | () -> note "delayed by nan"
+      | exception Invalid_argument _ -> note "a");
+      Engine.delay (-1.0);
+      note "a");
+  Engine.schedule e ~at:5.0 (fun () -> note "b");
+  Engine.schedule e ~at:3.0 (fun () -> note "c");
+  Alcotest.check_raises "post at nan" (Invalid_argument "Engine.post: NaN time") (fun () ->
+      Engine.schedule e ~at:nan ignore);
+  Engine.run e;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "order"
+    [ ("a", 0.0); ("a", 0.0); ("c", 3.0); ("b", 5.0) ]
+    (List.rev !log)
+
+(* [spawn_waiter e ev log name] starts a process that waits on [ev] and
+   logs its name and wake time. *)
+let spawn_waiter ?group e ev log name =
+  Engine.spawn e ~name ?group (fun () ->
+      Sync.Event.wait ev;
+      log := (name, Engine.now e) :: !log)
+
+(* A waiter killed at the head of an auto-reset event's ring absorbs the
+   next [set]; the one after wakes the next waiter. *)
+let test_killed_head_absorbs_set () =
+  let e = Engine.create () in
+  let ev = Sync.Event.create () and log = ref [] in
+  spawn_waiter ~group:1 e ev log "killed";
+  spawn_waiter e ev log "next";
+  Engine.schedule e ~at:1.0 (fun () -> ignore (Engine.kill_group e 1));
+  Engine.schedule e ~at:2.0 (fun () -> Sync.Event.set ev);
+  Engine.schedule e ~at:3.0 (fun () -> Sync.Event.set ev);
+  Engine.run e;
+  Alcotest.(check (list (pair string (float 0.0)))) "woken" [ ("next", 3.0) ] !log;
+  Alcotest.(check bool) "not latched" false (Sync.Event.is_set ev);
+  Alcotest.(check int) "ring empty" 0 (Sync.Event.waiters ev)
+
+(* Waiters wake in FIFO order while the ring grows from 4 to 8 to 16 slots
+   with its head moved and its entries wrapped around. *)
+let test_ring_fifo () =
+  let e = Engine.create () in
+  let ev = Sync.Event.create () and log = ref [] in
+  let name i = Printf.sprintf "w%02d" i in
+  for i = 0 to 5 do
+    spawn_waiter e ev log (name i)
+  done;
+  Engine.spawn e ~name:"driver" (fun () ->
+      Engine.delay 1.0;
+      Sync.Event.set ev;
+      Sync.Event.set ev;
+      for i = 6 to 13 do
+        spawn_waiter e ev log (name i)
+      done;
+      Engine.delay 1.0;
+      for _ = 1 to 3 do
+        Sync.Event.set ev;
+        Engine.delay 1.0
+      done;
+      for i = 14 to 17 do
+        spawn_waiter e ev log (name i)
+      done;
+      Engine.delay 1.0;
+      while Sync.Event.waiters ev > 0 do
+        Sync.Event.set ev;
+        Engine.delay 1.0
+      done);
+  Engine.run e;
+  Alcotest.(check (list string)) "fifo" (List.init 18 name) (List.rev_map fst !log);
+  Alcotest.(check int) "all finished" 0 (Engine.live e)
+
+(* A manual-reset [set] wakes every waiter at the setter's instant, in the
+   order they waited. *)
+let test_manual_reset_fifo () =
+  let e = Engine.create () in
+  let ev = Sync.Event.create ~auto_reset:false () and log = ref [] in
+  let names = List.init 6 (Printf.sprintf "w%d") in
+  List.iter (spawn_waiter e ev log) names;
+  Engine.schedule e ~at:4.0 (fun () -> Sync.Event.set ev);
+  Engine.run e;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "all at 4, in order"
+    (List.map (fun n -> (n, 4.0)) names)
+    (List.rev !log)
+
+(* [blocked] lists each parked process once, in spawn order: not a killed
+   one, and a woken one only where it waits again. *)
+let test_blocked_after_kills_and_wakes () =
+  let e = Engine.create () in
+  let ev = Sync.Event.create ~name:"ev" () and other = Sync.Event.create ~name:"other" () in
+  Engine.spawn e ~name:"killed" ~group:1 (fun () -> Sync.Event.wait ev);
+  Engine.spawn e ~name:"rewaits" (fun () ->
+      Sync.Event.wait ev;
+      Sync.Event.wait ev);
+  Engine.spawn e ~name:"waits" (fun () -> Sync.Event.wait ev);
+  Engine.spawn e ~name:"elsewhere" (fun () -> Sync.Event.wait other);
+  Engine.schedule e ~at:1.0 (fun () -> ignore (Engine.kill_group e 1));
+  Engine.schedule e ~at:2.0 (fun () -> Sync.Event.set ev);
+  Engine.schedule e ~at:3.0 (fun () -> Sync.Event.set ev);
+  Engine.run e;
+  Alcotest.(check (list (pair string string)))
+    "blocked"
+    [ ("rewaits", "ev"); ("waits", "ev"); ("elsewhere", "other") ]
+    (Engine.blocked e)
+
+(* [suspend]'s [resume] wakes its own suspension once: inside [register],
+   again later, or after the process has suspended anew, it does nothing. *)
+let test_suspend_resume_one_shot () =
+  let e = Engine.create () in
+  let log = ref [] and saved = ref ignore in
+  Engine.spawn e ~name:"p" (fun () ->
+      Engine.suspend ~name:"inside" (fun resume ->
+          resume ();
+          resume ();
+          saved := resume);
+      log := ("after inside", Engine.now e) :: !log;
+      Engine.suspend ~name:"later" (fun resume ->
+          Engine.schedule e ~at:5.0 (fun () ->
+              !saved ();
+              resume ();
+              resume ()));
+      log := ("after later", Engine.now e) :: !log;
+      Engine.suspend ~name:"never" (fun _ -> ()));
+  Engine.run e;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "log"
+    [ ("after inside", 0.0); ("after later", 5.0) ]
+    (List.rev !log);
+  Alcotest.(check (list (pair string string))) "blocked" [ ("p", "never") ] (Engine.blocked e)
+
 let suite =
   [
     Alcotest.test_case "pqueue time order" `Quick test_pqueue_orders_by_time;
@@ -397,4 +552,12 @@ let suite =
     Alcotest.test_case "wait/set allocation" `Quick test_wait_set_allocation;
     Alcotest.test_case "event reuse" `Quick test_event_reuse;
     Alcotest.test_case "event reuse under a chooser" `Quick test_event_reuse_chosen;
+    Alcotest.test_case "kill after a wake" `Quick test_kill_after_wake;
+    Alcotest.test_case "nan time" `Quick test_nan_time;
+    Alcotest.test_case "killed head absorbs a set" `Quick test_killed_head_absorbs_set;
+    Alcotest.test_case "ring fifo across growth" `Quick test_ring_fifo;
+    Alcotest.test_case "manual-reset wakes in order" `Quick test_manual_reset_fifo;
+    Alcotest.test_case "blocked after kills and wakes" `Quick
+      test_blocked_after_kills_and_wakes;
+    Alcotest.test_case "suspend resume is one-shot" `Quick test_suspend_resume_one_shot;
   ]
