@@ -7,7 +7,9 @@
     hosts on Millipage, WATER at 8 hosts on the three baselines, the four
     fault-soak runs and the WATER crash run, the last five traced and
     checked by the invariant checker as [--trace-out] does.  Each is built
-    here the way [mprun] builds it from those flags.
+    here the way [mprun] builds it from those flags.  A traced run's line
+    ends with the MD5 of its event trace, serialized as [--trace-out]
+    writes it, so a renamed label or a moved event shows too.
 
     [bench sims > test/golden/sims.txt] regenerates the golden after an
     intended change; [bench sims --check] names every run whose line moved
@@ -19,6 +21,17 @@ module Dsm = Mp_millipage.Dsm
 module Recorder = Mp_obs.Recorder
 
 let golden = "test/golden/sims.txt"
+
+(* The MD5 of [events] as [mprun --trace-out] writes them.  The trace goes
+   through a temporary file: the fault-soak WATER run records about a
+   million events, too many to hold as one string. *)
+let trace_digest events =
+  let file = Filename.temp_file "sims" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Mp_obs.Export.write_jsonl file events;
+      Digest.to_hex (Digest.file file))
 
 module Line (D : Mp_dsm.Dsm_intf.S) = struct
   let run_app (t : D.t) = function
@@ -66,11 +79,16 @@ module Line (D : Mp_dsm.Dsm_intf.S) = struct
     in
     let verdict =
       if not traced then verdict
-      else if Recorder.dropped obs > 0 then verdict ^ ",invariants-skipped"
       else
-        match Mp_obs.Invariants.check (Recorder.events obs) with
-        | [] -> verdict ^ ",invariants-ok"
-        | v -> Printf.sprintf "%s,invariants-%d" verdict (List.length v)
+        let events = Recorder.events obs in
+        let checked =
+          if Recorder.dropped obs > 0 then "invariants-skipped"
+          else
+            match Mp_obs.Invariants.check events with
+            | [] -> "invariants-ok"
+            | v -> Printf.sprintf "invariants-%d" (List.length v)
+        in
+        Printf.sprintf "%s,%s trace=%s" verdict checked (trace_digest events)
     in
     Printf.sprintf "%s end_us=%h msgs=%d bytes=%d rf=%d wf=%d %s" name
       (Engine.now (D.engine t)) (D.messages_sent t) (D.bytes_sent t)

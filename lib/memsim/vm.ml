@@ -10,6 +10,7 @@ type t = {
   mutable views : view array;
   mutable tables : (Prot.t * Prot.t array) list;  (* shared tables, never written *)
   page_size : int;
+  page_shift : int;  (* log2 page_size: [Memobject] takes only powers of two *)
   vpages : int;
   size : int;  (* bytes spanned by each view *)
   stride : int;  (* distance between consecutive view bases *)
@@ -26,6 +27,8 @@ exception Bad_address of int
 
 let max_fault_retries = 64
 
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
 let create obj =
   let page_size = Memobject.page_size obj in
   let size = Memobject.size obj in
@@ -35,6 +38,7 @@ let create obj =
     views = [||];
     tables = [];
     page_size;
+    page_shift = log2 page_size;
     vpages = Memobject.pages obj;
     size;
     stride = size + page_size;
@@ -89,7 +93,7 @@ let phys_off t addr = addr - t.views.(view_of t addr).base
 let translate t addr =
   let idx = view_of t addr in
   let off = addr - t.views.(idx).base in
-  (idx, off / t.page_size, off)
+  (idx, off lsr t.page_shift, off)
 
 let protect t ~view:i ~vpage prot =
   let v = view t i in
@@ -150,8 +154,8 @@ let ensure_access t addr len access =
   let idx = view_of t addr in
   let v = t.views.(idx) in
   let off = addr - v.base in
-  let first = off / t.page_size in
-  let last = (off + len - 1) / t.page_size in
+  let first = off lsr t.page_shift in
+  let last = (off + len - 1) lsr t.page_shift in
   if last >= t.vpages then raise (Bad_address (addr + len - 1));
   if first <> last || not (Prot.allows v.prot.(first) access) then
     fault_until_allowed t addr access idx v first last 0;

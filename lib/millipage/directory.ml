@@ -1,4 +1,4 @@
-module Host_set = Set.Make (Int)
+open Mp_util
 
 type read_flight = {
   rf_req : int;
@@ -122,18 +122,30 @@ let note_request t ~req_id =
 let mark_completed t ~req_id ~now = Hashtbl.replace t.completed_reqs req_id now
 let completed t ~req_id = Hashtbl.mem t.completed_reqs req_id
 
+(* Whether [stamps] holds a completion older than [before].  Dropping in
+   place rebuilds the [Some] of every entry it keeps, and a lossy fabric's
+   retention window keeps nearly all of them, so a prune with nothing to
+   drop stops here. *)
+let any_before stamps ~before =
+  match Hashtbl.iter (fun _ at -> if at < before then raise_notrace Exit) stamps with
+  | () -> false
+  | exception Exit -> true
+
+(* Dropping in place keeps each bucket's survivors in order, and neither
+   table resizes, so the tables end as a fold-then-remove would leave them. *)
 let prune_completed t ~before =
-  let stale =
-    Hashtbl.fold
-      (fun req_id at acc -> if at < before then req_id :: acc else acc)
-      t.completed_reqs []
-  in
-  List.iter
-    (fun req_id ->
-      Hashtbl.remove t.completed_reqs req_id;
-      Hashtbl.remove t.seen_reqs req_id)
-    stale;
-  List.length stale
+  let pruned = ref 0 in
+  if any_before t.completed_reqs ~before then
+    Hashtbl.filter_map_inplace
+      (fun req_id at ->
+        if at < before then begin
+          Hashtbl.remove t.seen_reqs req_id;
+          incr pruned;
+          None
+        end
+        else Some at)
+      t.completed_reqs;
+  !pruned
 
 let idempotence_size t = Hashtbl.length t.seen_reqs + Hashtbl.length t.completed_reqs
 
@@ -233,13 +245,18 @@ module Replica = struct
      than the retransmission window suppresses nothing, so replicating it
      forever would unbound the replica on soak runs. *)
   let prune t ~before =
-    let stale =
-      Hashtbl.fold
-        (fun req_id at acc -> if at < before then req_id :: acc else acc)
-        t.r_completed []
-    in
-    List.iter (Hashtbl.remove t.r_completed) stale;
-    List.length stale
+    let pruned = ref 0 in
+    if any_before t.r_completed ~before then
+      Hashtbl.filter_map_inplace
+        (fun _ at ->
+          if at < before then begin
+            incr pruned;
+            None
+          end
+          else Some at)
+        t.r_completed;
+    !pruned
+
   let open_admissions t = Hashtbl.fold (fun r mp acc -> (r, mp) :: acc) t.r_open []
   let completed_count t = Hashtbl.length t.r_completed
 

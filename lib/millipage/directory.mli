@@ -6,7 +6,7 @@
     arrive while an earlier request on the same minipage is still in flight
     are queued — those are the "competing requests" counted in Figure 7. *)
 
-module Host_set : Set.S with type elt = int
+open Mp_util
 
 type read_flight = {
   rf_req : int;  (** request id (the obs span) *)

@@ -3,7 +3,6 @@ open Mp_sim
 open Mp_memsim
 open Mp_multiview
 open Mp_net
-module Host_set = Directory.Host_set
 
 module Config = struct
   (* The unreliable-network knobs: injected fabric faults and the hop-by-hop
@@ -307,7 +306,7 @@ type host_state = {
           (like the MPT); goes stale only on first-toucher migration or a
           backup promotion, and is repaired by HOME_REDIRECT / DEAD_NOTICE. *)
   mutable computing : int;
-  mutable dead_peers : Directory.Host_set.t;
+  mutable dead_peers : Host_set.t;
       (** peers this host has been told are declared dead (DEAD_NOTICE) *)
   bd : Breakdown.t;
   rc_copies : (int, rc_copy) Hashtbl.t;  (* mp_id -> local RC copy *)
@@ -319,13 +318,17 @@ type host_state = {
   free_flights : inflight stack;
 }
 
-(* [holder = None] means free.  Holding a lock is a lease: when the holder is
-   declared dead its home revokes it and grants the next live waiter.  Both
-   the holder and the queue name (host, tid) pairs so crash recovery can
-   rebuild the queue idempotently from the senders' ground truth. *)
+(* Holding a lock is a lease: when the holder is declared dead its home
+   revokes it and grants the next live waiter.  Both the holder and the
+   queue name a (host, tid) pair so crash recovery can rebuild the queue
+   idempotently from the senders' ground truth.  [holder_host] is -1 while
+   the lock is free. *)
+type waiter = { w_host : int; w_tid : int }
+
 type lock_state = {
-  mutable holder : (int * int) option;
-  lock_queue : (int * int) Queue.t;
+  mutable holder_host : int;
+  mutable holder_tid : int;
+  lock_queue : waiter Queue.t;
   mutable granted_from : int;  (* home that sent the in-flight/last grant *)
 }
 
@@ -451,13 +454,22 @@ type t = {
   mutable rc_diffs : int;
   mutable rc_diff_bytes : int;
   mutable mode_switch_log : (float * int * Proto.mode) list;  (* newest first *)
+  clock : Float.Array.t;  (* one slot, for [clock] *)
   (* test-only mutation state *)
   mutable mutation : test_mutation option;
   mutable mutation_count : int;
   mutable mutation_fired : bool;
 }
 
-type ctx = { t : t; hs : host_state; tid : int; mutable barrier_phase : int }
+(* [lock_ev] is the thread's one lock event: it waits on one lock at a
+   time, so every [lock] reuses it. *)
+type ctx = {
+  t : t;
+  hs : host_state;
+  tid : int;
+  mutable barrier_phase : int;
+  lock_ev : Sync.Event.t;
+}
 
 let manager = 0
 
@@ -494,13 +506,25 @@ let n_vpages t info = last_vpage t info - first_vpage t info + 1
 let protect_info _t (h : host_state) (info : Proto.info) prot =
   Vm.protect_range h.vm ~view:info.mp_view ~phys_off:info.base_off ~len:info.length prot
 
-let set_prot_cost t info = t.config.cost.set_prot_us *. float_of_int (n_vpages t info)
+(* The protection change of a whole minipage, charged without boxing its
+   cost. *)
+let delay_set_prot t info = Engine.delay_n t.config.cost.set_prot_us (n_vpages t info)
 
 module Obs = Mp_obs.Recorder
 module Sharing = Mp_obs.Sharing
 
 let obs t = t.recorder
-let rnow t = Engine.now t.engine
+
+(* The time a recorder hook stamps: the clock while the recorder records,
+   and 0.0 while it is off, so a disabled recorder costs no clock box.
+   Protocol state never takes it: a semantic read is [Engine.now]. *)
+let otime t = if Obs.enabled t.recorder then Engine.now t.engine else 0.0
+
+(* The clock, unboxed where this is inlined: a breakdown charge subtracts
+   two readings, and [Engine.now] would box each new instant. *)
+let[@inline] clock t =
+  Engine.now_into t.engine t.clock 0;
+  Float.Array.get t.clock 0
 
 let obs_access = function
   | Proto.Read -> Mp_obs.Event.Read
@@ -590,7 +614,7 @@ let rec transport_arm t tr ~chan ~src ~dst ~seq ~timeout =
                src dst seq t.config.net.Config.Net.max_retries);
         Stats.Counters.incr t.counters "transport.retransmits";
         if Obs.enabled (obs t) then
-          Obs.retransmit (obs t) ~time:(rnow t) ~host:src ~dst ~seq ~attempt:e.tries
+          Obs.retransmit (obs t) ~time:(otime t) ~host:src ~dst ~seq ~attempt:e.tries
             ~label:(Proto.describe e.tx_body);
         Fabric.send t.fabric ~src ~dst ~bytes:e.tx_bytes
           (Proto.Data { seq; body = e.tx_body });
@@ -642,7 +666,7 @@ let log_append t ~home record =
         header t
         + match record with Proto.L_shadow { data; _ } -> Bytes.length data | _ -> 0
       in
-      Obs.log_append (obs t) ~time:(rnow t) ~host:home ~span:(record_span record)
+      Obs.log_append (obs t) ~time:(otime t) ~host:home ~span:(record_span record)
         ~primary:home ~backup:b ~lseq ~record_tag:(record_tag record);
       send t ~src:home ~dst:b ~bytes (Proto.Log_append { primary = home; lseq; record })
     end
@@ -689,7 +713,7 @@ let proceed_write t ~home (e : Directory.entry) ~req_id ~from ~supplier =
   e.pending <-
     Directory.Write_in_flight
       { req_id; from; supplier = Option.value ~default:(-1) supplier };
-  Obs.forward (obs t) ~time:(rnow t) ~host:home ~span:req_id
+  Obs.forward (obs t) ~time:(otime t) ~host:home ~span:req_id
     ~access:Mp_obs.Event.Write ~mp_id:e.mp.Minipage.id
     ~supplier:(Option.value ~default:(-1) supplier);
   match supplier with
@@ -740,11 +764,11 @@ let gov_note_request t (e : Directory.entry) ~from ~access ~addr =
     match access with
     | Proto.Read ->
       sg.Sharing.reads <- sg.Sharing.reads + 1;
-      sg.Sharing.readers <- Sharing.Host_set.add from sg.Sharing.readers
+      sg.Sharing.readers <- Host_set.add from sg.Sharing.readers
     | Proto.Write ->
       g.g_win_writes <- g.g_win_writes + 1;
       sg.Sharing.writes <- sg.Sharing.writes + 1;
-      sg.Sharing.writers <- Sharing.Host_set.add from sg.Sharing.writers;
+      sg.Sharing.writers <- Host_set.add from sg.Sharing.writers;
       if sg.Sharing.last_writer >= 0 && sg.Sharing.last_writer <> from then
         sg.Sharing.writer_changes <- sg.Sharing.writer_changes + 1;
       sg.Sharing.last_writer <- from
@@ -781,81 +805,86 @@ let gov_note_diff t mp_id ~from diff =
     let sg = g.g_sig in
     g.g_win_writes <- g.g_win_writes + 1;
     sg.Sharing.writes <- sg.Sharing.writes + 1;
-    sg.Sharing.writers <- Sharing.Host_set.add from sg.Sharing.writers;
+    sg.Sharing.writers <- Host_set.add from sg.Sharing.writers;
     sg.Sharing.transfers <- sg.Sharing.transfers + 1;
     sg.Sharing.bytes_in <- sg.Sharing.bytes_in + Twin_diff.encoded_bytes diff
   end
 
-(* [charge_lookup]: crash recovery calls this from the failure detector,
-   which must restart queued operations atomically — no simulated delay. *)
+(* Serve a request that can start now.  [charge_lookup]: crash recovery
+   calls this from the failure detector, which must restart queued
+   operations atomically — no simulated delay. *)
+let manager_start_request ~charge_lookup t ~home (e : Directory.entry) ~req_id ~from
+    ~access ~addr =
+  let cost = t.config.cost in
+  if charge_lookup then Engine.delay cost.mpt_lookup_us;
+  check_lost t e ~from;
+  gov_note_request t e ~from ~access ~addr;
+  let info = info_of t e.mp in
+  if e.mode = Proto.Rc then begin
+    (* release-consistent serve: data straight from the home's master copy
+       — no forward hop, no invalidation round.  Reads and writes alike
+       get a copy; concurrent writers are reconciled by release-time
+       diffs, so a write serve leaves every other copy in place. *)
+    let data =
+      match e.shadow with
+      | Some master -> Bytes.copy master
+      | None -> failwith "millipage: RC minipage without a master copy"
+    in
+    let flight =
+      { Directory.rf_req = req_id; rf_from = from; rf_supplier = home;
+        rf_group = false }
+    in
+    (match e.pending with
+    | Directory.Reads_in_flight r -> r.flights <- flight :: r.flights
+    | Directory.No_op -> e.pending <- Directory.Reads_in_flight { flights = [ flight ] }
+    | _ -> failwith "millipage: RC serve during a conflicting operation");
+    send t ~src:home ~dst:from
+      ~bytes:(Cost_model.data_message_bytes cost info.length)
+      (Proto.Rc_data { req_id; access; info; epoch = e.epoch; data })
+  end
+  else
+  match access with
+  | Proto.Read ->
+    let replica = choose_read_replica e in
+    let flight =
+      { Directory.rf_req = req_id; rf_from = from; rf_supplier = replica;
+        rf_group = false }
+    in
+    (match e.pending with
+    | Directory.Reads_in_flight r -> r.flights <- flight :: r.flights
+    | Directory.No_op -> e.pending <- Directory.Reads_in_flight { flights = [ flight ] }
+    | _ -> failwith "millipage: read started during a conflicting operation");
+    Obs.forward (obs t) ~time:(otime t) ~host:home ~span:req_id
+      ~access:Mp_obs.Event.Read ~mp_id:info.mp_id ~supplier:replica;
+    send t ~src:home ~dst:replica ~bytes:(header t)
+      (Proto.Forward { req_id; from; access = Proto.Read; info })
+  | Proto.Write ->
+    let upgrade = Host_set.mem from e.copyset in
+    let supplier = if upgrade then None else Some (choose_supplier e ~from) in
+    let targets =
+      let cs = Host_set.remove from e.copyset in
+      match supplier with Some s -> Host_set.remove s cs | None -> cs
+    in
+    if Host_set.is_empty targets then proceed_write t ~home e ~req_id ~from ~supplier
+    else begin
+      gov_note_invals t e ~writer:from ~targets;
+      e.pending <-
+        Directory.Write_waiting_invals { req_id; from; targets; waiting = targets };
+      Host_set.iter
+        (fun target ->
+          Stats.Counters.incr t.counters "invalidations";
+          Obs.inval_send (obs t) ~time:(otime t) ~host:home ~span:req_id
+            ~mp_id:info.mp_id ~target ~writer:from;
+          send t ~src:home ~dst:target ~bytes:(header t)
+            (Proto.Invalidate { req_id; info }))
+        targets
+    end
+
 let manager_start ?(charge_lookup = true) t ~home (e : Directory.entry)
     (q : Directory.queued) =
-  let cost = t.config.cost in
   match q with
-  | Directory.Q_request { req_id; from; access; addr } -> (
-    if charge_lookup then Engine.delay cost.mpt_lookup_us;
-    check_lost t e ~from;
-    gov_note_request t e ~from ~access ~addr;
-    let info = info_of t e.mp in
-    if e.mode = Proto.Rc then begin
-      (* release-consistent serve: data straight from the home's master copy
-         — no forward hop, no invalidation round.  Reads and writes alike
-         get a copy; concurrent writers are reconciled by release-time
-         diffs, so a write serve leaves every other copy in place. *)
-      let data =
-        match e.shadow with
-        | Some master -> Bytes.copy master
-        | None -> failwith "millipage: RC minipage without a master copy"
-      in
-      let flight =
-        { Directory.rf_req = req_id; rf_from = from; rf_supplier = home;
-          rf_group = false }
-      in
-      (match e.pending with
-      | Directory.Reads_in_flight r -> r.flights <- flight :: r.flights
-      | Directory.No_op -> e.pending <- Directory.Reads_in_flight { flights = [ flight ] }
-      | _ -> failwith "millipage: RC serve during a conflicting operation");
-      send t ~src:home ~dst:from
-        ~bytes:(Cost_model.data_message_bytes cost info.length)
-        (Proto.Rc_data { req_id; access; info; epoch = e.epoch; data })
-    end
-    else
-    match access with
-    | Proto.Read ->
-      let replica = choose_read_replica e in
-      let flight =
-        { Directory.rf_req = req_id; rf_from = from; rf_supplier = replica;
-          rf_group = false }
-      in
-      (match e.pending with
-      | Directory.Reads_in_flight r -> r.flights <- flight :: r.flights
-      | Directory.No_op -> e.pending <- Directory.Reads_in_flight { flights = [ flight ] }
-      | _ -> failwith "millipage: read started during a conflicting operation");
-      Obs.forward (obs t) ~time:(rnow t) ~host:home ~span:req_id
-        ~access:Mp_obs.Event.Read ~mp_id:info.mp_id ~supplier:replica;
-      send t ~src:home ~dst:replica ~bytes:(header t)
-        (Proto.Forward { req_id; from; access = Proto.Read; info })
-    | Proto.Write ->
-      let upgrade = Host_set.mem from e.copyset in
-      let supplier = if upgrade then None else Some (choose_supplier e ~from) in
-      let targets =
-        let cs = Host_set.remove from e.copyset in
-        match supplier with Some s -> Host_set.remove s cs | None -> cs
-      in
-      if Host_set.is_empty targets then proceed_write t ~home e ~req_id ~from ~supplier
-      else begin
-        gov_note_invals t e ~writer:from ~targets;
-        e.pending <-
-          Directory.Write_waiting_invals { req_id; from; targets; waiting = targets };
-        Host_set.iter
-          (fun target ->
-            Stats.Counters.incr t.counters "invalidations";
-            Obs.inval_send (obs t) ~time:(rnow t) ~host:home ~span:req_id
-              ~mp_id:info.mp_id ~target ~writer:from;
-            send t ~src:home ~dst:target ~bytes:(header t)
-              (Proto.Invalidate { req_id; info }))
-          targets
-      end)
+  | Directory.Q_request { req_id; from; access; addr } ->
+    manager_start_request ~charge_lookup t ~home e ~req_id ~from ~access ~addr
   | Directory.Q_push { req_id; from; data } ->
     let info = info_of t e.mp in
     (* a push overwrites the whole minipage with fresh content, so it makes a
@@ -867,7 +896,7 @@ let manager_start ?(charge_lookup = true) t ~home (e : Directory.entry)
     if adaptive_on t then (gov_of t info.mp_id).g_pushed <- true;
     if ft_on t || e.mode = Proto.Rc then begin
       e.shadow <- Some (Bytes.copy data);
-      Obs.shadow_refresh (obs t) ~time:(rnow t) ~host:home ~mp_id:info.mp_id
+      Obs.shadow_refresh (obs t) ~time:(otime t) ~host:home ~mp_id:info.mp_id
         ~bytes:info.length;
       log_shadow t ~home e
     end;
@@ -879,7 +908,7 @@ let manager_start ?(charge_lookup = true) t ~home (e : Directory.entry)
     if others = [] then begin
       e.copyset <- Host_set.singleton from;
       e.owner <- from;
-      log_complete t ~home ~req_id ~at:(rnow t);
+      log_complete t ~home ~req_id ~at:(Engine.now t.engine);
       log_entry_state t ~home e;
       send t ~src:home ~dst:from ~bytes:(header t) (Proto.Push_complete { req_id })
     end
@@ -898,15 +927,20 @@ let manager_start ?(charge_lookup = true) t ~home (e : Directory.entry)
 
 (* A read can start whenever only reads are in flight; anything else needs
    the minipage completely quiet. *)
-let can_start (e : Directory.entry) (q : Directory.queued) =
-  match (e.pending, q) with
+let can_start_request (e : Directory.entry) access =
+  match (e.pending, access) with
   | Directory.No_op, _ -> true
-  | Directory.Reads_in_flight _, Directory.Q_request { access = Proto.Read; _ } -> true
-  | Directory.Reads_in_flight _, Directory.Q_request { access = Proto.Write; _ } ->
+  | Directory.Reads_in_flight _, Proto.Read -> true
+  | Directory.Reads_in_flight _, Proto.Write ->
     (* multi-writer: an RC home serves concurrent writes without waiting;
        a Mode_switch_wait fence (like every other pending) blocks all starts *)
     e.mode = Proto.Rc
   | _ -> false
+
+let can_start (e : Directory.entry) (q : Directory.queued) =
+  match q with
+  | Directory.Q_request { access; _ } -> can_start_request e access
+  | Directory.Q_push _ -> e.pending = Directory.No_op
 
 let queued_span = function
   | Directory.Q_request { req_id; _ } | Directory.Q_push { req_id; _ } -> req_id
@@ -915,7 +949,7 @@ let manager_enqueue t ~home (e : Directory.entry) (q : Directory.queued) =
   let dir = t.dirs.(home) in
   Directory.enqueue dir e q;
   let depth = Directory.queue_depth dir in
-  Obs.queue_enter (obs t) ~time:(rnow t) ~host:home ~span:(queued_span q)
+  Obs.queue_enter (obs t) ~time:(otime t) ~host:home ~span:(queued_span q)
     ~mp_id:e.mp.Minipage.id ~depth;
   if not (central t) then Obs.home_queue_depth (obs t) ~home ~depth
 
@@ -930,7 +964,7 @@ let rec manager_drain_queue ?(charge_lookup = true) t ~home (e : Directory.entry
     let dir = t.dirs.(home) in
     ignore (Directory.dequeue dir e);
     let depth = Directory.queue_depth dir in
-    Obs.queue_exit (obs t) ~time:(rnow t) ~host:home ~span:(queued_span q)
+    Obs.queue_exit (obs t) ~time:(otime t) ~host:home ~span:(queued_span q)
       ~mp_id:e.mp.Minipage.id ~depth;
     if not (central t) then Obs.home_queue_depth (obs t) ~home ~depth;
     manager_start ~charge_lookup t ~home e q;
@@ -948,7 +982,7 @@ let ft_migrate t ~mp_id ~to_ =
     Directory.adopt t.dirs.(to_) e;
     Hashtbl.replace t.home_tbl mp_id to_;
     Stats.Counters.incr t.counters "homes.migrations";
-    Obs.home_assign (obs t) ~time:(rnow t) ~host:to_ ~mp_id ~home:to_;
+    Obs.home_assign (obs t) ~time:(otime t) ~host:to_ ~mp_id ~home:to_;
     (* the minipage now belongs to [to_]'s log stream; the old home's stale
        replica entry is harmless (promotion walks the corpse's directory) *)
     log_entry_state t ~home:to_ e;
@@ -958,7 +992,7 @@ let ft_migrate t ~mp_id ~to_ =
 let home_redirect t ~home ~req_id ~mp_id ~from =
   let new_home = home_of_mp t mp_id in
   Stats.Counters.incr t.counters "homes.redirects";
-  Obs.home_redirect (obs t) ~time:(rnow t) ~host:home ~span:req_id ~mp_id
+  Obs.home_redirect (obs t) ~time:(otime t) ~host:home ~span:req_id ~mp_id
     ~old_home:home ~new_home;
   send t ~src:home ~dst:from ~bytes:(header t)
     (Proto.Home_redirect { req_id; mp_id; home = new_home })
@@ -984,14 +1018,16 @@ let manager_request t ~home ~req_id ~from ~access ~addr =
   if home_of_mp t mp_id <> home then home_redirect t ~home ~req_id ~mp_id ~from
   else if Directory.note_request t.dirs.(home) ~req_id then begin
     log_admit t ~home ~req_id ~mp_id;
-    manager_submit t ~home
-      (Directory.entry t.dirs.(home) ~mp_id)
-      (Directory.Q_request { req_id; from; access; addr })
+    (* the queue record is made only for a request that must wait *)
+    let e = Directory.entry t.dirs.(home) ~mp_id in
+    if can_start_request e access then
+      manager_start_request ~charge_lookup:true t ~home e ~req_id ~from ~access ~addr
+    else manager_enqueue t ~home e (Directory.Q_request { req_id; from; access; addr })
   end
   else begin
     Stats.Counters.incr t.counters "manager.dup_requests";
     if Obs.enabled (obs t) then
-      Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:home ~span:req_id ~src:from
+      Obs.dup_suppressed (obs t) ~time:(otime t) ~host:home ~span:req_id ~src:from
         ~seq:(-1)
         ~label:(Printf.sprintf "REQUEST(%s @%d)" (Proto.access_to_string access) addr)
         ()
@@ -1012,7 +1048,7 @@ let manager_inval_reply t ~home ~req_id ~mp_id ~from =
   match e.pending with
   | Directory.Write_waiting_invals w when w.req_id = req_id ->
     w.waiting <- Host_set.remove from w.waiting;
-    Obs.inval_ack (obs t) ~time:(rnow t) ~host:home ~span:w.req_id ~mp_id ~from
+    Obs.inval_ack (obs t) ~time:(otime t) ~host:home ~span:w.req_id ~mp_id ~from
       ~last:(Host_set.is_empty w.waiting);
     if Host_set.is_empty w.waiting then begin
       let upgrade = Host_set.mem w.from e.copyset in
@@ -1024,7 +1060,7 @@ let manager_inval_reply t ~home ~req_id ~mp_id ~from =
     if Directory.completed t.dirs.(home) ~req_id then begin
       Stats.Counters.incr t.counters "manager.stale_inval_replies";
       if Obs.enabled (obs t) then
-        Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:home ~span:req_id
+        Obs.dup_suppressed (obs t) ~time:(otime t) ~host:home ~span:req_id
           ~src:from ~seq:(-1)
           ~label:(Printf.sprintf "INVALIDATE_REPLY(mp%d)" mp_id) ()
     end
@@ -1034,16 +1070,15 @@ let manager_inval_reply t ~home ~req_id ~mp_id ~from =
    idempotence tables: once a completion is older than the retransmission
    window no duplicate of it can still arrive, so remembering it is pure
    memory growth (satellite: bounded idempotence state on soak runs). *)
-let complete_req ?entry t ~home ~req_id =
-  let now = rnow t in
+let complete_req t ~home ~req_id e =
+  let now = Engine.now t.engine in
   Directory.mark_completed t.dirs.(home) ~req_id ~now;
   log_complete t ~home ~req_id ~at:now;
-  (match entry with Some e -> log_entry_state t ~home e | None -> ());
+  log_entry_state t ~home e;
   t.completions <- t.completions + 1;
   if t.completions land 255 = 0 then
     ignore
-      (Directory.prune_completed t.dirs.(home)
-         ~before:(rnow t -. t.idem_retention_us))
+      (Directory.prune_completed t.dirs.(home) ~before:(now -. t.idem_retention_us))
 
 (* [flights] less the one flight of [req_id], in order; an ACK that matches
    no flight, or several, is a protocol error. *)
@@ -1064,12 +1099,12 @@ let manager_ack t ~home ~req_id ~mp_id ~from =
     (* a retransmitted ack for an operation that already closed: tolerate *)
     Stats.Counters.incr t.counters "manager.stale_acks";
     if Obs.enabled (obs t) then
-      Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:home ~span:req_id ~src:from
+      Obs.dup_suppressed (obs t) ~time:(otime t) ~host:home ~span:req_id ~src:from
         ~seq:(-1)
         ~label:(Printf.sprintf "ACK(mp%d)" mp_id) ()
   end
   else begin
-    Obs.ack (obs t) ~time:(rnow t) ~host:home ~span:req_id ~mp_id ~from;
+    Obs.ack (obs t) ~time:(otime t) ~host:home ~span:req_id ~mp_id ~from;
     (match e.pending with
     | Directory.Reads_in_flight r ->
       let rest = without_flight ~req_id r.flights in
@@ -1081,7 +1116,7 @@ let manager_ack t ~home ~req_id ~mp_id ~from =
       e.owner <- from;
       e.pending <- Directory.No_op
     | _ -> failwith "millipage: unexpected ACK");
-    complete_req ~entry:e t ~home ~req_id;
+    complete_req t ~home ~req_id e;
     manager_drain_queue t ~home e
   end
 
@@ -1094,7 +1129,7 @@ let live_copyset t =
 let finish_push ?charge_lookup t ~home (e : Directory.entry) ~req_id ~from =
   e.copyset <- live_copyset t;
   e.owner <- (if t.declared.(from) then home else from);
-  log_complete t ~home ~req_id ~at:(rnow t);
+  log_complete t ~home ~req_id ~at:(Engine.now t.engine);
   log_entry_state t ~home e;
   if not t.declared.(from) then
     send t ~src:home ~dst:from ~bytes:(header t) (Proto.Push_complete { req_id });
@@ -1127,7 +1162,7 @@ let manager_group_fetch t ~home ~req_id ~from ~group_id =
     | Some ids -> ids
     | None -> failwith (Printf.sprintf "millipage: unknown composed view %d" group_id)
   in
-  Engine.delay (cost.mpt_lookup_us *. float_of_int (List.length members));
+  Engine.delay_n cost.mpt_lookup_us (List.length members);
   (* serve only the members this shard homes; a member whose hint was stale
      lands in the wrong sub-fetch, is skipped here, and faults on demand
      later.  A group fetch counts as a touch: it fixes first-toucher members
@@ -1248,7 +1283,7 @@ let demote_entry t ~home (e : Directory.entry) =
   e.mode <- Proto.Sc;
   e.epoch <- e.epoch + 1;
   Stats.Counters.incr t.counters "rc.demotes";
-  t.mode_switch_log <- (rnow t, info.mp_id, Proto.Sc) :: t.mode_switch_log;
+  t.mode_switch_log <- (Engine.now t.engine, info.mp_id, Proto.Sc) :: t.mode_switch_log;
   if Host_set.is_empty targets then complete_mode_switch t ~home e
   else begin
     e.pending <- Directory.Mode_switch_wait { epoch = e.epoch; waiting = targets };
@@ -1277,11 +1312,11 @@ let promote_entry t ~home (e : Directory.entry) =
     e.mode <- Proto.Rc;
     e.epoch <- e.epoch + 1;
     Stats.Counters.incr t.counters "rc.promotes";
-    t.mode_switch_log <- (rnow t, info.mp_id, Proto.Rc) :: t.mode_switch_log;
+    t.mode_switch_log <- (Engine.now t.engine, info.mp_id, Proto.Rc) :: t.mode_switch_log;
     if home_has_copy then begin
       e.shadow <- Some (Vm.priv_read_bytes hh.vm ~off:info.base_off ~len:info.length);
       (* the home keeps a clean read-only RC copy of the fresh master *)
-      Engine.delay (set_prot_cost t info);
+      delay_set_prot t info;
       protect_info t hh info Prot.Read_only;
       Hashtbl.replace hh.rc_copies info.mp_id
         { rc_info = info; rc_epoch = e.epoch; rc_twin = None }
@@ -1466,7 +1501,7 @@ let shadow_sync_host t ~host =
     t.dirs;
   if !refreshed > 0 then begin
     Stats.Counters.incr t.counters "ft.shadow_syncs";
-    Obs.shadow_sync (obs t) ~time:(rnow t) ~host ~refreshed:!refreshed
+    Obs.shadow_sync (obs t) ~time:(otime t) ~host ~refreshed:!refreshed
   end
 
 (* How many application threads the current barrier must collect: all of
@@ -1508,71 +1543,74 @@ let manager_barrier_enter t ~home ~from ~tid ~phase =
   end
 
 let lock_state t lock =
-  match Hashtbl.find_opt t.locks lock with
-  | Some s -> s
-  | None ->
-    let s = { holder = None; lock_queue = Queue.create (); granted_from = -1 } in
+  match Hashtbl.find t.locks lock with
+  | s -> s
+  | exception Not_found ->
+    let s =
+      { holder_host = -1; holder_tid = -1; lock_queue = Queue.create (); granted_from = -1 }
+    in
     Hashtbl.add t.locks lock s;
     s
 
-let grant_lock t ~home (s : lock_state) ~lock ~to_:(host, tid) =
-  s.holder <- Some (host, tid);
+let grant_lock t ~home (s : lock_state) ~lock ~host ~tid =
+  s.holder_host <- host;
+  s.holder_tid <- tid;
   s.granted_from <- home;
   send t ~src:home ~dst:host ~bytes:(header t) (Proto.Lock_grant { lock; tid })
 
+(* Whether [host]'s thread [tid] waits in [s]'s queue. *)
+let queued (s : lock_state) ~host ~tid =
+  (not (Queue.is_empty s.lock_queue))
+  && Queue.fold (fun acc w -> acc || (w.w_host = host && w.w_tid = tid)) false s.lock_queue
+
 let manager_lock_acquire t ~home ~from ~tid ~lock =
   let s = lock_state t lock in
-  let already =
-    (match s.holder with Some (hh, ht) -> hh = from && ht = tid | None -> false)
-    || Queue.fold (fun acc (h', t') -> acc || (h' = from && t' = tid)) false
-         s.lock_queue
-  in
-  if already then
+  if (s.holder_host = from && s.holder_tid = tid) || queued s ~host:from ~tid then
     (* recovery re-enqueued this request from the sender's ground truth and
        the original acquire straggled in afterwards (or vice versa) *)
     Stats.Counters.incr t.counters "homes.stale_lock_acquires"
-  else
-    match s.holder with
-    | Some _ -> Queue.add (from, tid) s.lock_queue
-    | None -> grant_lock t ~home s ~lock ~to_:(from, tid)
+  else if s.holder_host >= 0 then Queue.add { w_host = from; w_tid = tid } s.lock_queue
+  else grant_lock t ~home s ~lock ~host:from ~tid
 
-let rec next_live_waiter t s =
-  match Queue.take_opt s.lock_queue with
-  | Some (h, _) when t.declared.(h) -> next_live_waiter t s
-  | r -> r
+(* Grant [s] to its next live waiter, or free it when none is left. *)
+let rec pass_lock t ~home (s : lock_state) ~lock =
+  if Queue.is_empty s.lock_queue then begin
+    s.holder_host <- -1;
+    s.holder_tid <- -1;
+    s.granted_from <- -1
+  end
+  else
+    let w = Queue.take s.lock_queue in
+    if t.declared.(w.w_host) then pass_lock t ~home s ~lock
+    else grant_lock t ~home s ~lock ~host:w.w_host ~tid:w.w_tid
 
 (* The holder-side release logic, shared between live message processing and
    crash recovery's replay of releases swallowed by a dead home. *)
 let lock_release_engine t ~home ~from ~lock =
   let s = lock_state t lock in
-  match s.holder with
-  | None ->
+  if s.holder_host < 0 then begin
     if ft_on t then
       (* recovery can legitimately produce a straggling duplicate *)
       Stats.Counters.incr t.counters "manager.stale_lock_releases"
     else failwith "millipage: release of a free lock"
-  | Some (hh, _) when hh <> from ->
+  end
+  else if s.holder_host <> from then
     (* the lease was revoked (holder declared dead) while this release was in
        flight, or a fenced host's release straggled in: ignore it *)
     Stats.Counters.incr t.counters "manager.stale_lock_releases"
-  | Some _ -> (
-    match next_live_waiter t s with
-    | Some next -> grant_lock t ~home s ~lock ~to_:next
-    | None ->
-      s.holder <- None;
-      s.granted_from <- -1)
+  else pass_lock t ~home s ~lock
 
 let manager_lock_release t ~home ~from ~lock =
   (* retire this release from the sender-side ground truth: it reached a home *)
-  (match Hashtbl.find_opt t.pending_releases lock with
-  | Some entries ->
+  (match Hashtbl.find t.pending_releases lock with
+  | entries ->
     let rec drop_first = function
       | [] -> []
       | (f, _) :: rest when f = from -> rest
       | p :: rest -> p :: drop_first rest
     in
     entries := drop_first !entries
-  | None -> ());
+  | exception Not_found -> ());
   lock_release_engine t ~home ~from ~lock
 
 (* ------------------------------------------------------------------ *)
@@ -1593,7 +1631,7 @@ let shadow_refresh t (info : Proto.info) data =
     let e = Directory.entry t.dirs.(home) ~mp_id:info.mp_id in
     e.shadow <- Some (Bytes.copy data);
     Stats.Counters.incr t.counters "ft.shadow_refreshes";
-    Obs.shadow_refresh (obs t) ~time:(rnow t) ~host:home ~mp_id:info.mp_id
+    Obs.shadow_refresh (obs t) ~time:(otime t) ~host:home ~mp_id:info.mp_id
       ~bytes:info.length;
     log_shadow t ~home e
   end
@@ -1621,12 +1659,12 @@ let host_forward t (h : host_state) ~req_id ~from ~access (info : Proto.info) =
       let first = first_vpage t info in
       (match Vm.protection h.vm ~view:info.mp_view ~vpage:first with
       | Prot.Read_write ->
-        Engine.delay (set_prot_cost t info);
+        delay_set_prot t info;
         protect_info t h info Prot.Read_only
       | Prot.Read_only | Prot.No_access -> ())
     | Proto.Write ->
       (* the supplier gives its copy away *)
-      Engine.delay (set_prot_cost t info);
+      delay_set_prot t info;
       protect_info t h info Prot.No_access);
     let data = take_reply_buf t info.length in
     Vm.priv_read_into h.vm ~off:info.base_off data;
@@ -1691,19 +1729,20 @@ let reply_wake t (h : host_state) ~req_id ~access (info : Proto.info) =
   done;
   if not !matched then server_ack t h ~req_id ~mp_id:info.mp_id
 
-let host_reply t (h : host_state) ~req_id ~access (info : Proto.info) data =
-  let cost = t.config.cost in
-  (match data with
-  | Some d ->
-    Engine.delay (cost.recv_dma_us_per_byte *. float_of_int info.length);
-    Vm.priv_write_bytes h.vm ~off:info.base_off d
-  | None -> ());
-  Engine.delay (set_prot_cost t info);
+(* A reply landed ([Write_grant], or [Reply_data] once its bytes are
+   written): protect the minipage and wake its faulting threads. *)
+let host_reply t (h : host_state) ~req_id ~access (info : Proto.info) =
+  delay_set_prot t info;
   protect_info t h info
     (match access with Proto.Read -> Prot.Read_only | Proto.Write -> Prot.Read_write);
-  Obs.reply (obs t) ~time:(rnow t) ~host:h.id ~span:req_id
+  Obs.reply (obs t) ~time:(otime t) ~host:h.id ~span:req_id
     ~access:(obs_access access) ~mp_id:info.mp_id ~bytes:info.length;
   reply_wake t h ~req_id ~access info
+
+let host_reply_data t (h : host_state) ~req_id ~access (info : Proto.info) data =
+  Engine.delay_n t.config.cost.recv_dma_us_per_byte info.length;
+  Vm.priv_write_bytes h.vm ~off:info.base_off data;
+  host_reply t h ~req_id ~access info
 
 (* ------------------------------------------------------------------ *)
 (* Release consistency: sharer side (copies, twins, flushes)           *)
@@ -1717,7 +1756,7 @@ let host_reply t (h : host_state) ~req_id ~access (info : Proto.info) data =
    plus this host's own writes, which the install would lose. *)
 let host_rc_data t (h : host_state) ~req_id ~access (info : Proto.info) ~epoch data =
   let cost = t.config.cost in
-  Engine.delay (cost.recv_dma_us_per_byte *. float_of_int info.length);
+  Engine.delay_n cost.recv_dma_us_per_byte info.length;
   let c =
     match Hashtbl.find_opt h.rc_copies info.mp_id with
     | Some c ->
@@ -1731,7 +1770,7 @@ let host_rc_data t (h : host_state) ~req_id ~access (info : Proto.info) ~epoch d
   if c.rc_twin = None then Vm.priv_write_bytes h.vm ~off:info.base_off data;
   (match access with
   | Proto.Read ->
-    Engine.delay (set_prot_cost t info);
+    delay_set_prot t info;
     protect_info t h info Prot.Read_only
   | Proto.Write ->
     if c.rc_twin = None then begin
@@ -1739,9 +1778,9 @@ let host_rc_data t (h : host_state) ~req_id ~access (info : Proto.info) ~epoch d
       c.rc_twin <- Some (Twin_diff.twin data);
       t.rc_twins <- t.rc_twins + 1
     end;
-    Engine.delay (set_prot_cost t info);
+    delay_set_prot t info;
     protect_info t h info Prot.Read_write);
-  Obs.reply (obs t) ~time:(rnow t) ~host:h.id ~span:req_id
+  Obs.reply (obs t) ~time:(otime t) ~host:h.id ~span:req_id
     ~access:(obs_access access) ~mp_id:info.mp_id ~bytes:info.length;
   reply_wake t h ~req_id ~access info
 
@@ -1756,7 +1795,7 @@ let rc_write_local t (h : host_state) (c : rc_copy) =
       Some (Twin_diff.twin (Vm.priv_read_bytes h.vm ~off:info.base_off ~len:info.length));
     t.rc_twins <- t.rc_twins + 1
   end;
-  Engine.delay (set_prot_cost t info);
+  delay_set_prot t info;
   protect_info t h info Prot.Read_write
 
 let host_rc_diff_ack t (h : host_state) ~req_id =
@@ -1791,7 +1830,7 @@ let rc_flush t (h : host_state) =
         Engine.delay (Twin_diff.creation_cost_us ~page_bytes:info.length);
         let diff = Twin_diff.diff ~twin ~current in
         c.rc_twin <- None;
-        Engine.delay (set_prot_cost t info);
+        delay_set_prot t info;
         protect_info t h info Prot.Read_only;
         if not (Twin_diff.is_empty diff) then begin
           let req_id = fresh_req t in
@@ -1829,7 +1868,7 @@ let rc_acquire_invalidate t (h : host_state) =
     (fun (mp_id, (c : rc_copy)) ->
       if c.rc_twin = None then begin
         Hashtbl.remove h.rc_copies mp_id;
-        Engine.delay (set_prot_cost t c.rc_info);
+        delay_set_prot t c.rc_info;
         protect_info t h c.rc_info Prot.No_access
       end)
     copies
@@ -1874,7 +1913,7 @@ let host_mode_switch t (h : host_state) ~mp_id ~epoch ~mode (info : Proto.info) 
     | None -> ());
     Hashtbl.remove h.rc_copies mp_id
   | None -> ());
-  Engine.delay (set_prot_cost t info);
+  delay_set_prot t info;
   protect_info t h info Prot.No_access;
   send t ~src:h.id ~dst:(hint_of h mp_id)
     ~bytes:(header t + match data with Some b -> Bytes.length b | None -> 0)
@@ -1926,7 +1965,7 @@ let host_forward_group t (h : host_state) ~req_id ~from members =
         let first = first_vpage t info in
         (match Vm.protection h.vm ~view:info.mp_view ~vpage:first with
         | Prot.Read_write ->
-          Engine.delay (set_prot_cost t info);
+          delay_set_prot t info;
           protect_info t h info Prot.Read_only
         | Prot.Read_only | Prot.No_access -> ());
         let data = Vm.priv_read_bytes h.vm ~off:info.base_off ~len:info.length in
@@ -1947,7 +1986,8 @@ let host_group_data t (h : host_state) ~req_id members =
   List.iter
     (fun ((info : Proto.info), data) ->
       Engine.delay
-        ((cost.recv_dma_us_per_byte *. float_of_int info.length) +. set_prot_cost t info);
+        ((cost.recv_dma_us_per_byte *. float_of_int info.length)
+        +. (cost.set_prot_us *. float_of_int (n_vpages t info)));
       Vm.priv_write_bytes h.vm ~off:info.base_off data;
       protect_info t h info Prot.Read_only;
       wake_read_entries h t info)
@@ -1986,7 +2026,7 @@ let host_group_replan (h : host_state) ~req_id ~drop =
       group_fetch_check gf)
 
 let host_invalidate t (h : host_state) ~req_id (info : Proto.info) =
-  Engine.delay (set_prot_cost t info);
+  delay_set_prot t info;
   protect_info t h info Prot.No_access;
   (* test-only mutation: swallow the nth invalidation acknowledgement — the
      writer's invalidation round never completes, which the invariant
@@ -2009,14 +2049,14 @@ let host_invalidate t (h : host_state) ~req_id (info : Proto.info) =
 
 let host_push_update t (h : host_state) (info : Proto.info) data =
   let cost = t.config.cost in
-  Engine.delay (cost.recv_dma_us_per_byte *. float_of_int info.length);
+  Engine.delay_n cost.recv_dma_us_per_byte info.length;
   Vm.priv_write_bytes h.vm ~off:info.base_off data;
   (* a push overwrites the whole minipage: any local RC twin is obsolete
      (the pushed content IS the new master) *)
   (match Hashtbl.find_opt h.rc_copies info.mp_id with
   | Some c -> c.rc_twin <- None
   | None -> ());
-  Engine.delay (set_prot_cost t info);
+  delay_set_prot t info;
   protect_info t h info Prot.Read_only;
   send t ~src:h.id ~dst:(hint_of h info.mp_id) ~bytes:(header t)
     (Proto.Push_update_ack { mp_id = info.mp_id; from = h.id })
@@ -2035,18 +2075,19 @@ let host_barrier_release (h : host_state) ~phase =
 let host_lock_grant t (h : host_state) ~lock ~tid =
   (* retire the granted request from the sender-side ground truth; the home
      grants in our send order, so the first entry for this host is [tid]'s *)
-  (match Hashtbl.find_opt t.lock_requests lock with
-  | Some entries ->
+  (match Hashtbl.find t.lock_requests lock with
+  | entries ->
     let rec drop_first = function
       | [] -> []
       | (hh, tt) :: rest when hh = h.id && tt = tid -> rest
       | p :: rest -> p :: drop_first rest
     in
     entries := drop_first !entries
-  | None -> ());
-  match Hashtbl.find_opt h.lock_waiters lock with
-  | Some q when not (Queue.is_empty q) -> Sync.Event.set (Queue.take q)
-  | Some _ | None -> failwith "millipage: LOCK_GRANT with no local waiter"
+  | exception Not_found -> ());
+  match Hashtbl.find h.lock_waiters lock with
+  | q when not (Queue.is_empty q) -> Sync.Event.set (Queue.take q)
+  | _ -> failwith "millipage: LOCK_GRANT with no local waiter"
+  | exception Not_found -> failwith "millipage: LOCK_GRANT with no local waiter"
 
 let host_push_complete (h : host_state) ~req_id =
   match Hashtbl.find_opt h.push_waiters req_id with
@@ -2098,7 +2139,7 @@ let crash_host t h ~fenced =
     Fabric.crash t.fabric ~host:h;
     ignore (Engine.kill_group t.engine h);
     Stats.Counters.incr t.counters (if fenced then "ft.fenced" else "ft.crashes");
-    if not fenced then Obs.host_crash (obs t) ~time:(rnow t) ~host:h;
+    if not fenced then Obs.host_crash (obs t) ~time:(otime t) ~host:h;
     if all_live_done t then t.ft_stop <- true
   end
 
@@ -2106,7 +2147,7 @@ let stall_host t h ~until =
   if not (t.crashed.(h) || t.declared.(h)) then begin
     Fabric.stall t.fabric ~host:h ~until;
     Stats.Counters.incr t.counters "ft.stalls";
-    Obs.host_stall (obs t) ~time:(rnow t) ~host:h ~until
+    Obs.host_stall (obs t) ~time:(otime t) ~host:h ~until
   end
 
 (* Did the dead host write this minipage after its last observed transfer?
@@ -2149,7 +2190,7 @@ let install_shadow t (e : Directory.entry) ~dead ~at =
   if rolled then Stats.Counters.incr t.counters "replicate.rollbacks";
   Stats.Counters.incr t.counters
     (if lost then "ft.lost_minipages" else "ft.recovered_minipages");
-  Obs.recover_minipage (obs t) ~time:(rnow t) ~host:at ~span:0
+  Obs.recover_minipage (obs t) ~time:(otime t) ~host:at ~span:0
     ~mp_id:info.mp_id ~lost
 
 (* Walk one directory shard and erase host [h] from it: drop its queued
@@ -2157,7 +2198,7 @@ let install_shadow t (e : Directory.entry) ~dead ~at =
    participated in, and recover minipages it exclusively owned.  [home] is
    the shard's host, which runs the recovery sends. *)
 let scrub_shard t ~home h =
-  let now = rnow t in
+  let now = Engine.now t.engine in
   let dir = t.dirs.(home) in
   (* (req_id, fetching host) of group batches that died with their supplier *)
   let dead_batches : (int * int, unit) Hashtbl.t = Hashtbl.create 4 in
@@ -2307,18 +2348,11 @@ let scrub_shard t ~home h =
 let revoke_leases t h ~site =
   Hashtbl.iter
     (fun lock (s : lock_state) ->
-      match s.holder with
-      | Some (hh, _) when hh = h ->
-        let next = next_live_waiter t s in
-        (match next with
-        | Some n -> grant_lock t ~home:site s ~lock ~to_:n
-        | None ->
-          s.holder <- None;
-          s.granted_from <- -1);
+      if s.holder_host = h then begin
+        pass_lock t ~home:site s ~lock;
         Stats.Counters.incr t.counters "ft.lease_revokes";
-        Obs.lease_revoke (obs t) ~time:(rnow t) ~host:h ~lock
-          ~next:(match next with Some (n, _) -> n | None -> -1)
-      | _ -> ())
+        Obs.lease_revoke (obs t) ~time:(otime t) ~host:h ~lock ~next:s.holder_host
+      end)
     t.locks
 
 (* Lock-side recovery beyond lease revocation.  The global lock state
@@ -2348,33 +2382,25 @@ let rebuild_locks t h ~site =
       entries := List.filter (fun (from, _) -> not t.declared.(from)) !entries;
       let s = lock_state t lock in
       let keep = Queue.create () in
-      Queue.iter
-        (fun (hh, tt) -> if not t.declared.(hh) then Queue.add (hh, tt) keep)
-        s.lock_queue;
+      Queue.iter (fun w -> if not t.declared.(w.w_host) then Queue.add w keep) s.lock_queue;
       Queue.clear s.lock_queue;
       Queue.transfer keep s.lock_queue;
       List.iter
         (fun (from, tid) ->
-          let is_holder = s.holder = Some (from, tid) in
-          let queued =
-            Queue.fold (fun acc p -> acc || p = (from, tid)) false s.lock_queue
-          in
-          if is_holder then begin
+          if s.holder_host = from && s.holder_tid = tid then begin
             (* the grant left the dead home; if the host-side record is still
                outstanding it was swallowed (or may race recovery — the
                receiver dedupes), so re-send it from the recovery site *)
             if s.granted_from = h then begin
               Stats.Counters.incr t.counters "homes.regrants";
-              grant_lock t ~home:site s ~lock ~to_:(from, tid)
+              grant_lock t ~home:site s ~lock ~host:from ~tid
             end
           end
-          else if not queued then Queue.add (from, tid) s.lock_queue)
+          else if not (queued s ~host:from ~tid) then
+            Queue.add { w_host = from; w_tid = tid } s.lock_queue)
         !entries;
       (* a free lock with waiters can only arise from the replays above *)
-      if s.holder = None then
-        match next_live_waiter t s with
-        | Some next -> grant_lock t ~home:site s ~lock ~to_:next
-        | None -> ())
+      if s.holder_host < 0 then pass_lock t ~home:site s ~lock)
     t.lock_requests
 
 (* Degraded barriers: every unreleased phase is rebuilt from the senders'
@@ -2415,7 +2441,7 @@ let rebuild_barriers t h ~site =
         in
         entered := List.filter (fun (from, _) -> not t.declared.(from)) !sent;
         Stats.Counters.incr t.counters "ft.barrier_reconfigs";
-        Obs.barrier_reconfig (obs t) ~time:(rnow t) ~host:site ~bphase:phase
+        Obs.barrier_reconfig (obs t) ~time:(otime t) ~host:site ~bphase:phase
           ~expected:target;
         if List.length !entered >= target then
           barrier_release t ~home:site ~phase
@@ -2456,7 +2482,7 @@ let rc_diff_stragglers t ~dead ~mp_id set =
    is also walked to balance the obs trace with synthetic
    queue-exit/inval-ack/ack events for the books the dead home left open. *)
 let promote_backup t ~dead:h ~backup:b =
-  let now = rnow t in
+  let now = Engine.now t.engine in
   let dir_d = t.dirs.(h) and dir_b = t.dirs.(b) in
   let rep = t.replicas.(h) in
   t.promoted.(h) <- true;
@@ -2624,7 +2650,7 @@ let promote_backup t ~dead:h ~backup:b =
    backup is gone too and its shard was empty), each operation it had in
    flight to the dead home. *)
 let resend_orphans t h ~to_ =
-  let now = rnow t in
+  let now = Engine.now t.engine in
   Array.iter
     (fun (hs : host_state) ->
       if not (t.declared.(hs.id) || t.crashed.(hs.id)) then begin
@@ -2717,7 +2743,7 @@ let declare_dead t h =
   if not t.declared.(h) then begin
     t.declared.(h) <- true;
     Stats.Counters.incr t.counters "ft.declared_dead";
-    Obs.declare_dead (obs t) ~time:(rnow t) ~host:h;
+    Obs.declare_dead (obs t) ~time:(otime t) ~host:h;
     let b = backup_of_home t h in
     let backup_alive = not (t.declared.(b) || t.crashed.(b)) in
     if (not backup_alive) && not (Seq.is_empty (Directory.entries t.dirs.(h))) then
@@ -2742,7 +2768,7 @@ let declare_dead t h =
        DEAD_NOTICE obs event is emitted in dispatch) *)
     t.host_states.(manager).dead_peers <-
       Host_set.add h t.host_states.(manager).dead_peers;
-    Obs.dead_notice (obs t) ~time:(rnow t) ~host:manager ~dead:h;
+    Obs.dead_notice (obs t) ~time:(otime t) ~host:manager ~dead:h;
     (* erase the dead host from every surviving shard, then have its backup
        take over the shard it was itself running (same home id, log-replay
        recovery), then have live requesters resend what was in flight to it
@@ -2786,7 +2812,7 @@ let deadlock_report t =
     !live_missing blocked !queued !busy
 
 let detector_tick t (ft : Config.Ft.t) =
-  let now = rnow t in
+  let now = Engine.now t.engine in
   for h = 1 to hosts t - 1 do
     if not t.declared.(h) then begin
       let silent = now -. t.last_beat.(h) in
@@ -2899,12 +2925,12 @@ let dispatch t (h : host_state) (body : Proto.body) =
     Engine.delay cost.sync_dispatch_us
   | Proto.Reply_data { req_id; access; info; data } ->
     Engine.delay cost.dispatch_us;
-    host_reply t h ~req_id ~access info (Some data);
-    (* [host_reply] has written the bytes: the buffer is free *)
+    host_reply_data t h ~req_id ~access info data;
+    (* [host_reply_data] has written the bytes: the buffer is free *)
     push (Hashtbl.find t.reply_bufs info.length) data
   | Proto.Write_grant { req_id; info } ->
     Engine.delay cost.dispatch_us;
-    host_reply t h ~req_id ~access:Proto.Write info None
+    host_reply t h ~req_id ~access:Proto.Write info
   | Proto.Invalidate { req_id; info } ->
     Engine.delay cost.sync_dispatch_us;
     host_invalidate t h ~req_id info
@@ -2984,7 +3010,7 @@ let dispatch t (h : host_state) (body : Proto.body) =
   | Proto.Dead_notice { dead } ->
     Engine.delay cost.sync_dispatch_us;
     h.dead_peers <- Host_set.add dead h.dead_peers;
-    Obs.dead_notice (obs t) ~time:(rnow t) ~host:h.id ~dead
+    Obs.dead_notice (obs t) ~time:(otime t) ~host:h.id ~dead
   | Proto.Log_append { primary; lseq; record } ->
     (* backup side of a replicated home shard: the ARQ channel delivers the
        log in order exactly once, so [lseq] arrives dense; a record from an
@@ -2995,8 +3021,8 @@ let dispatch t (h : host_state) (body : Proto.body) =
     if t.log_applies land 255 = 0 then
       ignore
         (Directory.Replica.prune t.replicas.(primary)
-           ~before:(rnow t -. t.idem_retention_us));
-    Obs.log_apply (obs t) ~time:(rnow t) ~host:h.id ~span:(record_span record)
+           ~before:(Engine.now t.engine -. t.idem_retention_us));
+    Obs.log_apply (obs t) ~time:(otime t) ~host:h.id ~span:(record_span record)
       ~primary ~lseq ~record_tag:(record_tag record)
   | Proto.Data _ | Proto.Tack _ -> failwith "millipage: a transport packet reached dispatch"
 
@@ -3029,7 +3055,7 @@ let on_message t (h : host_state) (m : Proto.body Fabric.msg) =
       if seq < tr.rx_next.(chan) || Hashtbl.mem tr.rx_hold (chan, seq) then begin
         Stats.Counters.incr t.counters "transport.dups_suppressed";
         if Obs.enabled (obs t) then
-          Obs.dup_suppressed (obs t) ~time:(rnow t) ~host:h.id ~src:m.src ~seq
+          Obs.dup_suppressed (obs t) ~time:(otime t) ~host:h.id ~src:m.src ~seq
             ~label:(Proto.describe body) ()
       end
       else begin
@@ -3056,8 +3082,9 @@ let on_message t (h : host_state) (m : Proto.body Fabric.msg) =
 (* The fault in flight that an [access] fault on [key]'s vpage joins: a write
    satisfies both kinds, a read only reads.  [key] is the in-flight key the
    new fault would take, built once for this lookup and [send_request]'s.
-   Raises [Not_found]. *)
+   Raises [Not_found], at once when nothing is in flight. *)
 let joinable (h : host_state) ((view, vpage, _) as key) access =
+  if Hashtbl.length h.inflight = 0 then raise Not_found;
   match access with
   | Proto.Write -> Hashtbl.find h.inflight key
   | Proto.Read -> (
@@ -3094,7 +3121,7 @@ let send_request t (h : host_state) ~key ~access ~addr ~by_prefetch =
       }
   in
   Hashtbl.replace h.inflight key e;
-  Obs.request_sent (obs t) ~time:(rnow t) ~host:h.id ~span:req_id
+  Obs.request_sent (obs t) ~time:(otime t) ~host:h.id ~span:req_id
     ~access:(obs_access access) ~addr ~prefetch:by_prefetch;
   send t ~src:h.id ~dst:target ~bytes:(header t)
     (Proto.Request { req_id; from = h.id; access; addr });
@@ -3102,7 +3129,8 @@ let send_request t (h : host_state) ~key ~access ~addr ~by_prefetch =
 
 type bucket = B_compute | B_prefetch | B_read | B_write | B_synch
 
-let charge (h : host_state) bucket dt =
+(* Inlined, so [dt] is not boxed. *)
+let[@inline] charge (h : host_state) bucket dt =
   let bd = h.bd in
   match bucket with
   | B_compute -> bd.Breakdown.compute <- bd.Breakdown.compute +. dt
@@ -3114,7 +3142,7 @@ let charge (h : host_state) bucket dt =
 let on_fault t (h : host_state) (f : Vm.fault) =
   let cost = t.config.cost in
   let access = match f.access with Prot.Read -> Proto.Read | Prot.Write -> Proto.Write in
-  let t0 = Engine.now t.engine in
+  let t0 = clock t in
   Engine.delay cost.fault_us;
   (* RC write upgrade: a write fault on a read-only copy this host already
      holds under RC is served locally — twin and re-protect, no message *)
@@ -3137,11 +3165,12 @@ let on_fault t (h : host_state) (f : Vm.fault) =
   match rc_local with
   | Some c ->
     let span = fresh_req t in
-    Obs.fault_begin (obs t) ~time:t0 ~host:h.id ~span ~access:(obs_access access)
-      ~addr:f.addr ~view:f.view ~vpage:f.vpage;
+    if Obs.enabled (obs t) then
+      Obs.fault_begin (obs t) ~time:t0 ~host:h.id ~span ~access:(obs_access access)
+        ~addr:f.addr ~view:f.view ~vpage:f.vpage;
     rc_write_local t h c;
-    charge h B_write (Engine.now t.engine -. t0);
-    Obs.fault_end (obs t) ~time:(rnow t) ~host:h.id ~span
+    charge h B_write (clock t -. t0);
+    Obs.fault_end (obs t) ~time:(otime t) ~host:h.id ~span
   | None ->
   let key = (f.view, f.vpage, access_idx access) in
   let e =
@@ -3153,8 +3182,9 @@ let on_fault t (h : host_state) (f : Vm.fault) =
      fresh req_id while we sleep, and fault_end must close the span that
      fault_begin opened *)
   let span0 = e.req_id in
-  Obs.fault_begin (obs t) ~time:t0 ~host:h.id ~span:span0
-    ~access:(obs_access access) ~addr:f.addr ~view:f.view ~vpage:f.vpage;
+  if Obs.enabled (obs t) then
+    Obs.fault_begin (obs t) ~time:t0 ~host:h.id ~span:span0
+      ~access:(obs_access access) ~addr:f.addr ~view:f.view ~vpage:f.vpage;
   e.waiters <- e.waiters + 1;
   Sync.Event.wait e.event;
   Engine.delay cost.wakeup_us;
@@ -3162,8 +3192,8 @@ let on_fault t (h : host_state) (f : Vm.fault) =
     if e.by_prefetch then B_prefetch
     else match access with Proto.Read -> B_read | Proto.Write -> B_write
   in
-  charge h bucket (Engine.now t.engine -. t0);
-  Obs.fault_end (obs t) ~time:(rnow t) ~host:h.id ~span:span0;
+  charge h bucket (clock t -. t0);
+  Obs.fault_end (obs t) ~time:(otime t) ~host:h.id ~span:span0;
   if e.ack_mp >= 0 then begin
     let mp_id = e.ack_mp in
     e.ack_mp <- -1;
@@ -3234,7 +3264,7 @@ let create engine ~hosts:nhosts ?(config = Config.default) () =
       group_fetches = Hashtbl.create 8;
       hints = Hashtbl.create 64;
       computing = 0;
-      dead_peers = Directory.Host_set.empty;
+      dead_peers = Host_set.empty;
       bd = Breakdown.create ();
       rc_copies = Hashtbl.create 64;
       rc_out = Hashtbl.create 16;
@@ -3306,6 +3336,7 @@ let create engine ~hosts:nhosts ?(config = Config.default) () =
       rc_diffs = 0;
       rc_diff_bytes = 0;
       mode_switch_log = [];
+      clock = Float.Array.make 1 0.0;
       mutation = None;
       mutation_count = 0;
       mutation_fired = false;
@@ -3332,7 +3363,7 @@ let malloc t size =
     Directory.register t.dirs.(home) mp;
     Hashtbl.replace t.home_tbl mp_id home;
     if not (central t) then
-      Obs.home_assign (obs t) ~time:(rnow t) ~host:home ~mp_id ~home;
+      Obs.home_assign (obs t) ~time:(otime t) ~host:home ~mp_id ~home;
     if t.config.homes.Config.Homes.policy = Config.Homes.First_toucher then
       Hashtbl.replace t.ft_pending mp_id ();
     Array.iter (fun hs -> Hashtbl.replace hs.hints mp_id home) t.host_states;
@@ -3347,7 +3378,7 @@ let malloc t size =
      allocation so chunk growth updates the mapping *)
   let info = info_of t mp in
   let first = first_vpage t info and last = last_vpage t info in
-  Obs.mp_map (obs t) ~time:(rnow t) ~host:manager ~mp_id
+  Obs.mp_map (obs t) ~time:(otime t) ~host:manager ~mp_id
     ~view:mp.Minipage.view
     ~base_addr:
       (Vm.address t.host_states.(manager).vm ~view:mp.Minipage.view
@@ -3370,7 +3401,15 @@ let spawn t ~host ?name f =
   t.total_threads <- t.total_threads + 1;
   t.threads_by_host.(host) <- t.threads_by_host.(host) + 1;
   let name = Option.value ~default:(Printf.sprintf "app.h%d" host) name in
-  let ctx = { t; hs = t.host_states.(host); tid; barrier_phase = 0 } in
+  let ctx =
+    {
+      t;
+      hs = t.host_states.(host);
+      tid;
+      barrier_phase = 0;
+      lock_ev = Sync.Event.create ~name:"lock" ();
+    }
+  in
   Engine.spawn t.engine ~name ~group:host (fun () ->
       f ctx;
       t.finished_threads <- t.finished_threads + 1;
@@ -3453,9 +3492,9 @@ let barrier ctx =
       Hashtbl.add h.barrier_events phase ev;
       ev
   in
-  let t0 = Engine.now t.engine in
+  let t0 = clock t in
   Stats.Counters.incr t.counters "barriers";
-  Obs.barrier_enter (obs t) ~time:t0 ~host:h.id ~bphase:phase;
+  if Obs.enabled (obs t) then Obs.barrier_enter (obs t) ~time:t0 ~host:h.id ~bphase:phase;
   (* barrier entry is a release: flush this host's dirty RC copies to their
      homes (and wait for the acks) before announcing arrival *)
   rc_flush t h;
@@ -3473,30 +3512,30 @@ let barrier ctx =
     (Proto.Barrier_enter { from = h.id; tid = ctx.tid; phase });
   Sync.Event.wait ev;
   Engine.delay t.config.cost.wakeup_us;
-  Obs.barrier_exit (obs t) ~time:(rnow t) ~host:h.id ~bphase:phase
-    ~waited_us:(Engine.now t.engine -. t0);
-  charge h B_synch (Engine.now t.engine -. t0)
+  if Obs.enabled (obs t) then
+    Obs.barrier_exit (obs t) ~time:(Engine.now t.engine) ~host:h.id ~bphase:phase
+      ~waited_us:(clock t -. t0);
+  charge h B_synch (clock t -. t0)
 
 let lock ctx l =
   let t = ctx.t and h = ctx.hs in
-  let ev = Sync.Event.create ~name:"lock" () in
   let q =
-    match Hashtbl.find_opt h.lock_waiters l with
-    | Some q -> q
-    | None ->
+    match Hashtbl.find h.lock_waiters l with
+    | q -> q
+    | exception Not_found ->
       let q = Queue.create () in
       Hashtbl.add h.lock_waiters l q;
       q
   in
-  Queue.add ev q;
-  let t0 = Engine.now t.engine in
+  Queue.add ctx.lock_ev q;
+  let t0 = clock t in
   Stats.Counters.incr t.counters "locks";
-  Obs.lock_acquire (obs t) ~time:t0 ~host:h.id ~lock:l;
+  if Obs.enabled (obs t) then Obs.lock_acquire (obs t) ~time:t0 ~host:h.id ~lock:l;
   let target = sync_home t l in
   let reqs =
-    match Hashtbl.find_opt t.lock_requests l with
-    | Some r -> r
-    | None ->
+    match Hashtbl.find t.lock_requests l with
+    | r -> r
+    | exception Not_found ->
       let r = ref [] in
       Hashtbl.add t.lock_requests l r;
       r
@@ -3504,23 +3543,24 @@ let lock ctx l =
   reqs := !reqs @ [ (h.id, ctx.tid) ];
   send t ~src:h.id ~dst:target ~bytes:(header t)
     (Proto.Lock_acquire { req_id = fresh_req t; from = h.id; tid = ctx.tid; lock = l });
-  Sync.Event.wait ev;
+  Sync.Event.wait ctx.lock_ev;
   Engine.delay t.config.cost.wakeup_us;
-  Obs.lock_grant (obs t) ~time:(rnow t) ~host:h.id ~lock:l
-    ~waited_us:(Engine.now t.engine -. t0);
-  charge h B_synch (Engine.now t.engine -. t0)
+  if Obs.enabled (obs t) then
+    Obs.lock_grant (obs t) ~time:(Engine.now t.engine) ~host:h.id ~lock:l
+      ~waited_us:(clock t -. t0);
+  charge h B_synch (clock t -. t0)
 
 let unlock ctx l =
   let t = ctx.t and h = ctx.hs in
-  Obs.lock_release (obs t) ~time:(rnow t) ~host:h.id ~lock:l;
+  Obs.lock_release (obs t) ~time:(otime t) ~host:h.id ~lock:l;
   (* an unlock is a release: the next holder's acquire must find this
      critical section's writes at the master copies *)
   rc_flush t h;
   let target = sync_home t l in
   let rels =
-    match Hashtbl.find_opt t.pending_releases l with
-    | Some r -> r
-    | None ->
+    match Hashtbl.find t.pending_releases l with
+    | r -> r
+    | exception Not_found ->
       let r = ref [] in
       Hashtbl.add t.pending_releases l r;
       r
@@ -3541,7 +3581,7 @@ let prefetch ctx addr access =
     | exception Not_found ->
       Stats.Counters.incr t.counters "prefetches";
       let e = send_request t h ~key ~access ~addr ~by_prefetch:true in
-      Obs.prefetch_issued (obs t) ~time:(rnow t) ~host:h.id ~span:e.req_id
+      Obs.prefetch_issued (obs t) ~time:(otime t) ~host:h.id ~span:e.req_id
         ~access:(obs_access access) ~addr;
       Engine.delay 2.0
 
@@ -3563,7 +3603,7 @@ let push_to_all ctx addr =
   if rc_local then rc_flush t h;
   let info = info_of t mp in
   let cost = t.config.cost in
-  Engine.delay (set_prot_cost t info);
+  delay_set_prot t info;
   protect_info t h info Prot.Read_only;
   let data = Vm.priv_read_bytes h.vm ~off:info.base_off ~len:info.length in
   let req_id = fresh_req t in
@@ -3573,13 +3613,13 @@ let push_to_all ctx addr =
   in
   Hashtbl.replace h.push_waiters req_id pw;
   Stats.Counters.incr t.counters "pushes";
-  let t0 = Engine.now t.engine in
+  let t0 = clock t in
   send t ~src:h.id ~dst:pw.pu_target
     ~bytes:(header t + info.length)
     (Proto.Push { req_id; from = h.id; info; data });
   Sync.Event.wait ev;
   Engine.delay cost.wakeup_us;
-  charge h B_synch (Engine.now t.engine -. t0)
+  charge h B_synch (clock t -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* Composed views: registration and thread-side fetch                  *)
@@ -3612,7 +3652,7 @@ let fetch_group ctx group_id =
      central policy this collapses to the single manager round-trip *)
   let targets = List.sort_uniq compare (List.map (fun id -> hint_of h id) members) in
   Stats.Counters.incr t.counters "group.fetches";
-  let t0 = Engine.now t.engine in
+  let t0 = clock t in
   List.iter
     (fun target ->
       let req_id = fresh_req t in
@@ -3628,7 +3668,7 @@ let fetch_group ctx group_id =
           ~bytes:(header t + (4 * List.length mp_ids))
           (Proto.Group_ack { req_id; from = h.id; mp_ids }))
     targets;
-  charge h B_prefetch (Engine.now t.engine -. t0)
+  charge h B_prefetch (clock t -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)

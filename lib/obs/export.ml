@@ -157,19 +157,18 @@ let perfetto_json ?(extra = []) (events : Event.t list) =
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
-let jsonl (events : Event.t list) =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (Event.to_json e);
-      Buffer.add_char buf '\n')
-    events;
-  Buffer.contents buf
-
-let write_file path contents =
+let with_file path write =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc)
 
 let write_perfetto ?extra path events =
-  write_file path (perfetto_json ?extra events)
-let write_jsonl path events = write_file path (jsonl events)
+  with_file path (fun oc -> output_string oc (perfetto_json ?extra events))
+
+(* Streamed line by line: a long trace never becomes one string. *)
+let write_jsonl path (events : Event.t list) =
+  with_file path (fun oc ->
+      List.iter
+        (fun e ->
+          output_string oc (Event.to_json e);
+          output_char oc '\n')
+        events)

@@ -7,8 +7,8 @@
     messages as instant events, manager queue depth as a counter series.
     Timestamps are simulated µs.
 
-    {!jsonl} is one JSON object per event, one per line — easy to post-process
-    with jq or load into a dataframe. *)
+    {!write_jsonl} writes one JSON object per event, one per line — easy to
+    post-process with jq or load into a dataframe. *)
 
 val counter : name:string -> ts:float -> pid:int -> value:int -> string
 (** Render one pre-formatted "C" (counter) trace event, for use with
@@ -19,7 +19,6 @@ val perfetto_json : ?extra:string list -> Event.t list -> string
     [traceEvents] — {!Profile.perfetto_counters} uses it to add counter
     series computed outside the event ring. *)
 
-val jsonl : Event.t list -> string
-
 val write_perfetto : ?extra:string list -> string -> Event.t list -> unit
 val write_jsonl : string -> Event.t list -> unit
+(** Writes the trace a line at a time, without building it as one string. *)

@@ -275,10 +275,10 @@ let feed t (e : Event.t) =
     (match access with
     | Event.Read ->
       sg.Sharing.reads <- sg.Sharing.reads + 1;
-      sg.Sharing.readers <- Sharing.Host_set.add e.host sg.Sharing.readers
+      sg.Sharing.readers <- Mp_util.Host_set.add e.host sg.Sharing.readers
     | Event.Write ->
       sg.Sharing.writes <- sg.Sharing.writes + 1;
-      sg.Sharing.writers <- Sharing.Host_set.add e.host sg.Sharing.writers;
+      sg.Sharing.writers <- Mp_util.Host_set.add e.host sg.Sharing.writers;
       if sg.Sharing.last_writer >= 0 && sg.Sharing.last_writer <> e.host then
         sg.Sharing.writer_changes <- sg.Sharing.writer_changes + 1;
       sg.Sharing.last_writer <- e.host)
@@ -533,8 +533,8 @@ let report t =
                 string_of_int sg.Sharing.reads;
                 string_of_int sg.Sharing.writes;
                 string_of_int
-                  (Sharing.Host_set.cardinal sg.Sharing.readers
-                  + Sharing.Host_set.cardinal sg.Sharing.writers);
+                  (Mp_util.Host_set.cardinal sg.Sharing.readers
+                  + Mp_util.Host_set.cardinal sg.Sharing.writers);
                 string_of_int sg.Sharing.transfers;
                 string_of_int sg.Sharing.invals;
                 string_of_int (sg.Sharing.false_invals + sg.Sharing.false_caused);

@@ -6,6 +6,8 @@
    testable on synthetic signatures and guarantees determinism (no clocks,
    no randomness — the verdict is a function of the signature alone). *)
 
+open Mp_util
+
 type pattern =
   | Private
   | Read_mostly
@@ -23,26 +25,6 @@ let pattern_name = function
   | Write_shared -> "write-shared"
   | Falsely_shared -> "falsely-shared"
   | Low_traffic -> "low-traffic"
-
-(* Host sets are small (simulated hosts), so sorted int lists beat hashtables
-   for determinism and are cheap enough. *)
-module Host_set = struct
-  type t = int list  (* sorted ascending, no duplicates *)
-
-  let empty = []
-
-  let rec add h = function
-    | [] -> [ h ]
-    | x :: _ as l when h < x -> h :: l
-    | x :: _ as l when h = x -> l
-    | x :: rest -> x :: add h rest
-
-  let mem = List.mem
-  let cardinal = List.length
-  let to_list t = t
-
-  let subset a b = List.for_all (fun h -> mem h b) a
-end
 
 (* Per-host byte footprint within a unit, kept as a sorted disjoint interval
    list [lo, hi).  Used to decide whether two hosts' accesses to the same

@@ -20,18 +20,6 @@ type pattern =
 
 val pattern_name : pattern -> string
 
-(** Deterministic small-int sets (sorted lists) for reader/writer hosts. *)
-module Host_set : sig
-  type t
-
-  val empty : t
-  val add : int -> t -> t
-  val mem : int -> t -> bool
-  val cardinal : t -> int
-  val to_list : t -> int list
-  val subset : t -> t -> bool
-end
-
 (** Per-host byte ranges touched within a unit, as sorted disjoint
     intervals.  Disjoint footprints between the invalidating writer and the
     invalidated host are the intra-unit false-sharing signal. *)
@@ -46,8 +34,8 @@ end
 type signature_ = {
   mutable reads : int;
   mutable writes : int;
-  mutable readers : Host_set.t;
-  mutable writers : Host_set.t;
+  mutable readers : Mp_util.Host_set.t;
+  mutable writers : Mp_util.Host_set.t;
   mutable transfers : int;
   mutable bytes_in : int;
   mutable invals : int;

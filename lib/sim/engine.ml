@@ -29,8 +29,9 @@ type t = {
   mutable chooser : chooser option;
   groups : (int, proc list ref) Hashtbl.t;
   (* Arguments of the effect being performed.  The handler reads them at
-     once, so performing an effect allocates no payload. *)
-  mutable arg_delay : float;
+     once, so performing an effect allocates no payload; the delay is a
+     slot, so a delay computed inside the engine is not boxed. *)
+  arg_delay : Float.Array.t;
   mutable arg_ring : ring;
   mutable arg_label : string;
   mutable arg_then : unit -> unit;
@@ -90,7 +91,7 @@ let create () =
     susp_id = 0;
     chooser = None;
     groups = Hashtbl.create 8;
-    arg_delay = 0.0;
+    arg_delay = Float.Array.make 1 0.0;
     arg_ring = no_ring;
     arg_label = "";
     arg_then = no_then;
@@ -298,7 +299,7 @@ let spawn t ?(name = "proc") ?group f =
     Some
       (fun k ->
         keep st k;
-        let d = t.arg_delay in
+        let d = Float.Array.get t.arg_delay 0 in
         Float.Array.set t.at 0 (Float.Array.get t.clock 0 +. if d < 0.0 then 0.0 else d);
         enqueue t delay_ev)
   in
@@ -352,11 +353,15 @@ let the_engine () =
 let perform (type a) (eff : a Effect.t) : a =
   try Effect.perform eff with Effect.Unhandled _ -> raise Not_in_process
 
-let delay (d : float) =
+(* Inlined, so a delay formed by its caller here reaches the slot unboxed. *)
+let[@inline] delay_by (d : float) =
   if d <> d then invalid_arg "Engine.delay: NaN";
   let t = the_engine () in
-  t.arg_delay <- d;
+  Float.Array.set t.arg_delay 0 d;
   perform Delay
+
+let delay d = delay_by d
+let delay_n per n = delay_by (per *. float_of_int n)
 
 let yield () = delay 0.0
 

@@ -81,6 +81,11 @@ val delay : float -> unit
 (** Advance this process's clock by the given number of µs; a negative
     delay is 0.  Raises [Invalid_argument] on NaN. *)
 
+val delay_n : float -> int -> unit
+(** [delay_n per n] is [delay (per *. float_of_int n)], with the product
+    computed inside the engine, so a caller that passes a cost it holds
+    boxes nothing. *)
+
 val yield : unit -> unit
 (** Let every other event scheduled for the current instant run first. *)
 

@@ -27,4 +27,5 @@ let () =
       ("profile", Test_profile.suite);
       ("replicate", Test_replicate.suite);
       ("adaptive", Test_adaptive.suite);
+      ("host-set", Test_host_set.suite);
     ]

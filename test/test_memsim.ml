@@ -229,6 +229,37 @@ let test_bad_address () =
        false
      with Vm.Bad_address _ -> true)
 
+(* Each address resolves to its own view; a guard page, a straddle of a
+   view's end and an address outside every view raise. *)
+let test_view_lookup () =
+  let vm = mk_vm () in
+  let v0 = Vm.map_view vm Prot.Read_write in
+  let v1 = Vm.map_view vm Prot.Read_write in
+  Vm.write_int vm (Vm.address vm ~view:v1 4096) 7;
+  let bad f =
+    try
+      f ();
+      false
+    with Vm.Bad_address _ -> true
+  in
+  let v1_end = Vm.view_base vm v1 + Vm.view_size vm in
+  Alcotest.(check bool) "guard after a view" true
+    (bad (fun () -> ignore (Vm.read_u8 vm v1_end)));
+  Alcotest.(check bool) "past every view" true
+    (bad (fun () -> ignore (Vm.read_u8 vm (v1_end + (4 * Vm.view_size vm)))));
+  Alcotest.(check bool) "straddling the view's end" true
+    (bad (fun () -> ignore (Vm.read_int vm (v1_end - 4))));
+  Alcotest.(check bool) "guard between views" true
+    (bad (fun () -> ignore (Vm.read_u8 vm (Vm.view_base vm v0 + Vm.view_size vm))));
+  Alcotest.(check bool) "below the first view" true
+    (bad (fun () -> ignore (Vm.read_u8 vm (Vm.view_base vm v0 - 1))));
+  (* views alias one memory, so each sees the other's writes *)
+  Alcotest.(check int) "other view" 7 (Vm.read_int vm (Vm.address vm ~view:v0 4096));
+  Vm.write_int vm (Vm.address vm ~view:v0 8) 9;
+  Alcotest.(check int) "back again" 9 (Vm.read_int vm (Vm.address vm ~view:v1 8));
+  let view, vpage, off = Vm.translate vm (Vm.address vm ~view:v1 ((3 * 4096) + 5)) in
+  Alcotest.(check (list int)) "translate" [ v1; 3; (3 * 4096) + 5 ] [ view; vpage; off ]
+
 let test_independent_protection () =
   let vm = mk_vm () in
   let v0 = Vm.map_view vm Prot.Read_write in
@@ -583,4 +614,5 @@ let suite =
     Alcotest.test_case "overallocation moves break" `Slow
       test_unused_allocation_moves_break_earlier;
     Alcotest.test_case "va view limit" `Quick test_max_views_va_limit;
+    Alcotest.test_case "view lookup" `Quick test_view_lookup;
   ]

@@ -182,11 +182,19 @@ let test_deterministic_run_invariants () =
 let test_jsonl_roundtrip_size () =
   let obs = deterministic_2host () in
   let events = Obs.events obs in
+  let file = Filename.temp_file "trace" ".jsonl" in
   let lines =
-    String.split_on_char '\n' (String.trim (Mp_obs.Export.jsonl events))
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+        Mp_obs.Export.write_jsonl file events;
+        In_channel.with_open_text file In_channel.input_all)
+    |> String.trim |> String.split_on_char '\n'
   in
   Alcotest.(check int) "one JSON line per event" (List.length events)
-    (List.length lines)
+    (List.length lines);
+  Alcotest.(check (list string)) "the lines are the events, in order"
+    (List.map Event.to_json events) lines
 
 (* ---------------- invariant checker: unit ---------------- *)
 
@@ -287,6 +295,129 @@ let qcheck_second_writer_rejected =
       | [] -> false
       | violations -> List.exists (fun v -> contains v "concurrent writers") violations)
 
+(* ---------------- the recorder is passive ---------------- *)
+
+(* What a run decided, compared exactly between a run with the recorder off
+   and one with it on.  The idempotence tables are stamped and pruned by
+   simulated time, so a recorder-only clock reaching them shows here. *)
+type outcome = {
+  end_us : float;
+  msgs : int;
+  bytes : int;
+  read_faults : int;
+  write_faults : int;
+  locks : int;
+  barriers : int;
+  idempotence : int;
+}
+
+let outcome_list o =
+  [
+    ("messages", o.msgs);
+    ("bytes", o.bytes);
+    ("read faults", o.read_faults);
+    ("write faults", o.write_faults);
+    ("locks", o.locks);
+    ("barriers", o.barriers);
+    ("idempotence size", o.idempotence);
+  ]
+
+(* Runs [setup]'s app on a fresh DSM, recording every event when
+   [recording]; [setup] returns the app's verdict. *)
+let passive_run ~recording ~hosts ~config setup =
+  let e = Engine.create () in
+  let dsm = Dsm.create e ~hosts ~config () in
+  let obs = Dsm.obs dsm in
+  if recording then begin
+    Obs.set_capacity obs (1 lsl 22);
+    Obs.set_enabled obs true
+  end;
+  let verify = setup dsm in
+  Dsm.run dsm;
+  if recording then begin
+    Alcotest.(check int) "no event dropped" 0 (Obs.dropped obs);
+    Alcotest.(check bool) "events recorded" true (Obs.events obs <> [])
+  end;
+  ( dsm,
+    verify (),
+    {
+      end_us = Engine.now e;
+      msgs = Dsm.messages_sent dsm;
+      bytes = Dsm.bytes_sent dsm;
+      read_faults = Dsm.read_faults dsm;
+      write_faults = Dsm.write_faults dsm;
+      locks = Dsm.locks_acquired dsm;
+      barriers = Dsm.barriers_entered dsm;
+      idempotence = Dsm.idempotence_size dsm;
+    } )
+
+let check_passive name ~hosts ~config setup =
+  let _, verdict_off, off = passive_run ~recording:false ~hosts ~config setup in
+  let dsm, verdict_on, on = passive_run ~recording:true ~hosts ~config setup in
+  Alcotest.(check bool) (name ^ ": verdict") verdict_off verdict_on;
+  Alcotest.(check (float 0.0)) (name ^ ": end_us") off.end_us on.end_us;
+  List.iter2
+    (fun (what, a) (_, b) -> Alcotest.(check int) (name ^ ": " ^ what) a b)
+    (outcome_list off) (outcome_list on);
+  (dsm, verdict_on, on)
+
+module M = Mp_dsm.Millipage_impl
+module Water_m = Mp_apps.Water.Make (M)
+module Lu_m = Mp_apps.Lu.Make (M)
+module Sor_m = Mp_apps.Sor.Make (M)
+
+let water dsm =
+  let h = Water_m.setup dsm { Mp_apps.Water.default_params with molecules = 48; iterations = 2 } in
+  fun () -> Water_m.verify h
+
+let sor rows dsm =
+  let h = Sor_m.setup dsm { Mp_apps.Sor.default_params with rows; iterations = 4 } in
+  fun () -> Sor_m.verify h
+
+let test_recorder_passive () =
+  let config = Dsm.Config.default in
+  let _, ok, o = check_passive "water" ~hosts:4 ~config water in
+  Alcotest.(check bool) "water verified" true ok;
+  Alcotest.(check bool) "water takes locks" true (o.locks > 0);
+  let _, ok, o =
+    check_passive "lu+prefetch" ~hosts:4 ~config (fun dsm ->
+        let h =
+          Lu_m.setup dsm { Mp_apps.Lu.default_params with n = 128; block = 32; use_prefetch = true }
+        in
+        fun () -> Lu_m.verify h)
+  in
+  Alcotest.(check bool) "lu verified" true ok;
+  Alcotest.(check bool) "lu faults" true (o.read_faults > 0);
+  (* a lossy wire: the reliable transport retransmits, and the home prunes
+     its idempotence tables by completion stamp *)
+  let faults =
+    { Mp_net.Fabric.no_faults with drop = 0.1; duplicate = 0.05; reorder = 0.1 }
+  in
+  let config = Dsm.Config.with_net_seed (Dsm.Config.with_faults Dsm.Config.default faults) 42 in
+  let dsm, ok, o = check_passive "sor, faulty fabric" ~hosts:4 ~config (sor 256) in
+  Alcotest.(check bool) "faulty sor verified" true ok;
+  Alcotest.(check bool) "retransmitted" true (Dsm.retransmits dsm > 0);
+  Alcotest.(check bool) "idempotence tables in use" true (o.idempotence > 0);
+  (* a crash whose home shard its backup takes over *)
+  let config =
+    {
+      Dsm.Config.default with
+      polling = Mp_net.Polling.Fast;
+      homes = Dsm.Config.Homes.round_robin;
+      ft =
+        Some
+          {
+            Dsm.Config.Ft.default with
+            hb_interval_us = 200.0;
+            suspect_after_us = 700.0;
+            declare_after_us = 1600.0;
+            crashes = [ (3, 20_000.0) ];
+          };
+    }
+  in
+  let dsm, _, _ = check_passive "crash" ~hosts:4 ~config (sor 64) in
+  Alcotest.(check int) "backup promoted" 1 (Dsm.backup_promotions dsm)
+
 let suite =
   [
     Alcotest.test_case "recorder: disabled is a no-op" `Quick
@@ -311,4 +442,5 @@ let suite =
       test_checker_flags_unbalanced_queue;
     QCheck_alcotest.to_alcotest qcheck_valid_programs_accepted;
     QCheck_alcotest.to_alcotest qcheck_second_writer_rejected;
+    Alcotest.test_case "recorder: passive in Dsm" `Quick test_recorder_passive;
   ]

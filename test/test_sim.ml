@@ -267,6 +267,34 @@ let test_delay_allocation () =
   in
   Alcotest.(check (float 0.05)) "words per delay" 2.0 (words /. float_of_int n)
 
+(* A delay whose cost is a per-unit cost times a count, as a protection
+   change or a DMA is charged, is computed inside the engine: it too
+   allocates only its continuation, and lands where [delay] of the product
+   would. *)
+let test_delay_n_allocation () =
+  let n = 10_000 in
+  let per = Sys.opaque_identity 0.3 in
+  let at_n = ref 0.0 and at_product = ref 0.0 in
+  let words =
+    Test_memsim.allocated_words (fun () ->
+        let e = Engine.create () in
+        Engine.spawn e ~name:"p" (fun () ->
+            for i = 1 to n do
+              Engine.delay_n per (i land 7)
+            done);
+        Engine.run e;
+        at_n := Engine.now e)
+  in
+  Alcotest.(check (float 0.05)) "words per delay" 2.0 (words /. float_of_int n);
+  let e = Engine.create () in
+  Engine.spawn e ~name:"p" (fun () ->
+      for i = 1 to n do
+        Engine.delay (per *. float_of_int (i land 7))
+      done);
+  Engine.run e;
+  at_product := Engine.now e;
+  Alcotest.(check (float 0.0)) "same clock as delay" !at_product !at_n
+
 (* A wait/set cycle on an auto-reset event allocates the waiter's
    continuation and the setter's: the waiter parks as an entry in the
    event's ring, and its wake-up is an event built at spawn. *)
@@ -560,4 +588,5 @@ let suite =
     Alcotest.test_case "blocked after kills and wakes" `Quick
       test_blocked_after_kills_and_wakes;
     Alcotest.test_case "suspend resume is one-shot" `Quick test_suspend_resume_one_shot;
+    Alcotest.test_case "computed delay allocation" `Quick test_delay_n_allocation;
   ]
