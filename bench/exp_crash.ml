@@ -127,8 +127,7 @@ let parked_crash_time o =
     enters (0.0, 0.0)
   |> fst
 
-let ft_with_crash at =
-  Some (Dsm.Config.Ft.with_crashes Dsm.Config.Ft.default [ (victim, at) ])
+let ft_with_crash at = Some { Dsm.Config.Ft.default with crashes = [ (victim, at) ] }
 
 let run () =
   Harness.section

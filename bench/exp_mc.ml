@@ -12,9 +12,10 @@
     identical deduped fingerprint sets, and records schedules/sec and the
     speedup.  The whole trajectory lands in [BENCH_mc.json] (set
     MP_BENCH_DIR to relocate); [--check] re-runs the sweep and diffs the
-    deterministic lines against the committed baseline, exactly like
-    [bench scale --check].  Machine-speed lines (wall, rates, speedup,
-    jobs) sit on their own lines and are excluded from the diff. *)
+    deterministic lines against the committed baseline with the checker
+    [bench scale --check] uses ({!Harness.trajectory}).  Machine-speed
+    lines (wall, rates, speedup, jobs) sit on their own lines and are
+    excluded from the diff. *)
 
 open Mp_mc
 module Metrics = Mp_obs.Metrics
@@ -158,79 +159,11 @@ let render_json cells_r deep =
   Buffer.add_string b "  }\n}\n";
   Buffer.contents b
 
-let json_file () =
-  match Sys.getenv_opt "MP_BENCH_DIR" with
-  | None -> "BENCH_mc.json"
-  | Some dir -> Filename.concat dir "BENCH_mc.json"
-
-let write_json cells_r deep =
-  let file = json_file () in
-  let oc = open_out file in
-  output_string oc (render_json cells_r deep);
-  close_out oc;
-  Harness.note "wrote %s" file
-
-(* ---------------- drift check against the committed baseline ----------- *)
-
-let contains line sub =
-  let n = String.length line and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
-  m > 0 && go 0
-
+(* The lines of the trajectory that depend on the machine's speed; every
+   other line is deterministic and [--check] compares it. *)
 let volatile line =
-  contains line "\"wall_s\"" || contains line "\"rate\""
-  || contains line "\"rate_j1\"" || contains line "\"rate_jn\""
-  || contains line "\"speedup\"" || contains line "\"jobs\""
-
-let signature text =
-  let strip_comma l =
-    let l = ref l in
-    while String.length !l > 0 && !l.[String.length !l - 1] = ',' do
-      l := String.sub !l 0 (String.length !l - 1)
-    done;
-    !l
-  in
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         if volatile line then None else Some (strip_comma line))
-
-let check_json cells_r deep =
-  let file = json_file () in
-  let baseline =
-    try
-      let ic = open_in file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    with Sys_error msg ->
-      failwith
-        (Printf.sprintf
-           "exp_mc --check: cannot read baseline %s (%s); run 'bench mc' once \
-            and commit the file"
-           file msg)
-  in
-  let want = signature baseline in
-  let got = signature (render_json cells_r deep) in
-  if want = got then
-    Harness.note "mc trajectory matches %s (%d deterministic lines)" file
-      (List.length got)
-  else begin
-    let rec diff i = function
-      | w :: ws, g :: gs ->
-        if w = g then diff (i + 1) (ws, gs)
-        else Harness.note "  line %d drifted:\n    baseline: %s\n    current:  %s" i w g
-      | w :: _, [] -> Harness.note "  line %d missing from current run: %s" i w
-      | [], g :: _ -> Harness.note "  line %d not in baseline: %s" i g
-      | [], [] -> ()
-    in
-    diff 1 (want, got);
-    failwith
-      (Printf.sprintf
-         "exp_mc: trajectory drifted from %s — if the exploration change is \
-          intentional, regenerate with 'bench mc' and commit the new baseline"
-         file)
-  end
+  List.exists (Harness.contains line)
+    [ {|"wall_s"|}; {|"rate"|}; {|"rate_j1"|}; {|"rate_jn"|}; {|"speedup"|}; {|"jobs"|} ]
 
 (* -------------------------------- sweep -------------------------------- *)
 
@@ -313,7 +246,9 @@ let run ?(jobs = -1) ?(check = false) () =
   Harness.note "choice-point histogram (all cells, bucket width 32):";
   print_string (Metrics.latency_table m);
   print_string (Metrics.counters_table m);
-  if check then check_json cells_r deep else write_json cells_r deep;
+  Harness.trajectory ~bench:"mc" ~check
+    ~keep:(List.filter (fun l -> not (volatile l)))
+    (render_json cells_r deep);
   if !failures > 0 then
     failwith
       (Printf.sprintf "exp_mc: %d cell(s) found violating schedules" !failures)

@@ -188,99 +188,28 @@ let render_json results =
   Buffer.add_string b "  ]\n}\n";
   Buffer.contents b
 
-let json_file () =
-  match Sys.getenv_opt "MP_BENCH_DIR" with
-  | None -> "BENCH_scale.json"
-  | Some dir -> Filename.concat dir "BENCH_scale.json"
-
-let write_json results =
-  let file = json_file () in
-  let oc = open_out file in
-  output_string oc (render_json results);
-  close_out oc;
-  Harness.note "wrote %s" file
-
-(* ---------------- drift check against the committed baseline ----------- *)
-
-let contains line sub =
-  let n = String.length line and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
-  m > 0 && go 0
-
-let volatile line = contains line "\"wall_s\""
-
 let run_hosts_of line =
   (* a run-opening line looks like: `    { "hosts": 16, "end_us": ...` *)
-  if contains line "{ \"hosts\": " then
+  if Harness.contains line "{ \"hosts\": " then
     Scanf.sscanf (String.trim line) "{ \"hosts\": %d," (fun h -> Some h)
   else None
 
-(* The deterministic signature of a trajectory JSON: every line except the
+(* The deterministic lines of a trajectory: every line except the
    machine-speed ones, keeping only runs for host counts <= [max_hosts] (so a
-   capped CI sweep can still be diffed against the committed full baseline),
-   with trailing commas normalized away (the last retained run loses its
-   separator when later runs are dropped). *)
-let signature ~max_hosts text =
-  let strip_comma l =
-    let l = ref l in
-    while String.length !l > 0 && !l.[String.length !l - 1] = ',' do
-      l := String.sub !l 0 (String.length !l - 1)
-    done;
-    !l
-  in
-  let lines = String.split_on_char '\n' text in
+   capped CI sweep can still be diffed against the committed full
+   baseline). *)
+let deterministic ~max_hosts lines =
   let in_run line = String.length line >= 4 && String.sub line 0 4 = "    " in
   let keep = ref true in
-  List.filter_map
+  List.filter
     (fun line ->
       (match run_hosts_of line with
       | Some h -> keep := h <= max_hosts
       | None -> ());
       (* the host filter only governs run bodies (4-space indent); header and
          footer lines always participate so a capped sweep still closes *)
-      if (!keep || not (in_run line)) && not (volatile line) then
-        Some (strip_comma line)
-      else None)
+      (!keep || not (in_run line)) && not (Harness.contains line "\"wall_s\""))
     lines
-
-let check_json results =
-  let file = json_file () in
-  let baseline =
-    try
-      let ic = open_in file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    with Sys_error msg ->
-      failwith
-        (Printf.sprintf
-           "exp_scale --check: cannot read baseline %s (%s); run 'bench scale' \
-            once and commit the file"
-           file msg)
-  in
-  let max_hosts = List.fold_left (fun acc r -> max acc r.r_hosts) 0 results in
-  let want = signature ~max_hosts baseline in
-  let got = signature ~max_hosts (render_json results) in
-  if want = got then
-    Harness.note "scale trajectory matches %s (%d deterministic lines, hosts <= %d)"
-      file (List.length got) max_hosts
-  else begin
-    let rec diff i = function
-      | w :: ws, g :: gs ->
-        if w = g then diff (i + 1) (ws, gs)
-        else Harness.note "  line %d drifted:\n    baseline: %s\n    current:  %s" i w g
-      | w :: _, [] -> Harness.note "  line %d missing from current run: %s" i w
-      | [], g :: _ -> Harness.note "  line %d not in baseline: %s" i g
-      | [], [] -> ()
-    in
-    diff 1 (want, got);
-    failwith
-      (Printf.sprintf
-         "exp_scale: trajectory drifted from %s — if the protocol change is \
-          intentional, regenerate with 'bench scale' and commit the new baseline"
-         file)
-  end
 
 let run ?(max_hosts = 64) ?(check = false) () =
   let host_counts = List.filter (fun h -> h <= max_hosts) host_counts in
@@ -323,7 +252,9 @@ let run ?(max_hosts = 64) ?(check = false) () =
      protocol skew.  The 'fs *' columns are message \
      counts of the falsely-shared synthetic under each consistency mode \
      ('sw' = mode switches the adaptive governor performed).";
-  if check then check_json results else write_json results;
+  let largest = List.fold_left (fun acc r -> max acc r.r_hosts) 0 results in
+  Harness.trajectory ~bench:"scale" ~check ~keep:(deterministic ~max_hosts:largest)
+    (render_json results);
   if List.exists (fun r -> not r.r_verified) results then
     failwith "exp_scale: a run failed verification";
   List.iter

@@ -104,10 +104,6 @@ module Mrc_line = Line (Mp_baselines.Mrc)
    faults, net seed, homes and crashes. *)
 let millipage ~name ?(hosts = 8) ?(faults = Mp_net.Fabric.no_faults) ?(net_seed = 9)
     ?(homes = Dsm.Config.Homes.default) ?(crashes = []) app () =
-  let consistency =
-    let module C = Dsm.Config.Consistency in
-    C.with_adapt_interval (C.with_mode C.default `Sc) 2
-  in
   let config =
     {
       Dsm.Config.default with
@@ -118,7 +114,7 @@ let millipage ~name ?(hosts = 8) ?(faults = Mp_net.Fabric.no_faults) ?(net_seed 
         (if crashes = [] then None
          else Some { Dsm.Config.Ft.default with crashes; stalls = [] });
       homes;
-      consistency;
+      consistency = Dsm.Config.Consistency.sc;
     }
   in
   let t = Dsm.create (Engine.create ()) ~hosts ~config () in

@@ -279,7 +279,7 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
     let module C = Mp_millipage.Dsm.Config.Consistency in
     match C.mode_of_string consistency with
     | Some mode ->
-      C.with_adapt_interval (C.with_mode C.default mode) adapt_interval
+      C.with_adapt_interval { C.default with mode } adapt_interval
     | None ->
       invalid_arg
         (Printf.sprintf "unknown consistency %S (sc|rc|adaptive)" consistency)

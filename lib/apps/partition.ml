@@ -12,5 +12,3 @@ let owner_of ~items ~parts item =
     if item >= first && item < past then part else go (part + 1)
   in
   go 0
-
-let round_robin_owner ~parts item = item mod parts

@@ -6,5 +6,3 @@ val block_range : items:int -> parts:int -> part:int -> int * int
 
 val owner_of : items:int -> parts:int -> int -> int
 (** Inverse of {!block_range}: which part owns the given item. *)
-
-val round_robin_owner : parts:int -> int -> int

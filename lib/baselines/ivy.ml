@@ -16,5 +16,3 @@ let create engine ~hosts ?(object_size = 16 * 1024 * 1024)
     }
   in
   Mp_millipage.Dsm.create engine ~hosts ~config ()
-
-let inner t = t

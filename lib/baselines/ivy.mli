@@ -18,7 +18,5 @@ val create :
   unit ->
   t
 
-val inner : t -> Mp_millipage.Dsm.t
-
 include Mp_dsm.Dsm_intf.S with type t := t and type ctx := ctx
 (** @inline *)

@@ -62,8 +62,6 @@ type t = {
 let client = 0
 let header_bytes = 32
 
-let subpages_per_page t = t.subs
-
 let home t page = 1 + (page mod t.servers)
 
 (* ------------------------------------------------------------------ *)

@@ -41,8 +41,6 @@ val create :
   Mp_sim.Engine.t -> ?config:Config.t -> servers:int -> unit -> t
 (** [servers] memory hosts plus one client. *)
 
-val subpages_per_page : t -> int
-
 (** {2 Client-thread operations} — call only inside {!spawn_client}. *)
 
 val read_u8 : t -> int -> int

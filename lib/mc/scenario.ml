@@ -175,7 +175,7 @@ let of_string s =
       | None -> Dsm.Config.Consistency.sc
       | Some m -> (
         match Dsm.Config.Consistency.mode_of_string m with
-        | Some mode -> Dsm.Config.Consistency.with_mode Dsm.Config.Consistency.default mode
+        | Some mode -> { Dsm.Config.Consistency.default with mode }
         | None -> fail "Scenario.of_string: unknown consistency mode %S" m)
     in
     Dsm.Config.Consistency.with_adapt_interval base
@@ -381,23 +381,16 @@ let mix h x =
   h lxor (h lsr 27)
 
 let config t =
-  let c =
-    {
-      Dsm.Config.default with
-      seed = t.seed;
-      homes = t.homes;
-      consistency = t.consistency;
-    }
-  in
-  let c = Dsm.Config.with_faults c t.faults in
-  let c = Dsm.Config.with_net_seed c t.net_seed in
-  if t.crashes = [] then c
-  else
-    {
-      c with
-      Dsm.Config.ft =
-        Some (Dsm.Config.Ft.with_crashes Dsm.Config.Ft.default t.crashes);
-    }
+  {
+    Dsm.Config.default with
+    seed = t.seed;
+    net = { Dsm.Config.Net.default with faults = t.faults; seed = t.net_seed };
+    ft =
+      (if t.crashes = [] then None
+       else Some { Dsm.Config.Ft.default with crashes = t.crashes });
+    homes = t.homes;
+    consistency = t.consistency;
+  }
 
 let run ?(profile = false) t ~sched =
   let e = Engine.create () in

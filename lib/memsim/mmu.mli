@@ -31,16 +31,14 @@ module Params : sig
             themselves come purely from L2 capacity. *)
     mhz : float;
   }
-
-  val pentium_ii : t
-  (** 4 KB pages, 64-entry TLB, 16 KB L1, 512 KB 4-way L2, 300 MHz. *)
 end
 
 type t
 
 val create : unit -> t
-(** A cold machine with {!Params.pentium_ii} and no mapped vpages.  The TLB
-    is a one-set {!Cache} of [tlb_entries] ways indexed by vpn. *)
+(** A cold Pentium II with no mapped vpages: 4 KB pages, 64-entry TLB,
+    16 KB L1, 512 KB 4-way L2, 300 MHz.  The TLB is a one-set {!Cache} of
+    [tlb_entries] ways indexed by vpn. *)
 
 val params : t -> Params.t
 

@@ -47,7 +47,6 @@ let create obj =
     counters = Stats.Counters.create ();
   }
 
-let view_count t = Array.length t.views
 let view_size t = t.size
 let page_size t = t.page_size
 let vpages_per_view t = t.vpages
@@ -118,10 +117,6 @@ let protect_range t ~view:i ~phys_off ~len prot =
 let protection t ~view:i ~vpage =
   if vpage < 0 || vpage >= t.vpages then invalid_arg "Vm.protection: bad vpage";
   (view t i).prot.(vpage)
-
-let protection_at t addr =
-  let idx, vpage, _ = translate t addr in
-  protection t ~view:idx ~vpage
 
 let set_fault_handler t handler = t.handler <- Some handler
 let counters t = t.counters

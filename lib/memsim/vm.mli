@@ -45,7 +45,6 @@ val map_view : ?fixed:bool -> t -> Prot.t -> int
 val map_privileged_view : t -> int
 (** [map_view ~fixed:true t Read_write]. *)
 
-val view_count : t -> int
 val view_base : t -> int -> int
 val view_size : t -> int
 (** Bytes spanned by each view (= memory object size). *)
@@ -73,8 +72,6 @@ val protect_range : t -> view:int -> phys_off:int -> len:int -> Prot.t -> unit
 (** Set protection on every vpage overlapping [\[phys_off, phys_off+len)]. *)
 
 val protection : t -> view:int -> vpage:int -> Prot.t
-val protection_at : t -> int -> Prot.t
-(** Protection of the vpage containing the given virtual address. *)
 
 val set_fault_handler : t -> (fault -> unit) -> unit
 

@@ -28,17 +28,6 @@ module Config = struct
         rto_backoff = 2.0;
         max_retries = 12;
       }
-
-    let with_faults t faults = { t with faults }
-    let with_seed t seed = { t with seed }
-
-    let with_rto t ?rto_us ?rto_backoff ?max_retries () =
-      {
-        t with
-        rto_us = Option.value ~default:t.rto_us rto_us;
-        rto_backoff = Option.value ~default:t.rto_backoff rto_backoff;
-        max_retries = Option.value ~default:t.max_retries max_retries;
-      }
   end
 
   (* Crash-fault tolerance: injected host failures, the heartbeat failure
@@ -70,9 +59,6 @@ module Config = struct
         stalls = [];
         deadlock_ticks = 500;
       }
-
-    let with_crashes t crashes = { t with crashes }
-    let with_stalls t stalls = { t with stalls }
   end
 
   (* Sharded home-based management: which host runs each minipage's Figure-3
@@ -143,7 +129,6 @@ module Config = struct
     let sc = default
     let rc = { default with mode = `Rc }
     let adaptive = { default with mode = `Adaptive }
-    let with_mode t mode = { t with mode }
 
     let with_adapt_interval t adapt_interval =
       if adapt_interval < 1 then invalid_arg "Consistency.with_adapt_interval";
@@ -194,21 +179,9 @@ module Config = struct
       consistency = Consistency.default;
     }
 
-  (* Builders, so future knobs stop being breaking changes. *)
-  let with_views t views = { t with views }
-  let with_object_size t object_size = { t with object_size }
-  let with_page_size t page_size = { t with page_size }
-  let with_chunking t chunking = { t with chunking }
-  let with_cost t cost = { t with cost }
-  let with_polling t polling = { t with polling }
   let with_seed t seed = { t with seed }
-  let with_net t net = { t with net }
-  let with_faults t faults = { t with net = Net.with_faults t.net faults }
-  let with_net_seed t seed = { t with net = Net.with_seed t.net seed }
-  let with_ft t ft = { t with ft }
-  let with_homes t homes = { t with homes }
-  let with_policy t policy = { t with homes = { t.homes with Homes.policy } }
-  let with_consistency t consistency = { t with consistency }
+  let with_faults t faults = { t with net = { t.net with faults } }
+  let with_net_seed t seed = { t with net = { t.net with seed } }
 end
 
 exception Deadlock of string
@@ -219,24 +192,6 @@ exception Crash_unrecoverable of string
 (** The typed fail-stop of crash recovery: a home died while its backup was
     already dead and its shard still held entries, or a survivor touched a
     minipage that died with no shadow to roll back to. *)
-
-(* Free records or buffers: the first [len] slots of [items], grown by
-   doubling with [Array.append] as [Fabric]'s carrier stacks are, which
-   never forces a minor collection. *)
-type 'a stack = { mutable items : 'a array; mutable len : int }
-
-let empty_stack () = { items = [||]; len = 0 }
-
-let push s x =
-  if s.len = Array.length s.items then
-    s.items <- (if s.len = 0 then Array.make 16 x else Array.append s.items s.items);
-  s.items.(s.len) <- x;
-  s.len <- s.len + 1
-
-(* [s] must not be empty. *)
-let pop s =
-  s.len <- s.len - 1;
-  s.items.(s.len)
 
 (* A fault in flight.  Records are reused: one goes back to its host's free
    stack once its last waiter has read it after the wake, or at the wake
@@ -315,7 +270,7 @@ type host_state = {
   rc_flush_waiters : Sync.Event.t Queue.t;
       (* one event per thread blocked in a release, each woken on every diff
          ack (two threads of one host can flush concurrently) *)
-  free_flights : inflight stack;
+  free_flights : inflight Pool.t;
 }
 
 (* Holding a lock is a lease: when the holder is declared dead its home
@@ -414,7 +369,7 @@ type t = {
       (* lock -> (host, target home) releases sent and not yet processed *)
   groups : (int, int list) Hashtbl.t;  (* composed views: group -> minipage ids *)
   mutable next_group : int;
-  reply_bufs : (int, bytes stack) Hashtbl.t;
+  reply_bufs : (int, bytes Pool.t) Hashtbl.t;
       (* length -> free [Reply_data] buffers.  A buffer is taken by the
          supplier and goes back once the requester's dispatch of the reply
          returns; no other copy of the message is ever read (the transport
@@ -479,6 +434,25 @@ let hosts t = Array.length t.host_states
 let fresh_req t =
   t.next_req <- t.next_req + 1;
   t.next_req
+
+(* A test-only mutation's hook: counts a hit when [is_site] accepts the
+   armed mutation, and is true at its [nth] hit only. *)
+let mutation_fires t is_site =
+  match t.mutation with
+  | Some ((Stale_reply_data { nth } | Drop_inval_ack { nth } | Lost_diff { nth }) as m)
+    when is_site m ->
+    t.mutation_count <- t.mutation_count + 1;
+    if t.mutation_count = nth then t.mutation_fired <- true;
+    t.mutation_count = nth
+  | Some _ | None -> false
+
+(* [l] without its first element that [p] accepts.  A predicate on a pair
+   takes it whole: [fun (a, b) -> ...] compiles to a tupled closure, a word
+   larger than [fun e -> ...]. *)
+let rec drop_first p = function
+  | [] -> []
+  | x :: rest when p x -> rest
+  | x :: rest -> x :: drop_first p rest
 
 let access_idx = function Proto.Read -> 0 | Proto.Write -> 1
 
@@ -1391,18 +1365,7 @@ let manager_rc_diff t ~home ~req_id ~from ~mp_id ~epoch ~(diff : Twin_diff.t) =
            symptom.  Only the refinement spec's happens-before floor (an
            acquirer of the same lock reading below the released rank) can
            catch this. *)
-        let lose =
-          match t.mutation with
-          | Some (Lost_diff { nth }) ->
-            t.mutation_count <- t.mutation_count + 1;
-            if t.mutation_count = nth then begin
-              t.mutation_fired <- true;
-              true
-            end
-            else false
-          | _ -> false
-        in
-        if not lose then begin
+        if not (mutation_fires t (function Lost_diff _ -> true | _ -> false)) then begin
           Twin_diff.apply diff master;
           gov_note_diff t mp_id ~from diff;
           log_append t ~home (Proto.L_diff { mp_id; diff })
@@ -1603,13 +1566,7 @@ let lock_release_engine t ~home ~from ~lock =
 let manager_lock_release t ~home ~from ~lock =
   (* retire this release from the sender-side ground truth: it reached a home *)
   (match Hashtbl.find t.pending_releases lock with
-  | entries ->
-    let rec drop_first = function
-      | [] -> []
-      | (f, _) :: rest when f = from -> rest
-      | p :: rest -> p :: drop_first rest
-    in
-    entries := drop_first !entries
+  | entries -> entries := drop_first (fun e -> fst e = from) !entries
   | exception Not_found -> ());
   lock_release_engine t ~home ~from ~lock
 
@@ -1640,10 +1597,10 @@ let shadow_refresh t (info : Proto.info) data =
    one.  Its bytes are stale until the caller fills them. *)
 let take_reply_buf t len =
   match Hashtbl.find t.reply_bufs len with
-  | s when s.len > 0 -> pop s
+  | s when not (Pool.is_empty s) -> Pool.pop s
   | _ -> Bytes.create len
   | exception Not_found ->
-    Hashtbl.add t.reply_bufs len (empty_stack ());
+    Hashtbl.add t.reply_bufs len (Pool.create ());
     Bytes.create len
 
 let host_forward t (h : host_state) ~req_id ~from ~access (info : Proto.info) =
@@ -1672,14 +1629,8 @@ let host_forward t (h : host_state) ~req_id ~from ~access (info : Proto.info) =
     (* test-only mutation: the nth data reply serves the minipage's initial
        (all-zero) snapshot instead of the current bytes — the stale-supply
        bug mpcheck's coherence checker must catch *)
-    (match t.mutation with
-    | Some (Stale_reply_data { nth }) ->
-      t.mutation_count <- t.mutation_count + 1;
-      if t.mutation_count = nth then begin
-        t.mutation_fired <- true;
-        Bytes.fill data 0 info.length '\000'
-      end
-    | _ -> ());
+    if mutation_fires t (function Stale_reply_data _ -> true | _ -> false) then
+      Bytes.fill data 0 info.length '\000';
     send t ~src:h.id ~dst:from ~bytes:(header t)
       (Proto.Reply_header { req_id; access; info });
     Stats.Counters.incr t.counters "replies.data";
@@ -1693,7 +1644,7 @@ let host_forward t (h : host_state) ~req_id ~from ~access (info : Proto.info) =
    once; otherwise the last of them frees it ([on_fault]). *)
 let wake_flight (h : host_state) e =
   Sync.Event.set e.event;
-  if e.waiters = 0 then push h.free_flights e
+  if e.waiters = 0 then Pool.push h.free_flights e
 
 (* Wake the fault in flight on [vp] for [idx], if any; true when it was
    [req_id]'s.  The key is built once for the lookup and the removal. *)
@@ -2032,18 +1983,7 @@ let host_invalidate t (h : host_state) ~req_id (info : Proto.info) =
      writer's invalidation round never completes, which the invariant
      checker (Inval without Inval_ack, Fault without Fault_done) and the
      deadlock report must both surface *)
-  let swallow =
-    match t.mutation with
-    | Some (Drop_inval_ack { nth }) ->
-      t.mutation_count <- t.mutation_count + 1;
-      if t.mutation_count = nth then begin
-        t.mutation_fired <- true;
-        true
-      end
-      else false
-    | _ -> false
-  in
-  if not swallow then
+  if not (mutation_fires t (function Drop_inval_ack _ -> true | _ -> false)) then
     send t ~src:h.id ~dst:(hint_of h info.mp_id) ~bytes:(header t)
       (Proto.Invalidate_reply { req_id; mp_id = info.mp_id; from = h.id })
 
@@ -2076,13 +2016,7 @@ let host_lock_grant t (h : host_state) ~lock ~tid =
   (* retire the granted request from the sender-side ground truth; the home
      grants in our send order, so the first entry for this host is [tid]'s *)
   (match Hashtbl.find t.lock_requests lock with
-  | entries ->
-    let rec drop_first = function
-      | [] -> []
-      | (hh, tt) :: rest when hh = h.id && tt = tid -> rest
-      | p :: rest -> p :: drop_first rest
-    in
-    entries := drop_first !entries
+  | entries -> entries := drop_first (fun e -> fst e = h.id && snd e = tid) !entries
   | exception Not_found -> ());
   match Hashtbl.find h.lock_waiters lock with
   | q when not (Queue.is_empty q) -> Sync.Event.set (Queue.take q)
@@ -2927,7 +2861,7 @@ let dispatch t (h : host_state) (body : Proto.body) =
     Engine.delay cost.dispatch_us;
     host_reply_data t h ~req_id ~access info data;
     (* [host_reply_data] has written the bytes: the buffer is free *)
-    push (Hashtbl.find t.reply_bufs info.length) data
+    Pool.push (Hashtbl.find t.reply_bufs info.length) data
   | Proto.Write_grant { req_id; info } ->
     Engine.delay cost.dispatch_us;
     host_reply t h ~req_id ~access:Proto.Write info
@@ -3097,8 +3031,8 @@ let send_request t (h : host_state) ~key ~access ~addr ~by_prefetch =
   let mp = Mpt.find_exn (Allocator.mpt t.allocator) (Vm.phys_off h.vm addr) in
   let target = hint_of h mp.Minipage.id in
   let e =
-    if h.free_flights.len > 0 then begin
-      let e = pop h.free_flights in
+    if not (Pool.is_empty h.free_flights) then begin
+      let e = Pool.pop h.free_flights in
       Sync.Event.reset e.event;
       e.req_id <- req_id;
       e.access <- access;
@@ -3201,7 +3135,7 @@ let on_fault t (h : host_state) (f : Vm.fault) =
   end;
   (* the last waiter to read [e] frees it *)
   e.waiters <- e.waiters - 1;
-  if e.waiters = 0 then push h.free_flights e
+  if e.waiters = 0 then Pool.push h.free_flights e
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -3270,7 +3204,7 @@ let create engine ~hosts:nhosts ?(config = Config.default) () =
       rc_out = Hashtbl.create 16;
       rc_flush_pending = 0;
       rc_flush_waiters = Queue.create ();
-      free_flights = empty_stack ();
+      free_flights = Pool.create ();
     }
   in
   (* completed-request retention: twice the worst-case retransmission span
@@ -3457,7 +3391,6 @@ let run t =
 (* ------------------------------------------------------------------ *)
 
 let host ctx = ctx.hs.id
-let my_engine ctx = ctx.t.engine
 
 let read_f64 ctx addr = Vm.read_f64 ctx.hs.vm addr
 let write_f64 ctx addr v = Vm.write_f64 ctx.hs.vm addr v

@@ -41,12 +41,6 @@ module Config : sig
 
     val default : t
     (** No faults; RTO 5 ms ×2 up to 12 retries when enabled. *)
-
-    val with_faults : t -> Mp_net.Fabric.faults -> t
-    val with_seed : t -> int -> t
-
-    val with_rto :
-      t -> ?rto_us:float -> ?rto_backoff:float -> ?max_retries:int -> unit -> t
   end
 
   (** Crash-fault tolerance knobs: injected host crashes/stalls, the
@@ -69,9 +63,6 @@ module Config : sig
     val default : t
     (** 1 ms heartbeats, suspect after 3 ms, declare after 8 ms, no injected
         faults, deadlock after 500 idle ticks. *)
-
-    val with_crashes : t -> (int * float) list -> t
-    val with_stalls : t -> (int * float * float) list -> t
   end
 
   (** Home assignment: which host runs each minipage's directory state
@@ -143,7 +134,6 @@ module Config : sig
     val sc : t
     val rc : t
     val adaptive : t
-    val with_mode : t -> mode -> t
 
     val with_adapt_interval : t -> int -> t
     (** Raises [Invalid_argument] below 1. *)
@@ -176,22 +166,13 @@ module Config : sig
   val default : t
   (** 32 views, 16 MB object, 4 KB pages, no chunking, Table 1 costs,
       NT-timer polling, no faults, no crash-fault tolerance, central homes,
-      pure SC consistency. *)
+      pure SC consistency.  Build any other config by record update,
+      [{ default with homes = Homes.round_robin }]. *)
 
-  val with_views : t -> int -> t
-  val with_object_size : t -> int -> t
-  val with_page_size : t -> int -> t
-  val with_chunking : t -> Mp_multiview.Allocator.chunking -> t
-  val with_cost : t -> Cost_model.t -> t
-  val with_polling : t -> Mp_net.Polling.mode -> t
   val with_seed : t -> int -> t
-  val with_net : t -> Net.t -> t
   val with_faults : t -> Mp_net.Fabric.faults -> t
   val with_net_seed : t -> int -> t
-  val with_ft : t -> Ft.t option -> t
-  val with_homes : t -> Homes.t -> t
-  val with_policy : t -> Homes.policy -> t
-  val with_consistency : t -> Consistency.t -> t
+  (** [with_faults] and [with_net_seed] set [net.faults] and [net.seed]. *)
 end
 
 exception Deadlock of string
@@ -252,7 +233,6 @@ val run : t -> unit
 (** {2 Application-thread operations} *)
 
 val host : ctx -> int
-val my_engine : ctx -> Mp_sim.Engine.t
 
 val read_f64 : ctx -> int -> float
 val write_f64 : ctx -> int -> float -> unit

@@ -144,9 +144,6 @@ type body =
 
 val access_to_string : access -> string
 
-val describe_record : log_record -> string
-(** Short tag for logging/debugging, e.g. ["complete r17"]. *)
-
 val describe : body -> string
 (** Short tag for logging/debugging.  A [Data] renders as the body it
     carries, so a message has the same label on either fabric; a [Tack]

@@ -155,6 +155,5 @@ let malloc t size =
 let mpt t = t.mpt
 let chunking t = t.chunking
 let views_used t = max 1 t.views_used
-let bytes_allocated t = t.next_off
 let object_size t = t.object_size
 let page_size t = t.page_size

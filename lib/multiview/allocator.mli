@@ -38,6 +38,5 @@ val chunking : t -> chunking
 val views_used : t -> int
 (** Number of distinct application views referenced so far. *)
 
-val bytes_allocated : t -> int
 val object_size : t -> int
 val page_size : t -> int

@@ -2,13 +2,9 @@
    allocator adds them in increasing offset order, so [add] appends; an
    out-of-order add shifts the tail.  A lookup bisects and allocates
    nothing. *)
-type t = {
-  mutable sorted : Minipage.t array;
-  mutable n : int;
-  by_id : (int, Minipage.t) Hashtbl.t;
-}
+type t = { mutable sorted : Minipage.t array; mutable n : int }
 
-let create () = { sorted = [||]; n = 0; by_id = Hashtbl.create 64 }
+let create () = { sorted = [||]; n = 0 }
 
 (* Fills the free slots.  A grown array of more than 256 slots lives in the
    major heap, and making one filled with a young minipage would force a
@@ -57,10 +53,8 @@ let add t mp =
   let at = last_at_or_before t mp.Minipage.offset + 1 in
   Array.blit t.sorted at t.sorted (at + 1) (t.n - at);
   t.sorted.(at) <- mp;
-  t.n <- t.n + 1;
-  Hashtbl.replace t.by_id mp.Minipage.id mp
+  t.n <- t.n + 1
 
-let find_by_id t id = Hashtbl.find_opt t.by_id id
 let count t = t.n
 
 let iter t f =

@@ -24,7 +24,6 @@ val find : t -> int -> Minipage.t option
 val find_exn : t -> int -> Minipage.t
 (** Raises [Not_found]. *)
 
-val find_by_id : t -> int -> Minipage.t option
 val count : t -> int
 val total_bytes : t -> int
 val iter : t -> (Minipage.t -> unit) -> unit

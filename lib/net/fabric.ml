@@ -30,20 +30,6 @@ let fifo_spacing_us = 0.001
    construction. *)
 let no_event = Engine.event ~label:"" ignore
 
-(* [a] with twice its slots, or 16 slots of [x] when it has none.  Doubling
-   copies [a] into both halves instead of filling them with [x], which may
-   be young: an array of more than 256 slots is made in the major heap, and
-   [Array.make] of one with a young filler forces a minor collection. *)
-let grown a x = if Array.length a = 0 then Array.make 16 x else Array.append a a
-
-(* Free carriers or poll timers: the first [len] slots of [items]. *)
-type 'a stack = { mutable items : 'a array; mutable len : int }
-
-let push s x =
-  if s.len = Array.length s.items then s.items <- grown s.items x;
-  s.items.(s.len) <- x;
-  s.len <- s.len + 1
-
 (* Arrived, unhandled messages are the [len] slots of [ring] from [head]
    on, a ring whose capacity is a power of two.  It grows by doubling, so
    queueing a message allocates nothing once it has grown. *)
@@ -57,11 +43,9 @@ type 'a node = {
   polling : Polling.t;
   mutable busy : bool;
   mutable armed : Engine.event;  (* the armed poll timer; [no_event] when none *)
-  timers : Engine.event stack;  (* free poll timers *)
+  timers : Engine.event Pool.t;  (* free poll timers *)
   mutable dead : bool;  (* crashed host: endpoint silent both ways *)
   mutable stalled_until : float;  (* polls deferred past this instant *)
-  handled_key : string;  (* precomputed counter keys (hot path) *)
-  send_key : string;
   poll_label : string;  (* precomputed event label for schedule exploration *)
 }
 
@@ -78,7 +62,7 @@ type 'a t = {
   pending_poll : Float.Array.t;  (* per host earliest scheduled wake; infinity when none *)
   spare : Float.Array.t;  (* one slot for a time a send or a poll arm computes *)
   chan_label : string array;  (* per (src,dst) "net:hS>hD" event label *)
-  free : 'a carrier stack array;  (* per (src,dst) free carriers *)
+  free : 'a carrier Pool.t array;  (* per (src,dst) free carriers *)
   counters : Stats.Counters.t;
   faults : faults;
   fault_rngs : Prng.t array option;  (* per (src,dst); None when fault-free *)
@@ -92,9 +76,12 @@ let fm_latency = { base_us = 11.4; per_byte_us = 0.0196 }
 let latency_us l ~bytes = l.base_us +. (l.per_byte_us *. float_of_int bytes)
 let default_latency ~bytes = latency_us fm_latency ~bytes
 
-(* A full ring doubled holds its [len] messages in order from [head]. *)
+(* A full ring doubles by [Array.append], which never forces a minor
+   collection (see [Pool]); the doubled ring holds its [len] messages in
+   order from [head]. *)
 let ring_push n c =
-  if n.len = Array.length n.ring then n.ring <- grown n.ring c;
+  if n.len = Array.length n.ring then
+    n.ring <- (if n.len = 0 then Array.make 16 c else Array.append n.ring n.ring);
   n.ring.((n.head + n.len) land (Array.length n.ring - 1)) <- c;
   n.len <- n.len + 1
 
@@ -104,7 +91,7 @@ let ring_take n =
   n.len <- n.len - 1;
   m
 
-let release t c = push t.free.((c.msg.src * Array.length t.nodes) + c.msg.dst) c
+let release t c = Pool.push t.free.((c.msg.src * Array.length t.nodes) + c.msg.dst) c
 
 let disarm_poll t n =
   n.armed <- no_event;
@@ -116,7 +103,7 @@ let disarm_poll t n =
    because schedule exploration counts it in its tie groups.  Either way,
    once fired it is free again. *)
 let poll_fired t n timer =
-  push n.timers timer;
+  Pool.push n.timers timer;
   if n.armed == timer then begin
     disarm_poll t n;
     (match t.obs with
@@ -147,11 +134,9 @@ let create engine ~hosts ?(latency = fm_latency) ?(poll_idle_us = 2.0)
       polling = Polling.create polling ~poll_idle_us ~rng:(Prng.split root_rng);
       busy = false;
       armed = no_event;
-      timers = { items = [||]; len = 0 };
+      timers = Pool.create ();
       dead = false;
       stalled_until = neg_infinity;
-      handled_key = Printf.sprintf "handled.h%d" id;
-      send_key = Printf.sprintf "send.count.h%d" id;
       poll_label = Printf.sprintf "poll:h%d" id;
     }
   in
@@ -176,7 +161,7 @@ let create engine ~hosts ?(latency = fm_latency) ?(poll_idle_us = 2.0)
       chan_label =
         Array.init (hosts * hosts) (fun c ->
             Printf.sprintf "net:h%d>h%d" (c / hosts) (c mod hosts));
-      free = Array.init (hosts * hosts) (fun _ -> { items = [||]; len = 0 });
+      free = Array.init (hosts * hosts) (fun _ -> Pool.create ());
       counters = Stats.Counters.create ();
       faults;
       fault_rngs;
@@ -205,8 +190,7 @@ let create engine ~hosts ?(latency = fm_latency) ?(poll_idle_us = 2.0)
               (match n.handler with
               | Some h -> h m
               | None -> failwith "Fabric: message for host without handler");
-              release t c;
-              Stats.Counters.incr t.counters n.handled_key
+              release t c
             done;
             loop ()
           in
@@ -242,10 +226,7 @@ let schedule_poll t n =
       Float.Array.set t.pending_poll n.id (Float.Array.get t.spare 0);
       (* arming supersedes any timer still queued *)
       let timer =
-        if n.timers.len > 0 then begin
-          n.timers.len <- n.timers.len - 1;
-          n.timers.items.(n.timers.len)
-        end
+        if not (Pool.is_empty n.timers) then Pool.pop n.timers
         else begin
           let self = ref no_event in
           self := Engine.event ~label:n.poll_label (fun () -> poll_fired t n !self);
@@ -272,9 +253,8 @@ let arrive t n c =
 let deliver t (dst_node : 'a node) ~chan ~src ~bytes body a i =
   let free = t.free.(chan) in
   let c =
-    if free.len > 0 then begin
-      free.len <- free.len - 1;
-      let c = free.items.(free.len) in
+    if not (Pool.is_empty free) then begin
+      let c = Pool.pop free in
       c.msg.bytes <- bytes;
       c.msg.body <- body;
       c
@@ -324,7 +304,6 @@ let send t ~src ~dst ~bytes body =
   else begin
   Stats.Counters.incr t.counters "send.count";
   Stats.Counters.add t.counters "send.bytes" bytes;
-  Stats.Counters.incr t.counters src_node.send_key;
   Engine.now_into t.engine t.spare 0;
   let now = Float.Array.get t.spare 0 in
   (match t.obs with

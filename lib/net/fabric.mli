@@ -39,11 +39,6 @@ val no_faults : faults
 
 val faults_active : faults -> bool
 
-val fifo_spacing_us : float
-(** Minimum spacing between consecutive arrivals on one (src, dst) channel
-    (the FIFO clamp); duplicate injection also uses it to keep the ghost copy
-    strictly behind the original. *)
-
 type 'a t
 
 (** One-way wire latency, linear in the message size: [base_us +
@@ -97,9 +92,8 @@ val faulty : 'a t -> bool
 (** Whether this fabric was created with any fault injection enabled. *)
 
 val counters : 'a t -> Mp_util.Stats.Counters.t
-(** ["send.count"], ["send.bytes"], ["send.count.h<i>"], ["handled.h<i>"];
-    with fault injection also ["net.dropped"], ["net.duplicated"],
-    ["net.reordered"]. *)
+(** ["send.count"], ["send.bytes"]; with fault injection also
+    ["net.dropped"], ["net.duplicated"], ["net.reordered"]. *)
 
 val queue_depth : 'a t -> host:int -> int
 (** Messages arrived but not yet handled (for tests). *)

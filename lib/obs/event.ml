@@ -4,12 +4,6 @@ let access_to_string = function Read -> "read" | Write -> "write"
 
 type phase = Queue_wait | Network | Invalidation | Wakeup
 
-let phase_name = function
-  | Queue_wait -> "queue wait"
-  | Network -> "network"
-  | Invalidation -> "invalidation"
-  | Wakeup -> "wakeup"
-
 type kind =
   | Fault of { access : access; addr : int; view : int; vpage : int }
   | Fault_done of { access : access }
@@ -180,10 +174,6 @@ let detail = function
     Printf.sprintf "mp%d view %d @%d len %d vpages %d-%d" mp_id view base_addr
       length first_vpage last_vpage
   | Mark m -> m.detail
-
-let pp fmt e =
-  Format.fprintf fmt "[%8.1f] h%d  %-13s %s" e.time e.host (kind_name e.kind)
-    (detail e.kind)
 
 (* minimal JSON string escaping: the labels we emit are ASCII *)
 let json_escape s =

@@ -16,8 +16,6 @@ type phase =
   | Invalidation  (** write faults: invalidation round outstanding *)
   | Wakeup  (** reply landed to faulting thread running again *)
 
-val phase_name : phase -> string
-
 type kind =
   | Fault of { access : access; addr : int; view : int; vpage : int }
   | Fault_done of { access : access }
@@ -126,7 +124,6 @@ val kind_name : kind -> string
     trace used as its [kind]. *)
 
 val detail : kind -> string
-val pp : Format.formatter -> t -> unit
 
 val to_json : t -> string
 (** One-line JSON object: [ts], [host], [span], [kind], [detail]. *)

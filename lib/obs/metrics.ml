@@ -34,14 +34,6 @@ let gauge_set t name v =
   g.value <- v;
   if v > g.max then g.max <- v
 
-let gauge t name =
-  match Hashtbl.find_opt t.gauges name with Some g -> g.value | None -> 0.0
-
-let gauge_max t name =
-  match Hashtbl.find_opt t.gauges name with
-  | Some g when g.max > neg_infinity -> g.max
-  | Some _ | None -> 0.0
-
 let latency_cell t ?(bucket_width = default_bucket_width) ?(buckets = default_buckets)
     name =
   match Hashtbl.find_opt t.latencies name with

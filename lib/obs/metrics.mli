@@ -21,9 +21,6 @@ val add : t -> string -> int -> unit
 val gauge_set : t -> string -> float -> unit
 (** Sets the current value and tracks the high-water mark. *)
 
-val gauge : t -> string -> float
-val gauge_max : t -> string -> float
-
 (** {2 Latency distributions} *)
 
 val observe : t -> ?bucket_width:float -> ?buckets:int -> string -> float -> unit
@@ -39,7 +36,6 @@ val observations : t -> string -> int
 
 val latency_table : t -> string
 val counters_table : t -> string
-val gauges_table : t -> string
 
 val report : t -> string
 (** All non-empty sections concatenated. *)

@@ -1,11 +1,10 @@
 (** mpprof: online sharing-pattern profiler with protocol-cost attribution.
 
     A passive consumer of the typed event stream.  Attach one to a
-    {!Recorder} and it streams every recorded event through
-    {!feed}: per-minipage sharing signatures (classified with
-    {!Sharing.classify}), false-sharing attribution back to the enclosing
-    view/vpage (the paper's Figure-5 effect), and per-host / per-home
-    protocol-cost accounts.
+    {!Recorder} and it streams every recorded event into per-minipage
+    sharing signatures (classified with {!Sharing.classify}), false-sharing
+    attribution back to the enclosing view/vpage (the paper's Figure-5
+    effect), and per-host / per-home protocol-cost accounts.
 
     The profiler is strictly an observer: it never interacts with the
     simulation (no delays, no messages, no randomness), so enabling it
@@ -19,10 +18,8 @@ val create :
 (** [bucket_us] (default 1000) is the timeline resolution used for the
     Perfetto counter series. *)
 
-val feed : t -> Event.t -> unit
-(** Consume one event.  Never raises. *)
-
 val feed_all : t -> Event.t list -> unit
+(** Consume the events in order.  Never raises. *)
 
 (** {2 Recorder attachment}
 

@@ -428,8 +428,3 @@ let mp_map t ~time ~host ~mp_id ~view ~base_addr ~length ~first_vpage ~last_vpag
 let home_queue_depth t ~home ~depth =
   if t.on then
     gauge_set t (Printf.sprintf "home.h%d.queue_depth" home) (float_of_int depth)
-
-let pp_dump t fmt =
-  List.iter (fun e -> Format.fprintf fmt "%a@." Event.pp e) (events t);
-  if dropped t > 0 then
-    Format.fprintf fmt "(%d earlier events dropped)@." (dropped t)

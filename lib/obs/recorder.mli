@@ -193,5 +193,3 @@ val mp_map :
     the vpage range it occupies.  Emitted at allocation time so stream
     consumers can resolve fault addresses to minipages and detect co-location
     (the false-sharing attribution in {!Profile}). *)
-
-val pp_dump : t -> Format.formatter -> unit

@@ -67,7 +67,7 @@ exception Not_in_process
 exception Stopped
 exception Killed
 
-type _ Effect.t += Delay : unit Effect.t | Park : unit Effect.t | Self_name : string Effect.t
+type _ Effect.t += Delay : unit Effect.t | Park : unit Effect.t
 
 let no_then () = ()
 let ring () = { waiting = [||]; ids = [||]; head = 0; len = 0 }
@@ -333,7 +333,6 @@ let spawn t ?(name = "proc") ?group f =
           match eff with
           | Delay -> on_delay
           | Park -> on_park
-          | Self_name -> Some (fun k -> Effect.Deep.continue k name)
           | _ -> None);
     }
   in
@@ -379,8 +378,6 @@ let suspend ~name register =
   let t = the_engine () in
   let r = ring () in
   park_on t r ~name (fun () -> register (fun () -> wake r))
-
-let self_name () = perform Self_name
 
 (* A fired event is no longer queued, so its callback may post it again. *)
 let fire_root t =

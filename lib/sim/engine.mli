@@ -26,8 +26,8 @@
 type t
 
 exception Not_in_process
-(** Raised when {!delay} / {!park} / {!suspend} / {!self_name} is performed
-    outside a process spawned on an engine. *)
+(** Raised when {!delay} / {!park} / {!suspend} is performed outside a
+    process spawned on an engine. *)
 
 exception Stopped
 (** Raised inside a process that is resumed after {!stop} was called, letting
@@ -115,9 +115,6 @@ val suspend : name:string -> ((unit -> unit) -> unit) -> unit
     and hands a one-shot [resume] thunk to [register], which may call it.
     Calling [resume] wakes the process; calling it again is a no-op.  [name]
     labels the suspension for {!blocked}. *)
-
-val self_name : unit -> string
-(** Name of the running process (["proc"] when spawned without a name). *)
 
 val run : t -> unit
 (** Execute events until the queue drains or {!stop} is called.  Returns

@@ -41,10 +41,6 @@ module Mutex = struct
     if Engine.parked t.waiters = 0 then t.held <- false
     else Engine.wake t.waiters (* ownership transfers directly to the waiter *)
 
-  let with_lock t f =
-    lock t;
-    Fun.protect ~finally:(fun () -> unlock t) f
-
   let locked t = t.held
 end
 

@@ -37,7 +37,6 @@ module Mutex : sig
   val unlock : t -> unit
   (** Raises [Invalid_argument] when the mutex is not held. *)
 
-  val with_lock : t -> (unit -> 'a) -> 'a
   val locked : t -> bool
 end
 

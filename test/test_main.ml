@@ -28,4 +28,5 @@ let () =
       ("replicate", Test_replicate.suite);
       ("adaptive", Test_adaptive.suite);
       ("host-set", Test_host_set.suite);
+      ("pool", Test_pool.suite);
     ]

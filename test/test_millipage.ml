@@ -181,9 +181,9 @@ let test_read_fault_cost_128 () =
     scenario (fun dsm ->
         let x = Dsm.malloc dsm 128 in
         Dsm.spawn dsm ~host:1 (fun ctx ->
-            let t0 = Engine.now (Dsm.my_engine ctx) in
+            let t0 = Engine.now (Dsm.engine dsm) in
             ignore (Dsm.read_f64 ctx x);
-            cost := Engine.now (Dsm.my_engine ctx) -. t0))
+            cost := Engine.now (Dsm.engine dsm) -. t0))
   in
   Alcotest.(check bool)
     (Printf.sprintf "read 128B in [180,230] (got %.0f)" !cost)
@@ -198,9 +198,9 @@ let test_read_fault_cost_4k () =
     scenario ~config (fun dsm ->
         let x = Dsm.malloc dsm 4096 in
         Dsm.spawn dsm ~host:1 (fun ctx ->
-            let t0 = Engine.now (Dsm.my_engine ctx) in
+            let t0 = Engine.now (Dsm.engine dsm) in
             ignore (Dsm.read_f64 ctx x);
-            cost := Engine.now (Dsm.my_engine ctx) -. t0))
+            cost := Engine.now (Dsm.engine dsm) -. t0))
   in
   Alcotest.(check bool)
     (Printf.sprintf "read 4KB in [280,350] (got %.0f)" !cost)
@@ -216,15 +216,15 @@ let test_write_fault_cost_range () =
         let y = Dsm.malloc dsm 128 in
         Dsm.spawn dsm ~host:1 (fun ctx ->
             (* y has a single foreign copy: write transfers, no invals *)
-            let t0 = Engine.now (Dsm.my_engine ctx) in
+            let t0 = Engine.now (Dsm.engine dsm) in
             Dsm.write_f64 ctx y 1.0;
-            no_inval := Engine.now (Dsm.my_engine ctx) -. t0;
+            no_inval := Engine.now (Dsm.engine dsm) -. t0;
             Dsm.barrier ctx;
             Dsm.barrier ctx;
             (* now x has 3 read copies: write must invalidate them *)
-            let t0 = Engine.now (Dsm.my_engine ctx) in
+            let t0 = Engine.now (Dsm.engine dsm) in
             Dsm.write_f64 ctx x 1.0;
-            with_invals := Engine.now (Dsm.my_engine ctx) -. t0);
+            with_invals := Engine.now (Dsm.engine dsm) -. t0);
         for h = 2 to 4 do
           Dsm.spawn dsm ~host:h (fun ctx ->
               Dsm.barrier ctx;
@@ -270,14 +270,14 @@ let test_prefetch_hides_latency () =
         let x = Dsm.malloc dsm 128 in
         let y = Dsm.malloc dsm 128 in
         Dsm.spawn dsm ~host:1 (fun ctx ->
-            let t0 = Engine.now (Dsm.my_engine ctx) in
+            let t0 = Engine.now (Dsm.engine dsm) in
             ignore (Dsm.read_f64 ctx x);
-            cold := Engine.now (Dsm.my_engine ctx) -. t0;
+            cold := Engine.now (Dsm.engine dsm) -. t0;
             Dsm.prefetch ctx y Proto.Read;
             Dsm.compute ctx 1000.0;
-            let t0 = Engine.now (Dsm.my_engine ctx) in
+            let t0 = Engine.now (Dsm.engine dsm) in
             ignore (Dsm.read_f64 ctx y);
-            prefetched := Engine.now (Dsm.my_engine ctx) -. t0))
+            prefetched := Engine.now (Dsm.engine dsm) -. t0))
   in
   Alcotest.(check bool) "prefetched access is free" true (!prefetched < 1.0);
   Alcotest.(check bool) "cold access is not" true (!cold > 100.0)

@@ -101,7 +101,8 @@ let test_set_idle_rearms_poller () =
 
 let test_counters () =
   with_fabric ~polling:Polling.Fast (fun e fab ->
-      Fabric.set_handler fab ~host:1 (fun _ -> ());
+      let handled = ref 0 in
+      Fabric.set_handler fab ~host:1 (fun _ -> incr handled);
       Engine.spawn e (fun () ->
           Fabric.send fab ~src:0 ~dst:1 ~bytes:100 ();
           Fabric.send fab ~src:0 ~dst:1 ~bytes:200 ());
@@ -109,7 +110,7 @@ let test_counters () =
           let c = Fabric.counters fab in
           Alcotest.(check int) "count" 2 Mp_util.Stats.Counters.(get c "send.count");
           Alcotest.(check int) "bytes" 300 Mp_util.Stats.Counters.(get c "send.bytes");
-          Alcotest.(check int) "handled" 2 Mp_util.Stats.Counters.(get c "handled.h1")))
+          Alcotest.(check int) "handled" 2 !handled))
 
 let test_mean_busy_wait_analytic_vs_empirical () =
   let p = Polling.default_nt in
@@ -195,7 +196,7 @@ let test_disabled_recorder_allocation () =
    wait and of the sender's delay. *)
 let test_single_message_allocation () =
   let per_msg = words_per_message ~n:2_000 ~batch:1 in
-  Alcotest.(check (float 0.05)) "words per single message" 4.75 per_msg
+  Alcotest.(check (float 0.05)) "words per single message" 4.66 per_msg
 
 (* Arming a poll when no timer is queued takes a fired timer from the free
    stack and posts it from the host's float slot: no word.  Host 1's server

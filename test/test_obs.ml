@@ -393,7 +393,9 @@ let test_recorder_passive () =
   let faults =
     { Mp_net.Fabric.no_faults with drop = 0.1; duplicate = 0.05; reorder = 0.1 }
   in
-  let config = Dsm.Config.with_net_seed (Dsm.Config.with_faults Dsm.Config.default faults) 42 in
+  let config =
+    { Dsm.Config.default with net = { Dsm.Config.Net.default with faults; seed = 42 } }
+  in
   let dsm, ok, o = check_passive "sor, faulty fabric" ~hosts:4 ~config (sor 256) in
   Alcotest.(check bool) "faulty sor verified" true ok;
   Alcotest.(check bool) "retransmitted" true (Dsm.retransmits dsm > 0);

@@ -263,7 +263,7 @@ let test_fault_free_results_unchanged () =
      cannot.) *)
   let run ft =
     let final = ref [||] in
-    let config = Dsm.Config.with_ft (config ~homes:rr ()) ft in
+    let config = { (config ~homes:rr ()) with Dsm.Config.ft } in
     let dsm = scenario ~hosts:4 ~config (fun dsm -> final := stencil ~phases:4 dsm) in
     (dsm, Array.to_list !final)
   in

@@ -178,11 +178,12 @@ let test_mutex_mutual_exclusion () =
   let inside = ref 0 and max_inside = ref 0 and done_count = ref 0 in
   for _ = 1 to 4 do
     Engine.spawn e (fun () ->
-        Sync.Mutex.with_lock m (fun () ->
-            incr inside;
-            if !inside > !max_inside then max_inside := !inside;
-            Engine.delay 2.0;
-            decr inside);
+        Sync.Mutex.lock m;
+        incr inside;
+        if !inside > !max_inside then max_inside := !inside;
+        Engine.delay 2.0;
+        decr inside;
+        Sync.Mutex.unlock m;
         incr done_count)
   done;
   Engine.run e;
