@@ -493,4 +493,9 @@ module Testonly : sig
 
   val mutation_fired : t -> bool
   (** Whether the armed mutation's [nth] trigger was reached this run. *)
+
+  val inject : t -> src:int -> dst:int -> Proto.body -> unit
+  (** Send a protocol message from [src] to [dst] as the protocol would, so
+      a test can deliver one the protocol never sends (a stray ACK).  Call
+      it from a thread while the DSM runs. *)
 end

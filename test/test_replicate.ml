@@ -463,6 +463,49 @@ let test_duplicate_suppressed_across_promotion () =
     !final;
   ignore (counter dsm "manager.dup_requests")
 
+(* ---------------- two orphaned faults of one host -------------------- *)
+
+let test_orphaned_faults_resent_oldest_first () =
+  (* Round-robin homes put cells 2 and 6 at host 2, which crashes before
+     anyone touches them.  Two threads of host 1 then fault on them, 30 µs
+     apart, so both requests are in flight to the corpse when it is declared
+     dead.  Recovery re-sends both to the promoted backup under fresh ids,
+     oldest first: the order the faults were sent in. *)
+  let got = Array.make 2 0.0 in
+  let cells = ref [||] in
+  let dsm =
+    scenario ~hosts:4
+      ~config:(config ~homes:rr ~crashes:[ (2, 50.0) ] ())
+      (fun dsm ->
+        cells := Dsm.malloc_array dsm ~count:8 ~size:64;
+        Array.iteri (fun i c -> Dsm.init_write_f64 dsm c (float_of_int i)) !cells;
+        List.iteri
+          (fun k i ->
+            Dsm.spawn dsm ~host:1 (fun ctx ->
+                Dsm.compute ctx (100.0 +. (30.0 *. float_of_int k));
+                got.(k) <- Dsm.read_f64 ctx !cells.(i)))
+          [ 2; 6 ])
+  in
+  Alcotest.(check (list int)) "home host declared dead" [ 2 ] (Dsm.declared_dead dsm);
+  Alcotest.(check (list int)) "shard promoted" [ 2 ] (Dsm.promoted_homes dsm);
+  Alcotest.(check (array (float 0.0))) "both reads verified" [| 2.0; 6.0 |] got;
+  Alcotest.(check int) "both faults resent" 2 (counter dsm "homes.resent_requests");
+  let requests =
+    List.filter_map
+      (fun (ev : Event.t) ->
+        match ev.kind with
+        | Event.Request { addr; _ } when ev.host = 1 -> Some (ev.span, addr)
+        | _ -> None)
+      (Mp_obs.Recorder.events (Dsm.obs dsm))
+  in
+  let addr i = !cells.(i) in
+  match requests with
+  | [ (s0, a0); (s1, a1); (r0, b0); (r1, b1) ] ->
+    Alcotest.(check (list int)) "sent oldest first" [ addr 2; addr 6 ] [ a0; a1 ];
+    Alcotest.(check (list int)) "resent oldest first" [ addr 2; addr 6 ] [ b0; b1 ];
+    Alcotest.(check bool) "under fresh, increasing ids" true (s1 < r0 && s0 < s1 && r0 < r1)
+  | _ -> Alcotest.failf "expected four requests from host 1, got %d" (List.length requests)
+
 let suite =
   [
     Alcotest.test_case "promotion after home crash" `Quick
@@ -490,4 +533,6 @@ let suite =
       test_replica_prune_mirrors_primary;
     Alcotest.test_case "duplicate suppressed across promotion" `Quick
       test_duplicate_suppressed_across_promotion;
+    Alcotest.test_case "orphaned faults resent oldest first" `Quick
+      test_orphaned_faults_resent_oldest_first;
   ]
