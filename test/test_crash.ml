@@ -232,6 +232,51 @@ let test_directory_pruning () =
   Alcotest.(check bool) "recent id still deduped" false
     (Directory.note_request d ~req_id:9)
 
+(* The directory's idempotence tables against the pair of [Hashtbl]s they
+   replaced, as a model: random request ids are seen, completed at the step
+   number and pruned, ids collide and tables grow and shrink, and after
+   every step the answers, the sizes and [completed_stamps] (in its order,
+   which crash recovery's trace records) agree. *)
+let test_idempotence_tables_match_hashtbl () =
+  let d = Directory.create ~initial_owner:0 in
+  let seen = Hashtbl.create 64 and completed = Hashtbl.create 64 in
+  let rng = Mp_util.Prng.create ~seed:7 in
+  for step = 1 to 20_000 do
+    let req_id = 1 + Mp_util.Prng.int rng 3_000 in
+    let now = float_of_int step in
+    (match Mp_util.Prng.int rng 10 with
+    | 0 | 1 | 2 | 3 ->
+      let fresh = not (Hashtbl.mem seen req_id) in
+      if fresh then Hashtbl.add seen req_id ();
+      Alcotest.(check bool) "note_request" fresh (Directory.note_request d ~req_id)
+    | 4 | 5 | 6 ->
+      Hashtbl.replace completed req_id now;
+      Directory.mark_completed d ~req_id ~now
+    | 7 | 8 ->
+      Alcotest.(check bool) "completed" (Hashtbl.mem completed req_id)
+        (Directory.completed d ~req_id)
+    | _ ->
+      let before = now -. float_of_int (Mp_util.Prng.int rng 3_000) in
+      let pruned = ref 0 in
+      Hashtbl.filter_map_inplace
+        (fun req_id at ->
+          if at < before then begin
+            Hashtbl.remove seen req_id;
+            incr pruned;
+            None
+          end
+          else Some at)
+        completed;
+      Alcotest.(check int) "pruned" !pruned (Directory.prune_completed d ~before));
+    Alcotest.(check int) "sizes" (Hashtbl.length seen + Hashtbl.length completed)
+      (Directory.idempotence_size d);
+    if step mod 500 = 0 then
+      Alcotest.(check (list (pair int (float 0.0))))
+        "completed_stamps"
+        (Hashtbl.fold (fun req_id at acc -> (req_id, at) :: acc) completed [])
+        (Directory.completed_stamps d)
+  done
+
 let test_idempotence_bounded_end_to_end () =
   (* long faulty run with a short retransmission window: the manager's
      tables must stay far below the total request count *)
@@ -517,4 +562,6 @@ let suite =
     Alcotest.test_case "re-homing under first toucher" `Quick
       test_rehoming_under_first_toucher;
     QCheck_alcotest.to_alcotest prop_random_crash_never_hangs;
+    Alcotest.test_case "idempotence tables match a Hashtbl model" `Quick
+      test_idempotence_tables_match_hashtbl;
   ]
