@@ -31,8 +31,8 @@ let collect e dsm ~verified =
     verified;
     read_faults = Dsm.read_faults dsm;
     write_faults = Dsm.write_faults dsm;
-    barriers_per_thread = Dsm.barriers_entered dsm / Dsm.hosts dsm;
-    locks_total = Dsm.locks_acquired dsm;
+    barriers_per_thread = (Dsm.stats dsm).barriers_entered / Dsm.hosts dsm;
+    locks_total = (Dsm.stats dsm).locks_acquired;
     views = Dsm.views_used dsm;
     shared_bytes = Mp_multiview.Mpt.total_bytes (Dsm.mpt dsm);
     messages = Dsm.messages_sent dsm;

@@ -59,11 +59,11 @@ let run_one ?(homes = Dsm.Config.Homes.default) ~ft () =
     time = Engine.now e;
     events;
     declared = Dsm.declared_dead dsm;
-    recovered = Dsm.recovered_minipages dsm;
+    recovered = (Dsm.stats dsm).recovered_minipages;
     lost = List.length (Dsm.lost_minipages dsm);
-    heartbeats = Dsm.heartbeats_sent dsm;
+    heartbeats = (Dsm.stats dsm).heartbeats_sent;
     messages = Dsm.messages_sent dsm;
-    promotions = Dsm.backup_promotions dsm;
+    promotions = (Dsm.stats dsm).backup_promotions;
     log_sent = Dsm.log_records_sent dsm;
     violations =
       (* an aborted run legitimately strands in-flight survivor faults;

@@ -70,8 +70,8 @@ let run () =
               string_of_int (Dsm.net_dropped dsm);
               string_of_int (Dsm.net_duplicated dsm);
               string_of_int (Dsm.net_reordered dsm);
-              string_of_int (Dsm.retransmits dsm);
-              string_of_int (Dsm.dups_suppressed dsm);
+              string_of_int (Dsm.stats dsm).retransmits;
+              string_of_int (Dsm.stats dsm).dups_suppressed;
               (if ok then "ok" else "FAIL");
             ])
           host_counts)

@@ -215,10 +215,10 @@ let parse_stall_specs specs =
 
 let report_ft (t : Mp_millipage.Dsm.t) =
   let module D = Mp_millipage.Dsm in
-  let c n = Mp_util.Stats.Counters.get (D.counters t) n in
+  let s = D.stats t in
   Printf.printf
     "crash-ft:     %d heartbeat(s); crashed %s; declared dead %s\n"
-    (D.heartbeats_sent t)
+    s.heartbeats_sent
     (match D.crashed_hosts t with
     | [] -> "none"
     | l -> String.concat "," (List.map string_of_int l))
@@ -229,23 +229,21 @@ let report_ft (t : Mp_millipage.Dsm.t) =
     Printf.printf
       "recovery:     %d minipage(s) from shadows, %d lost, %d lease(s) \
        revoked, %d barrier reconfig(s)\n"
-      (D.recovered_minipages t)
+      s.recovered_minipages
       (List.length (D.lost_minipages t))
-      (D.leases_revoked t) (c "ft.barrier_reconfigs");
+      s.leases_revoked s.barrier_reconfigs;
   if D.hosts t > 1 then begin
     Printf.printf
       "replication:  %d log record(s) sent, %d applied; %d promotion(s)%s\n"
       (D.log_records_sent t)
-      (D.log_records_applied t)
-      (D.backup_promotions t)
+      s.log_records_applied s.backup_promotions
       (match D.promoted_homes t with
       | [] -> ""
       | l ->
         Printf.sprintf " (home %s)" (String.concat "," (List.map string_of_int l)));
-    if D.backup_promotions t > 0 then
+    if s.backup_promotions > 0 then
       Printf.printf "promotion:    %d tail repair(s), %d minipage(s) rolled back\n"
-        (D.tail_repairs t)
-        (D.rolled_back_minipages t)
+        s.tail_repairs s.rolled_back_minipages
   end
 
 let execute app system hosts chunking polling paper trace_out perfetto metrics
@@ -352,6 +350,7 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
     let exec () =
       R.exec t engine app paper obs_opts
         ~extra:(fun () ->
+          let stats = Mp_millipage.Dsm.stats t in
           Printf.printf "views used:   %d, competing requests: %d\n"
             (Mp_millipage.Dsm.views_used t)
             (Mp_millipage.Dsm.competing_requests t);
@@ -361,7 +360,7 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
                "homes:        policy %s; %d redirect(s); queue depth by home \
                 [%s]\n"
                (H.policy_name homes_config.H.policy)
-               (Mp_millipage.Dsm.home_redirects t)
+               stats.home_redirects
                (String.concat ","
                   (Array.to_list
                      (Array.map string_of_int
@@ -380,9 +379,7 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
                (C.mode_name consistency_config.C.mode)
                census
                (Mp_millipage.Dsm.mode_switches t)
-               (Mp_millipage.Dsm.rc_twins t)
-               (Mp_millipage.Dsm.rc_diffs t)
-               (Mp_millipage.Dsm.rc_diff_bytes t)
+               stats.rc_twins stats.rc_diffs stats.rc_diff_bytes
            end);
           if Mp_millipage.Dsm.faulty t then
             Printf.printf
@@ -391,8 +388,7 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
               (Mp_millipage.Dsm.net_dropped t)
               (Mp_millipage.Dsm.net_duplicated t)
               (Mp_millipage.Dsm.net_reordered t)
-              (Mp_millipage.Dsm.retransmits t)
-              (Mp_millipage.Dsm.dups_suppressed t);
+              stats.retransmits stats.dups_suppressed;
           if ft_config <> None then report_ft t)
         ~degraded:(fun () -> Mp_millipage.Dsm.declared_dead t <> [])
         ()

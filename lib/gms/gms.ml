@@ -55,7 +55,10 @@ type t = {
   fetching : (int * int, inflight) Hashtbl.t;  (* (page, sub) *)
   store : (int * int, bytes) Hashtbl.t array;  (* per server: backing pages *)
   mutable next_req : int;
-  counters : Stats.Counters.t;
+  mutable misses : int;
+  mutable fetches : int;
+  mutable evictions : int;
+  mutable writebacks : int;
   miss_stall : Stats.Summary.t;
 }
 
@@ -105,7 +108,7 @@ let send_fetch t ~page ~sub ~demand =
     t.next_req <- t.next_req + 1;
     let inflight = { event = Sync.Event.create ~auto_reset:false ~name:"gms.fetch" (); demand } in
     Hashtbl.add t.fetching (page, sub) inflight;
-    Stats.Counters.incr t.counters "fetches";
+    t.fetches <- t.fetches + 1;
     Fabric.send t.fabric ~src:client ~dst:(home t page) ~bytes:header_bytes
       (Fetch { req_id = t.next_req; page; sub; from = client });
     inflight
@@ -141,11 +144,11 @@ let evict_one t ~keep =
   if !victim < 0 then failwith "gms: resident budget too small";
   let page = !victim in
   let ps = Hashtbl.find t.resident page in
-  Stats.Counters.incr t.counters "evictions";
+  t.evictions <- t.evictions + 1;
   for sub = 0 to t.subs - 1 do
     if ps.present.(sub) then begin
       if ps.dirty.(sub) then begin
-        Stats.Counters.incr t.counters "writebacks";
+        t.writebacks <- t.writebacks + 1;
         let data = Vm.priv_read_bytes t.vm ~off:(sub_off t ~page ~sub) ~len:t.config.subpage_bytes in
         Fabric.send t.fabric ~src:client ~dst:(home t page)
           ~bytes:(header_bytes + t.config.subpage_bytes)
@@ -177,7 +180,7 @@ let on_fault t (f : Vm.fault) =
   in
   ps.last_used <- Engine.now t.engine;
   if not ps.present.(sub) then begin
-    Stats.Counters.incr t.counters "misses";
+    t.misses <- t.misses + 1;
     let inflight = send_fetch t ~page ~sub ~demand:true in
     let t0 = Engine.now t.engine in
     Sync.Event.wait inflight.event;
@@ -225,7 +228,10 @@ let create engine ?(config = Config.default) ~servers () =
       fetching = Hashtbl.create 16;
       store = Array.init servers (fun _ -> Hashtbl.create 256);
       next_req = 0;
-      counters = Stats.Counters.create ();
+      misses = 0;
+      fetches = 0;
+      evictions = 0;
+      writebacks = 0;
       miss_stall = Stats.Summary.create ();
     }
   in
@@ -274,9 +280,9 @@ let run t = Engine.run t.engine
 (* Statistics                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let page_misses t = Stats.Counters.get t.counters "misses"
-let subpage_fetches t = Stats.Counters.get t.counters "fetches"
-let evictions t = Stats.Counters.get t.counters "evictions"
-let writebacks t = Stats.Counters.get t.counters "writebacks"
-let bytes_transferred t = Stats.Counters.get (Fabric.counters t.fabric) "send.bytes"
+let page_misses t = t.misses
+let subpage_fetches t = t.fetches
+let evictions t = t.evictions
+let writebacks t = t.writebacks
+let bytes_transferred t = (Fabric.stats t.fabric).bytes
 let mean_miss_us t = Stats.Summary.mean t.miss_stall

@@ -1,5 +1,3 @@
-open Mp_util
-
 (* [prot] starts as the table shared by every view mapped with the same
    initial protection; the view's first change copies it ([shared] false
    from then on). *)
@@ -16,7 +14,8 @@ type t = {
   stride : int;  (* distance between consecutive view bases *)
   first_base : int;
   mutable handler : (fault -> unit) option;
-  counters : Stats.Counters.t;
+  mutable read_faults : int;
+  mutable write_faults : int;
 }
 
 and fault = { addr : int; access : Prot.access; view : int; vpage : int; phys_off : int }
@@ -44,7 +43,8 @@ let create obj =
     stride = size + page_size;
     first_base = page_size;
     handler = None;
-    counters = Stats.Counters.create ();
+    read_faults = 0;
+    write_faults = 0;
   }
 
 let view_size t = t.size
@@ -119,7 +119,8 @@ let protection t ~view:i ~vpage =
   (view t i).prot.(vpage)
 
 let set_fault_handler t handler = t.handler <- Some handler
-let counters t = t.counters
+let read_faults t = t.read_faults
+let write_faults t = t.write_faults
 
 (* Call the handler for the first vpage of [first, last] that forbids
    [access], and retry, as the hardware would re-execute the faulting
@@ -132,8 +133,9 @@ let rec fault_until_allowed t addr access idx v first last n =
   if !vp <= last then begin
     let vpage = !vp in
     let fault = { addr; access; view = idx; vpage; phys_off = vpage * t.page_size } in
-    Stats.Counters.incr t.counters
-      (match access with Prot.Read -> "fault.read" | Prot.Write -> "fault.write");
+    (match access with
+    | Prot.Read -> t.read_faults <- t.read_faults + 1
+    | Prot.Write -> t.write_faults <- t.write_faults + 1);
     (match t.handler with
     | None -> raise (Access_violation fault)
     | Some h ->

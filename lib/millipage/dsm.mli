@@ -298,16 +298,67 @@ val competing_requests : t -> int
 
 val read_faults : t -> int
 val write_faults : t -> int
-val barriers_entered : t -> int
-val locks_acquired : t -> int
 val messages_sent : t -> int
 val bytes_sent : t -> int
 val mpt : t -> Mp_multiview.Mpt.t
 val views_used : t -> int
-val counters : t -> Mp_util.Stats.Counters.t
-(** Protocol-level counters: ["invalidations"], ["acks"], ["pushes"],
-    ["replies.data"], ["grant.upgrades"], and under sharded policies
-    ["homes.redirects"], ["homes.migrations"], ... *)
+
+type stats = private {
+  mutable barriers_entered : int;  (** one per thread per barrier phase *)
+  mutable locks_acquired : int;
+  mutable invalidations : int;  (** INVALIDATEs sent by homes *)
+  mutable data_replies : int;  (** data replies sent by suppliers *)
+  mutable grant_upgrades : int;
+      (** write grants to a host that already holds the data *)
+  mutable pushes : int;  (** {!push_to_all} calls *)
+  mutable groups_fetched : int;  (** {!fetch_group} calls *)
+  mutable home_redirects : int;
+      (** requests that reached a stale home and were redirected *)
+  mutable home_migrations : int;  (** first-toucher moves of a home *)
+  mutable resent_requests : int;
+      (** faults re-sent under a fresh id after their home died *)
+  mutable retransmits : int;  (** transport retransmissions *)
+  mutable dups_suppressed : int;  (** duplicate packets the transport dropped *)
+  mutable heartbeats_sent : int;
+  mutable suspects : int;  (** hosts the failure detector began to suspect *)
+  mutable suspect_recoveries : int;
+      (** suspicions retracted before the declare timeout *)
+  mutable leases_revoked : int;  (** locks taken from a dead holder *)
+  mutable recovered_minipages : int;
+      (** exclusively-dead-owned minipages re-materialized from shadow
+          copies *)
+  mutable shadow_syncs : int;
+      (** barrier entries that refreshed any of the host's shadows *)
+  mutable barrier_reconfigs : int;
+      (** in-progress barriers rebuilt after their home died *)
+  mutable barrier_release_replays : int;
+      (** barrier releases re-sent after their releaser died *)
+  mutable backup_promotions : int;
+      (** dead homes whose shard was taken over by its backup *)
+  mutable tail_repairs : int;
+      (** promotion-time repairs of log records lost in the dead primary's
+          final retransmission window (reachable only under message loss):
+          completions re-installed from the corpse's table plus location
+          state rebuilt from the survivors' page protections *)
+  mutable rolled_back_minipages : int;
+      (** sole-copy minipages whose dead owner wrote after the last sync,
+          restored to the last released version *)
+  mutable log_records_applied : int;
+      (** directory-log records applied at backups (trails
+          {!log_records_sent} by the in-flight tail) *)
+  mutable rc_promotes : int;  (** minipages switched from SC to RC *)
+  mutable rc_demotes : int;  (** and back, recovery-forced ones included *)
+  mutable rc_twins : int;  (** twins created at RC write faults *)
+  mutable rc_diffs : int;
+      (** release-time diffs flushed to the masters (empty diffs are
+          skipped) *)
+  mutable rc_diff_bytes : int;
+      (** total encoded bytes of those diffs — the quantity to weigh against
+          the invalidation traffic SC would have sent *)
+}
+
+val stats : t -> stats
+(** The run's counts.  The record is live: it changes as the run goes. *)
 
 val obs : t -> Mp_obs.Recorder.t
 (** The typed observability recorder (disabled by default;
@@ -322,9 +373,6 @@ val max_queue_depth_by_home : t -> int array
 (** Per-home high-water queue depth (index = host id).  Under [Central] only
     index 0 is ever non-zero. *)
 
-val home_redirects : t -> int
-(** Requests that reached a stale home and were redirected. *)
-
 (** {2 Fault injection and reliable transport}
 
     When {!Config.Net.t.faults} enables any fault, protocol bodies travel in
@@ -335,8 +383,6 @@ val home_redirects : t -> int
     reliable fabric carries bare bodies. *)
 
 val faulty : t -> bool
-val retransmits : t -> int
-val dups_suppressed : t -> int
 
 val net_dropped : t -> int
 val net_duplicated : t -> int
@@ -371,13 +417,6 @@ val lost_minipages : t -> int list
 (** Minipages that died with their sole owner before any shadow of them
     existed: survivor accesses raise {!Crash_unrecoverable}. *)
 
-val recovered_minipages : t -> int
-(** Exclusively-dead-owned minipages successfully re-materialized from
-    shadow copies. *)
-
-val heartbeats_sent : t -> int
-val leases_revoked : t -> int
-
 val idempotence_size : t -> int
 (** Combined size of every shard's request-idempotence tables (bounded by
     periodic pruning of completions older than the retransmission
@@ -393,9 +432,6 @@ val idempotence_size : t -> int
     log.  With crash-fault tolerance off no replication state or traffic
     exists. *)
 
-val backup_promotions : t -> int
-(** Dead homes whose shard was taken over by its backup. *)
-
 val promoted_homes : t -> int list
 (** The dead primaries whose shards were promoted. *)
 
@@ -403,20 +439,6 @@ val log_records_sent : t -> int
 (** Directory-log records appended across all primaries (the steady-state
     replication overhead). *)
 
-val log_records_applied : t -> int
-(** Log records applied at backups (trails {!log_records_sent} by the
-    in-flight tail). *)
-
-val tail_repairs : t -> int
-(** Promotion-time repairs of log records lost in the dead primary's final
-    retransmission window (reachable only under message loss): completions
-    re-installed from the corpse's table plus location state rebuilt from
-    the survivors' page protections. *)
-
-val rolled_back_minipages : t -> int
-(** Sole-copy minipages whose dead owner wrote after the last sync, restored
-    to the last released version: the dead host's un-released writes are
-    discarded. *)
 
 (** {2 Adaptive consistency}
 
@@ -445,16 +467,6 @@ val modes : t -> (Proto.mode * int) list
 val mode_switches : t -> int
 (** Completed mode switches (promotions + demotions), including
     recovery-forced demotions after a crash. *)
-
-val rc_twins : t -> int
-(** Twins created at RC write faults. *)
-
-val rc_diffs : t -> int
-(** Release-time diffs flushed to the masters (empty diffs are skipped). *)
-
-val rc_diff_bytes : t -> int
-(** Total encoded bytes of those diffs — the quantity to weigh against the
-    invalidation traffic SC would have sent. *)
 
 val mode_switch_log : t -> (float * int * Proto.mode) list
 (** Every completed switch as [(time µs, mp_id, new mode)], oldest first. *)

@@ -51,6 +51,14 @@ type 'a node = {
 
 type latency = { base_us : float; per_byte_us : float }
 
+type stats = {
+  mutable sent : int;
+  mutable bytes : int;
+  mutable dropped : int;
+  mutable duplicated : int;
+  mutable reordered : int;
+}
+
 (* The times a send and a poll arm compute live in [Float.Array] slots and
    are posted from there: a float passed to another module's function is
    boxed. *)
@@ -63,7 +71,7 @@ type 'a t = {
   spare : Float.Array.t;  (* one slot for a time a send or a poll arm computes *)
   chan_label : string array;  (* per (src,dst) "net:hS>hD" event label *)
   free : 'a carrier Pool.t array;  (* per (src,dst) free carriers *)
-  counters : Stats.Counters.t;
+  stats : stats;
   faults : faults;
   fault_rngs : Prng.t array option;  (* per (src,dst); None when fault-free *)
   mutable obs : (Mp_obs.Recorder.t * ('a -> string)) option;
@@ -162,7 +170,7 @@ let create engine ~hosts ?(latency = fm_latency) ?(poll_idle_us = 2.0)
         Array.init (hosts * hosts) (fun c ->
             Printf.sprintf "net:h%d>h%d" (c / hosts) (c mod hosts));
       free = Array.init (hosts * hosts) (fun _ -> Pool.create ());
-      counters = Stats.Counters.create ();
+      stats = { sent = 0; bytes = 0; dropped = 0; duplicated = 0; reordered = 0 };
       faults;
       fault_rngs;
       obs = None;
@@ -239,10 +247,7 @@ let schedule_poll t n =
   end
 
 let arrive t n c =
-  if n.dead then begin
-    Stats.Counters.incr t.counters "net.dead_dropped";
-    release t c
-  end
+  if n.dead then release t c
   else begin
     ring_push n c;
     schedule_poll t n
@@ -278,8 +283,7 @@ let crash t ~host =
     while n.len > 0 do
       release t (ring_take n)
     done;
-    disarm_poll t n;
-    Stats.Counters.incr t.counters "net.crashed_hosts"
+    disarm_poll t n
   end
 
 let stall t ~host ~until =
@@ -300,10 +304,10 @@ let send t ~src ~dst ~bytes body =
   if bytes < 0 then invalid_arg "Fabric.send: negative size";
   let dst_node = node t dst in
   let src_node = node t src in
-  if src_node.dead then Stats.Counters.incr t.counters "net.dead_dropped"
-  else begin
-  Stats.Counters.incr t.counters "send.count";
-  Stats.Counters.add t.counters "send.bytes" bytes;
+  if not src_node.dead then begin
+  let st = t.stats in
+  st.sent <- st.sent + 1;
+  st.bytes <- st.bytes + bytes;
   Engine.now_into t.engine t.spare 0;
   let now = Float.Array.get t.spare 0 in
   (match t.obs with
@@ -350,7 +354,7 @@ let send t ~src ~dst ~bytes body =
       if reordered then begin
         (* escape the FIFO clamp: arrive at raw latency, overtaking queued
            traffic, and leave chan_last alone so later sends are unaffected *)
-        Stats.Counters.incr t.counters "net.reordered";
+        t.stats.reordered <- t.stats.reordered + 1;
         (match t.obs with
         | Some (obs, _) ->
           Mp_obs.Recorder.net_reorder obs ~time:now ~host:src ~dst ~label:(label ())
@@ -365,7 +369,7 @@ let send t ~src ~dst ~bytes body =
     in
     let copies =
       if f.duplicate > 0.0 && Prng.float rng 1.0 < f.duplicate then begin
-        Stats.Counters.incr t.counters "net.duplicated";
+        t.stats.duplicated <- t.stats.duplicated + 1;
         (match t.obs with
         | Some (obs, _) ->
           Mp_obs.Recorder.net_dup obs ~time:now ~host:src ~dst ~label:(label ())
@@ -377,7 +381,7 @@ let send t ~src ~dst ~bytes body =
     for copy = 0 to copies - 1 do
       let dropped = f.drop > 0.0 && Prng.float rng 1.0 < f.drop in
       if dropped then begin
-        Stats.Counters.incr t.counters "net.dropped";
+        t.stats.dropped <- t.stats.dropped + 1;
         match t.obs with
         | Some (obs, _) ->
           Mp_obs.Recorder.net_drop obs ~time:now ~host:src ~dst ~bytes
@@ -401,5 +405,5 @@ let set_busy t ~host b =
   if was && (not b) && n.len > 0 then schedule_poll t n
 
 let busy t ~host = (node t host).busy
-let counters t = t.counters
+let stats t = t.stats
 let queue_depth t ~host = (node t host).len

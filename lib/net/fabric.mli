@@ -91,9 +91,17 @@ val busy : 'a t -> host:int -> bool
 val faulty : 'a t -> bool
 (** Whether this fabric was created with any fault injection enabled. *)
 
-val counters : 'a t -> Mp_util.Stats.Counters.t
-(** ["send.count"], ["send.bytes"]; with fault injection also
-    ["net.dropped"], ["net.duplicated"], ["net.reordered"]. *)
+type stats = private {
+  mutable sent : int;  (** messages sent by live hosts *)
+  mutable bytes : int;  (** their payload bytes *)
+  mutable dropped : int;  (** copies the injected faults discarded *)
+  mutable duplicated : int;  (** sends that delivered a second copy *)
+  mutable reordered : int;  (** sends that escaped the FIFO clamp *)
+}
+
+val stats : 'a t -> stats
+(** The fabric's live counts; the last three stay 0 without fault
+    injection. *)
 
 val queue_depth : 'a t -> host:int -> int
 (** Messages arrived but not yet handled (for tests). *)
@@ -101,9 +109,8 @@ val queue_depth : 'a t -> host:int -> int
 val crash : 'a t -> host:int -> unit
 (** Silence the host's endpoint permanently: queued messages are discarded,
     in-flight and future traffic to it evaporates on arrival, and its own
-    sends are swallowed (["net.dead_dropped"] counts both directions).  The
-    host's server process must be killed separately (see
-    [Engine.kill_group]).  Idempotent. *)
+    sends are swallowed, uncounted.  The host's server process must be
+    killed separately (see [Engine.kill_group]).  Idempotent. *)
 
 val stall : 'a t -> host:int -> until:float -> unit
 (** Freeze the host's CPU until the given absolute time: no polls fire

@@ -9,8 +9,6 @@ open Mp_millipage
 module Consistency = Dsm.Config.Consistency
 module Homes = Dsm.Config.Homes
 
-let counter dsm name = Mp_util.Stats.Counters.get (Dsm.counters dsm) name
-
 let mk ?(hosts = 2) ?(homes = Homes.default) consistency =
   let e = Engine.create () in
   let config = { Dsm.Config.default with consistency; homes } in
@@ -83,9 +81,9 @@ let false_sharing_run ?(hosts = 2) ?(phases = 6) consistency =
 let test_rc_multi_writer () =
   let _, dsm, x = false_sharing_run Consistency.rc in
   Alcotest.(check bool) "minipage runs rc" true (Dsm.mode_of dsm ~addr:x = Proto.Rc);
-  Alcotest.(check bool) "twins were made" true (Dsm.rc_twins dsm > 0);
-  Alcotest.(check bool) "diffs were flushed" true (Dsm.rc_diffs dsm > 0);
-  Alcotest.(check bool) "diff bytes counted" true (Dsm.rc_diff_bytes dsm > 0);
+  Alcotest.(check bool) "twins were made" true ((Dsm.stats dsm).rc_twins > 0);
+  Alcotest.(check bool) "diffs were flushed" true ((Dsm.stats dsm).rc_diffs > 0);
+  Alcotest.(check bool) "diff bytes counted" true ((Dsm.stats dsm).rc_diff_bytes > 0);
   let sc_n = List.assoc Proto.Sc (Dsm.modes dsm)
   and rc_n = List.assoc Proto.Rc (Dsm.modes dsm) in
   Alcotest.(check int) "census: nothing left sc" 0 sc_n;
@@ -161,9 +159,9 @@ let test_adaptive_promotes_then_demotes () =
   done;
   Dsm.run dsm;
   Alcotest.(check bool) "promoted at least once" true
-    (counter dsm "rc.promotes" >= 1);
+    ((Dsm.stats dsm).rc_promotes >= 1);
   Alcotest.(check bool) "demoted at least once" true
-    (counter dsm "rc.demotes" >= 1);
+    ((Dsm.stats dsm).rc_demotes >= 1);
   (match Dsm.mode_switch_log dsm with
   | (_, mp0, first) :: _ ->
     Alcotest.(check int) "first switch is the hot minipage" 0 mp0;
@@ -189,8 +187,8 @@ let test_rc_runs_are_deterministic () =
     let e, dsm, _ = false_sharing_run ~phases:8 Consistency.rc in
     ( Engine.now e,
       Dsm.messages_sent dsm,
-      Dsm.rc_diffs dsm,
-      Dsm.rc_diff_bytes dsm,
+      (Dsm.stats dsm).rc_diffs,
+      (Dsm.stats dsm).rc_diff_bytes,
       Dsm.read_faults dsm,
       Dsm.write_faults dsm )
   in
@@ -266,7 +264,7 @@ let test_rc_crash_with_replication () =
     (List.mem 2 (Dsm.crashed_hosts dsm));
   (* recovery demotes every rc minipage the dead home owned *)
   Alcotest.(check bool) "recovery forced demotions" true
-    (counter dsm "rc.demotes" >= 1)
+    ((Dsm.stats dsm).rc_demotes >= 1)
 
 (* ---------------- equivalence on the applications ---------------------- *)
 

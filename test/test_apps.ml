@@ -98,7 +98,7 @@ let test_is_barrier_count () =
   let _h = Is_m.setup dsm p in
   Dsm.run dsm;
   (* Table 2: 90 barriers for 10 iterations on 8 hosts (plus the final one) *)
-  let per_thread = Dsm.barriers_entered dsm / hosts in
+  let per_thread = (Dsm.stats dsm).barriers_entered / hosts in
   Alcotest.(check int) "90 barriers + final gather" 91 per_thread
 
 (* ---------------- WATER ---------------- *)
@@ -211,7 +211,7 @@ let test_tsp_pushes_happen () =
   let _h = Tsp_m.setup dsm p in
   Dsm.run dsm;
   Alcotest.(check bool) "min improvements pushed" true
-    (Mp_util.Stats.Counters.get (Dsm.counters dsm) "pushes" >= 1)
+    ((Dsm.stats dsm).pushes >= 1)
 
 (* ---------------- Apps on the baselines ---------------- *)
 

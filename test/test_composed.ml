@@ -29,7 +29,7 @@ let test_group_fetch_brings_all_members () =
   Alcotest.(check (float 0.0)) "all values" (float_of_int (n * (n - 1) / 2)) !sum;
   Alcotest.(check int) "no individual faults" 0 (Dsm.read_faults dsm);
   Alcotest.(check int) "one group fetch" 1
-    (Mp_util.Stats.Counters.get (Dsm.counters dsm) "group.fetches")
+    (Dsm.stats dsm).groups_fetched
 
 let test_group_fetch_is_batched () =
   (* fetching n minipages in one group costs far fewer messages than n

@@ -59,7 +59,7 @@ let test_duplicates_counted () =
               Engine.delay 50.0
             done))
   in
-  let dups = Mp_util.Stats.Counters.get (Fabric.counters fab) "net.duplicated" in
+  let dups = (Fabric.stats fab).duplicated in
   Alcotest.(check bool) "some duplicated" true (dups > 0);
   Alcotest.(check int) "every copy delivered" (200 + dups) (List.length got)
 
@@ -76,8 +76,7 @@ let test_reorder_overtakes () =
             Fabric.send fab ~src:0 ~dst:1 ~bytes:32 2))
   in
   Alcotest.(check (list int)) "small overtook big" [ 2; 1 ] (List.rev !got);
-  Alcotest.(check int) "counted" 1
-    (Mp_util.Stats.Counters.get (Fabric.counters fab) "net.reordered")
+  Alcotest.(check int) "counted" 1 (Fabric.stats fab).reordered
 
 let test_jitter_delays_but_keeps_all () =
   let faults = { Fabric.no_faults with jitter_us = 500.0 } in
@@ -206,14 +205,14 @@ let test_sor_survives_loss () =
   Alcotest.(check bool) "verified" true ok;
   Alcotest.(check (list string)) "invariants clean" [] violations;
   Alcotest.(check bool) "losses actually happened" true (Dsm.net_dropped dsm > 0);
-  Alcotest.(check bool) "recovered by retransmission" true (Dsm.retransmits dsm > 0)
+  Alcotest.(check bool) "recovered by retransmission" true ((Dsm.stats dsm).retransmits > 0)
 
 let test_sor_survives_duplication () =
   let faults = { Fabric.no_faults with duplicate = 0.2 } in
   let dsm, ok, violations = run_sor ~hosts:2 ~faults ~net_seed:5 ~polling:Polling.Fast in
   Alcotest.(check bool) "verified" true ok;
   Alcotest.(check (list string)) "invariants clean" [] violations;
-  Alcotest.(check bool) "duplicates suppressed" true (Dsm.dups_suppressed dsm > 0)
+  Alcotest.(check bool) "duplicates suppressed" true ((Dsm.stats dsm).dups_suppressed > 0)
 
 (* Every message is duplicated, and some are dropped or reordered, so
    replies are retransmitted and duplicated while their buffers carry later
@@ -264,8 +263,8 @@ let test_reply_buffers_under_dup_and_loss () =
   Dsm.run dsm;
   Alcotest.(check int) "values read" (turns * 2 * group * slots) !reads;
   Alcotest.(check int) "stale values" 0 !bad;
-  Alcotest.(check bool) "duplicates suppressed" true (Dsm.dups_suppressed dsm > 0);
-  Alcotest.(check bool) "losses retransmitted" true (Dsm.retransmits dsm > 0)
+  Alcotest.(check bool) "duplicates suppressed" true ((Dsm.stats dsm).dups_suppressed > 0);
+  Alcotest.(check bool) "losses retransmitted" true ((Dsm.stats dsm).retransmits > 0)
 
 (* ---------------- qcheck properties ---------------- *)
 

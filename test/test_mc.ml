@@ -517,7 +517,7 @@ let test_schedule_allocation () =
   let run () = ignore (Sys.opaque_identity (Scenario.run_plan racer Plan.empty)) in
   run ();
   let words = Test_memsim.allocated_words run in
-  Alcotest.(check (float 17.0)) "words per schedule" 173_676.0 words
+  Alcotest.(check (float 17.0)) "words per schedule" 173_387.0 words
 
 let suite =
   [

@@ -291,8 +291,8 @@ let test_fault_handler_fixes_access () =
   (match !faults with
   | (_, _, Prot.Write) :: (_, _, Prot.Read) :: [] -> ()
   | _ -> Alcotest.fail "unexpected fault sequence");
-  Alcotest.(check int) "counter read" 1 Mp_util.Stats.Counters.(get (Vm.counters vm) "fault.read");
-  Alcotest.(check int) "counter write" 1 Mp_util.Stats.Counters.(get (Vm.counters vm) "fault.write")
+  Alcotest.(check int) "counter read" 1 (Vm.read_faults vm);
+  Alcotest.(check int) "counter write" 1 (Vm.write_faults vm)
 
 let test_fault_storm () =
   let vm = mk_vm () in

@@ -55,7 +55,7 @@ let test_write_invalidates_readers () =
   in
   Alcotest.(check (float 0.0)) "reader sees the write" 2.0 !final;
   Alcotest.(check bool) "invalidations happened" true
-    (Mp_util.Stats.Counters.get (Dsm.counters dsm) "invalidations" >= 1)
+    ((Dsm.stats dsm).invalidations >= 1)
 
 let test_write_upgrade_no_data () =
   (* single reader upgrading to writer: grant without data transfer *)
@@ -67,7 +67,7 @@ let test_write_upgrade_no_data () =
             Dsm.write_f64 ctx x 5.0))
   in
   Alcotest.(check int) "one upgrade grant" 1
-    (Mp_util.Stats.Counters.get (Dsm.counters dsm) "grant.upgrades")
+    (Dsm.stats dsm).grant_upgrades
 
 let test_no_false_sharing () =
   (* two variables on the same physical page, each written by its own host:
@@ -434,7 +434,7 @@ let lock_cycle_run_words n =
         Dsm.unlock ctx 3
       done);
   let words = Test_memsim.allocated_words (fun () -> Dsm.run dsm) in
-  Alcotest.(check int) "locks" n (Dsm.locks_acquired dsm);
+  Alcotest.(check int) "locks" n (Dsm.stats dsm).locks_acquired;
   words
 
 (* The marginal lock/unlock cycle: three messages and their dispatches,

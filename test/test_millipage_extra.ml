@@ -51,7 +51,7 @@ let test_two_threads_one_host_share_fault () =
   Alcotest.(check int) "two faults recorded" 2 (Dsm.read_faults dsm);
   (* but only one read request reached the manager *)
   Alcotest.(check int) "one data reply" 1
-    (Mp_util.Stats.Counters.get (Dsm.counters dsm) "replies.data")
+    (Dsm.stats dsm).data_replies
 
 let test_queued_write_after_reads () =
   (* reads in flight; a write on the same minipage must wait for them, then
@@ -147,7 +147,7 @@ let test_write_after_push_invalidates_everyone () =
   in
   Alcotest.(check (float 0.0)) "fresh value after push+write" 2.0 !v;
   Alcotest.(check bool) "invalidation count reflects push copies" true
-    (Mp_util.Stats.Counters.get (Dsm.counters dsm) "invalidations" >= 2)
+    ((Dsm.stats dsm).invalidations >= 2)
 
 let test_prefetch_write_upgrades () =
   (* prefetch-for-write then read and write without any further faults *)

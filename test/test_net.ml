@@ -107,9 +107,9 @@ let test_counters () =
           Fabric.send fab ~src:0 ~dst:1 ~bytes:100 ();
           Fabric.send fab ~src:0 ~dst:1 ~bytes:200 ());
       Engine.schedule e ~at:10_000.0 (fun () ->
-          let c = Fabric.counters fab in
-          Alcotest.(check int) "count" 2 Mp_util.Stats.Counters.(get c "send.count");
-          Alcotest.(check int) "bytes" 300 Mp_util.Stats.Counters.(get c "send.bytes");
+          let c = Fabric.stats fab in
+          Alcotest.(check int) "count" 2 c.sent;
+          Alcotest.(check int) "bytes" 300 c.bytes;
           Alcotest.(check int) "handled" 2 !handled))
 
 let test_mean_busy_wait_analytic_vs_empirical () =
@@ -390,10 +390,10 @@ let test_carrier_reuse_under_faults () =
   send_wave e fab ~hosts ~at:0.0 ~first:0 ~n;
   send_wave e fab ~hosts ~at:500.0 ~first:n ~n;
   Engine.run e;
-  let count k = Mp_util.Stats.Counters.get (Fabric.counters fab) k in
+  let c = Fabric.stats fab in
   List.iter
-    (fun k -> Alcotest.(check bool) (k ^ " happened") true (count k > 0))
-    [ "net.dropped"; "net.duplicated"; "net.reordered" ];
+    (fun (k, n) -> Alcotest.(check bool) (k ^ " happened") true (n > 0))
+    [ ("drops", c.dropped); ("duplicates", c.duplicated); ("reorders", c.reordered) ];
   let copies = Array.make (2 * n) 0 in
   Array.iteri
     (fun c l ->
@@ -406,7 +406,7 @@ let test_carrier_reuse_under_faults () =
         l)
     got;
   Alcotest.(check int) "deliveries"
-    (count "send.count" - count "net.dropped" + count "net.duplicated")
+    (c.sent - c.dropped + c.duplicated)
     (Array.fold_left (fun acc l -> acc + List.length l) 0 got)
 
 (* Host 3 crashes at 500 µs with most of the first wave queued and the
