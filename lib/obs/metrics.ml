@@ -50,21 +50,11 @@ let observe t ?bucket_width ?buckets name x =
   Stats.Summary.add l.summary x;
   Stats.Histogram.add l.hist x
 
-let summary t name =
-  Option.map (fun l -> l.summary) (Hashtbl.find_opt t.latencies name)
-
 let percentile t name p =
   match Hashtbl.find_opt t.latencies name with
   | Some l when Stats.Summary.count l.summary > 0 ->
     Some (Stats.Histogram.percentile l.hist p)
   | Some _ | None -> None
-
-let observations t name =
-  match summary t name with Some s -> Stats.Summary.count s | None -> 0
-
-let merge_into ~dst t =
-  Stats.Counters.merge_into ~dst:dst.counters t.counters;
-  Hashtbl.iter (fun name g -> gauge_set dst name g.value) t.gauges
 
 let sorted_keys tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort String.compare
@@ -110,50 +100,3 @@ let gauges_table t =
 let report t =
   String.concat "\n"
     (List.filter (fun s -> s <> "") [ latency_table t; gauges_table t; counters_table t ])
-
-let to_json ?(meta = []) t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_char buf '{';
-  if meta <> [] then begin
-    Buffer.add_string buf "\"meta\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\":\"%s\"" (Event.json_escape k)
-             (Event.json_escape v)))
-      meta;
-    Buffer.add_string buf "},"
-  end;
-  Buffer.add_string buf "\"counters\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (Event.json_escape k) v))
-    (Stats.Counters.to_list t.counters);
-  Buffer.add_string buf "},\"gauges\":{";
-  List.iteri
-    (fun i k ->
-      let g = Hashtbl.find t.gauges k in
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":{\"value\":%g,\"max\":%g}" (Event.json_escape k) g.value
-           (if g.max > neg_infinity then g.max else 0.0)))
-    (sorted_keys t.gauges);
-  Buffer.add_string buf "},\"latencies\":{";
-  List.iteri
-    (fun i k ->
-      let l = Hashtbl.find t.latencies k in
-      let s = l.summary in
-      let n = Stats.Summary.count s in
-      let pct p = if n = 0 then 0.0 else Stats.Histogram.percentile l.hist p in
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\"%s\":{\"count\":%d,\"mean\":%g,\"p50\":%g,\"p95\":%g,\"p99\":%g,\"max\":%g,\"total\":%g}"
-           (Event.json_escape k) n (Stats.Summary.mean s) (pct 0.5) (pct 0.95) (pct 0.99)
-           (if n = 0 then 0.0 else Stats.Summary.max s)
-           (Stats.Summary.total s)))
-    (sorted_keys t.latencies);
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
