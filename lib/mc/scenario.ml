@@ -1,6 +1,5 @@
 open Mp_sim
 open Mp_millipage
-module Coherence = Mp_check.Coherence
 module Homes = Dsm.Config.Homes
 
 type workload =
@@ -241,17 +240,16 @@ let of_string s =
    derived before the run starts, so the operation sequences are a function
    of [wseed] alone — never of the schedule under exploration.
 
-   Every operation is recorded twice: into the coherence log (exactly as
-   before — the log, and hence both fingerprints, is untouched by the
-   refinement machinery) and into the spec history, which additionally sees
-   the acquire/release sync points.  With [lockread] on, each critical
-   section reads its location before writing: that read sits above the
-   lock's happens-before floor, so a release whose diff the home lost is
-   observable — the next acquirer reads below the floor the release
-   published.  [lockread] changes the schedule (an extra protocol access
-   per critical section), so it is off by default and pre-existing
-   scenarios keep their fingerprints. *)
-let setup_racer e dsm log hist ~locs ~ops_per_host ~wseed ~barrier_every
+   Every read and write is recorded once, with its completion time, into
+   the schedule's history, which also sees the acquire/release sync points;
+   the coherence check, the refinement spec and the state fingerprint all
+   read it.  With [lockread] on, each critical section reads its location
+   before writing: that read sits above the lock's happens-before floor,
+   so a release whose diff the home lost is observable — the next acquirer
+   reads below the floor the release published.  [lockread] changes the
+   schedule (an extra protocol access per critical section), so it is off
+   by default and pre-existing scenarios keep their fingerprints. *)
+let setup_racer e dsm hist ~locs ~ops_per_host ~wseed ~barrier_every
     ~lockread =
   let hosts = Dsm.hosts dsm in
   let xs = Dsm.malloc_array dsm ~count:locs ~size:64 in
@@ -281,15 +279,13 @@ let setup_racer e dsm log hist ~locs ~ops_per_host ~wseed ~barrier_every
             Spec.record hist (Spec.Acquire { host; key = l });
             if lockread then begin
               let v = Dsm.read_int ctx xs.(l) in
-              Coherence.record log ~time:(Engine.now e) ~host ~loc:l
-                ~kind:Coherence.Read ~value:v;
-              Spec.record hist (Spec.Read { host; loc = l; value = v })
+              Spec.record hist
+                (Spec.Read { time = Engine.now e; host; loc = l; value = v })
             end;
-            let v = Coherence.fresh_value log in
+            let v = Spec.fresh_value hist in
             Dsm.write_int ctx xs.(l) v;
-            Coherence.record log ~time:(Engine.now e) ~host ~loc:l
-              ~kind:Coherence.Write ~value:v;
-            Spec.record hist (Spec.Write { host; loc = l; value = v });
+            Spec.record hist
+              (Spec.Write { time = Engine.now e; host; loc = l; value = v });
             (* recorded at release entry: the unlock below blocks until the
                flushed diffs are acknowledged, so no one acquires this lock
                before the publication is protocol-complete *)
@@ -297,9 +293,8 @@ let setup_racer e dsm log hist ~locs ~ops_per_host ~wseed ~barrier_every
             Dsm.unlock ctx l
           | 1 ->
             let v = Dsm.read_int ctx xs.(l) in
-            Coherence.record log ~time:(Engine.now e) ~host ~loc:l
-              ~kind:Coherence.Read ~value:v;
-            Spec.record hist (Spec.Read { host; loc = l; value = v })
+            Spec.record hist
+              (Spec.Read { time = Engine.now e; host; loc = l; value = v })
           | _ -> Dsm.compute ctx (1.0 +. Mp_util.Prng.float hr 20.0)
         done)
   done;
@@ -402,12 +397,11 @@ let run ?(profile = false) t ~sched =
   (* the profiler is a passive tap: attaching it must not perturb schedules,
      choice points, or timing — exploration results stay bit-identical *)
   let prof = if profile then Some (Mp_obs.Profile.attach obs) else None in
-  let log = Coherence.create () in
   let hist = Spec.hist () in
   let verify =
     match t.workload with
     | Racer { locs; ops_per_host; wseed; barrier_every } ->
-      setup_racer e dsm log hist ~locs ~ops_per_host ~wseed ~barrier_every
+      setup_racer e dsm hist ~locs ~ops_per_host ~wseed ~barrier_every
         ~lockread:t.lockread
     | App a -> setup_app dsm a
   in
@@ -433,7 +427,8 @@ let run ?(profile = false) t ~sched =
   in
   let end_us = Engine.now e in
   let crashed = Dsm.declared_dead dsm in
-  let coherence = List.map (fun v -> "coherence: " ^ v) (Coherence.check log) in
+  let history = Spec.entries hist in
+  let coherence = List.map (fun v -> "coherence: " ^ v) (Spec.coherence history) in
   let events = Mp_obs.Recorder.events obs in
   let invariants =
     (* The invariant checker models the crash-free protocol: a host that
@@ -466,7 +461,7 @@ let run ?(profile = false) t ~sched =
           | `Sc -> Spec.Sc
           | _ -> Spec.Weak
       in
-      Some (Spec.check ~mode ~hb (Spec.entries hist))
+      Some (Spec.check ~mode ~hb history)
   in
   let refine_violations =
     match refinement with Some v -> v.Spec.violations | None -> []
@@ -477,13 +472,15 @@ let run ?(profile = false) t ~sched =
   in
   let state_sig =
     let h = ref 0x2545F49 in
+    let op ~host ~loc ~kind ~value =
+      h := mix (mix (mix (mix !h host) loc) kind) value
+    in
     List.iter
-      (fun (o : Coherence.op) ->
-        h := mix !h o.host;
-        h := mix !h o.loc;
-        h := mix !h (match o.kind with Coherence.Read -> 0 | Coherence.Write -> 1);
-        h := mix !h o.value)
-      (Coherence.ops log);
+      (function
+        | Spec.Read { host; loc; value; _ } -> op ~host ~loc ~kind:0 ~value
+        | Spec.Write { host; loc; value; _ } -> op ~host ~loc ~kind:1 ~value
+        | Spec.Acquire _ | Spec.Release _ | Spec.Barrier _ -> ())
+      history;
     h := mix !h (int_of_float (end_us *. 1000.0));
     h := mix !h (Dsm.messages_sent dsm);
     List.iter (fun d -> h := mix !h d) crashed;
@@ -516,7 +513,7 @@ let run ?(profile = false) t ~sched =
     choice_points = Sched.choice_points sched;
     state_sig;
     trace_sig;
-    ops = Coherence.operations log;
+    ops = Spec.operations hist;
     obs_events = List.length events;
     mutation_fired = Dsm.Testonly.mutation_fired dsm;
     crashed;

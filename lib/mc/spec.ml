@@ -1,32 +1,107 @@
-(* An executable sequential specification of the DSM's memory: a MapSpec-
-   style map over minipage locations, simulated against every explored
-   schedule's read/write/sync history (see spec.mli for the semantics). *)
+(* A schedule's recorded history and the two oracles that read it: the
+   per-location coherence check, and an executable sequential
+   specification of the DSM's memory — a MapSpec-style map over minipage
+   locations (see spec.mli for the semantics). *)
 
 type entry =
-  | Read of { host : int; loc : int; value : int }
-  | Write of { host : int; loc : int; value : int }
+  | Read of { time : float; host : int; loc : int; value : int }
+  | Write of { time : float; host : int; loc : int; value : int }
   | Acquire of { host : int; key : int }
   | Release of { host : int; key : int }
   | Barrier of { host : int }
 
-type hist = { mutable entries_rev : entry list; mutable len : int }
+(* Every location's value before its first write: rank 0 in both checks. *)
+let initial = 0
 
-let hist () = { entries_rev = []; len = 0 }
+type hist = {
+  mutable entries_rev : entry list;
+  mutable ops : int;  (* reads and writes *)
+  mutable next_value : int;  (* lowest value fresh_value may hand out *)
+}
+
+let hist () = { entries_rev = []; ops = 0; next_value = initial + 1 }
 
 let record h e =
   h.entries_rev <- e :: h.entries_rev;
-  h.len <- h.len + 1
+  match e with
+  | Read _ -> h.ops <- h.ops + 1
+  | Write { value; _ } ->
+    h.ops <- h.ops + 1;
+    (* keep the allocator ahead of manually chosen write values *)
+    if value >= h.next_value then h.next_value <- value + 1
+  | Acquire _ | Release _ | Barrier _ -> ()
+
+let fresh_value h =
+  let v = h.next_value in
+  h.next_value <- v + 1;
+  v
 
 let entries h = List.rev h.entries_rev
-let length h = h.len
+let operations h = h.ops
 
-type mode = Sc | Weak
+(* ------------------------ the coherence check -------------------------- *)
+
+let coherence entries =
+  let violations = ref [] in
+  let flag fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
+  let time = function Read { time; _ } | Write { time; _ } -> time | _ -> 0.0 in
+  (* stable sort by time keeps the recording order for simultaneous ops *)
+  let ops =
+    List.filter (function Read _ | Write _ -> true | _ -> false) entries
+    |> List.stable_sort (fun a b -> Float.compare (time a) (time b))
+  in
+  let by_loc = Hashtbl.create 16 in
+  List.iter
+    (function
+      | (Read { loc; _ } | Write { loc; _ }) as op ->
+        let l = Option.value ~default:[] (Hashtbl.find_opt by_loc loc) in
+        Hashtbl.replace by_loc loc (op :: l)
+      | Acquire _ | Release _ | Barrier _ -> ())
+    ops;
+  Hashtbl.iter
+    (fun loc rev_ops ->
+      let ops = List.rev rev_ops in
+      (* write order = completion order; ranks start at 1, initial value = 0 *)
+      let rank = Hashtbl.create 16 in
+      Hashtbl.add rank initial 0;
+      let next = ref 0 in
+      List.iter
+        (function
+          | Write { value; _ } ->
+            incr next;
+            if Hashtbl.mem rank value then
+              flag "loc %d: write value %d is not unique" loc value;
+            Hashtbl.replace rank value !next
+          | Read _ | Acquire _ | Release _ | Barrier _ -> ())
+        ops;
+      (* per-host monotonicity *)
+      let seen = Hashtbl.create 8 in
+      List.iter
+        (function
+          | Read { time; host; value; _ } | Write { time; host; value; _ } -> (
+            match Hashtbl.find_opt rank value with
+            | None ->
+              flag "loc %d: host %d read value %d that nobody wrote" loc host value
+            | Some r ->
+              let prev = Option.value ~default:(-1) (Hashtbl.find_opt seen host) in
+              if r < prev then
+                flag
+                  "loc %d: host %d observed write #%d after having observed write \
+                   #%d (stale read at t=%.1f)"
+                  loc host r prev time;
+              Hashtbl.replace seen host (max r prev))
+          | Acquire _ | Release _ | Barrier _ -> ())
+        ops)
+    by_loc;
+  List.rev !violations
 
 (* --------------------------- the simulation ---------------------------- *)
 
+type mode = Sc | Weak
+
 (* Per-location write ranks: rank 0 is the initial value, rank k the kth
    write in history order.  Uniqueness of write values (guaranteed by the
-   coherence log's fresh_value allocator) makes value -> rank a function. *)
+   history's fresh_value allocator) makes value -> rank a function. *)
 
 type locst = {
   rank_of : (int, int) Hashtbl.t; (* value -> rank *)
@@ -40,7 +115,6 @@ type st = {
      are enforced: recovery rollback legitimately regresses what a host
      has already observed, so fronts and floors would false-positive *)
   hb : bool;
-  initial : int;
   locs : (int, locst) Hashtbl.t;
   (* smallest rank host h may still legally read from loc l: raised by h's
      own observations (monotonicity) and by acquires (happens-before) *)
@@ -59,7 +133,7 @@ let locst st loc =
   | Some l -> l
   | None ->
     let l = { rank_of = Hashtbl.create 16; next = 1; latest = 0 } in
-    Hashtbl.add l.rank_of st.initial 0;
+    Hashtbl.add l.rank_of initial 0;
     Hashtbl.add st.locs loc l;
     l
 
@@ -71,7 +145,7 @@ let get ?(d = 0) tbl k = Option.value ~default:d (Hashtbl.find_opt tbl k)
 let raise_to tbl k r = if r > get tbl k then Hashtbl.replace tbl k r
 
 let step st = function
-  | Write { host; loc; value } ->
+  | Write { host; loc; value; _ } ->
     let l = locst st loc in
     if Hashtbl.mem l.rank_of value then
       flag st "refinement: loc %d write value %d duplicates an earlier write" loc
@@ -84,7 +158,7 @@ let step st = function
       (* the writer has observed its own write *)
       if st.hb then raise_to st.front (host, loc) r
     end
-  | Read { host; loc; value } -> (
+  | Read { host; loc; value; _ } -> (
     let l = locst st loc in
     st.checked_reads <- st.checked_reads + 1;
     match Hashtbl.find_opt l.rank_of value with
@@ -145,12 +219,11 @@ let step st = function
 
 type verdict = { passed : bool; reads_checked : int; violations : string list }
 
-let check ?(initial = 0) ?(hb = true) ~mode entries =
+let check ?(hb = true) ~mode entries =
   let st =
     {
       mode;
       hb;
-      initial;
       locs = Hashtbl.create 16;
       front = Hashtbl.create 64;
       released = Hashtbl.create 16;

@@ -4,44 +4,46 @@
 
 open Mp_sim
 open Mp_millipage
-open Mp_check
+open Mp_mc
 
 (* ---------------- checker unit tests ---------------- *)
 
+let coherence hist = Spec.coherence (Spec.entries hist)
+
 let test_checker_accepts_valid () =
-  let log = Coherence.create () in
-  Coherence.record log ~time:1.0 ~host:0 ~loc:0 ~kind:Coherence.Write ~value:10;
-  Coherence.record log ~time:2.0 ~host:1 ~loc:0 ~kind:Coherence.Read ~value:10;
-  Coherence.record log ~time:3.0 ~host:0 ~loc:0 ~kind:Coherence.Write ~value:20;
-  Coherence.record log ~time:4.0 ~host:1 ~loc:0 ~kind:Coherence.Read ~value:20;
-  Alcotest.(check (list string)) "no violations" [] (Coherence.check log)
+  let hist = Spec.hist () in
+  Spec.record hist (Spec.Write { time = 1.0; host = 0; loc = 0; value = 10 });
+  Spec.record hist (Spec.Read { time = 2.0; host = 1; loc = 0; value = 10 });
+  Spec.record hist (Spec.Write { time = 3.0; host = 0; loc = 0; value = 20 });
+  Spec.record hist (Spec.Read { time = 4.0; host = 1; loc = 0; value = 20 });
+  Alcotest.(check (list string)) "no violations" [] (coherence hist)
 
 let test_checker_accepts_initial_reads () =
-  let log = Coherence.create () in
-  Coherence.record log ~time:1.0 ~host:2 ~loc:5 ~kind:Coherence.Read ~value:0;
-  Alcotest.(check (list string)) "initial ok" [] (Coherence.check log)
+  let hist = Spec.hist () in
+  Spec.record hist (Spec.Read { time = 1.0; host = 2; loc = 5; value = 0 });
+  Alcotest.(check (list string)) "initial ok" [] (coherence hist)
 
 let test_checker_flags_stale_read () =
-  let log = Coherence.create () in
-  Coherence.record log ~time:1.0 ~host:0 ~loc:0 ~kind:Coherence.Write ~value:10;
-  Coherence.record log ~time:2.0 ~host:0 ~loc:0 ~kind:Coherence.Write ~value:20;
-  Coherence.record log ~time:3.0 ~host:1 ~loc:0 ~kind:Coherence.Read ~value:20;
-  Coherence.record log ~time:4.0 ~host:1 ~loc:0 ~kind:Coherence.Read ~value:10;
-  Alcotest.(check bool) "stale read flagged" true (Coherence.check log <> [])
+  let hist = Spec.hist () in
+  Spec.record hist (Spec.Write { time = 1.0; host = 0; loc = 0; value = 10 });
+  Spec.record hist (Spec.Write { time = 2.0; host = 0; loc = 0; value = 20 });
+  Spec.record hist (Spec.Read { time = 3.0; host = 1; loc = 0; value = 20 });
+  Spec.record hist (Spec.Read { time = 4.0; host = 1; loc = 0; value = 10 });
+  Alcotest.(check bool) "stale read flagged" true (coherence hist <> [])
 
 let test_checker_flags_phantom_value () =
-  let log = Coherence.create () in
-  Coherence.record log ~time:1.0 ~host:1 ~loc:3 ~kind:Coherence.Read ~value:77;
-  Alcotest.(check bool) "phantom flagged" true (Coherence.check log <> [])
+  let hist = Spec.hist () in
+  Spec.record hist (Spec.Read { time = 1.0; host = 1; loc = 3; value = 77 });
+  Alcotest.(check bool) "phantom flagged" true (coherence hist <> [])
 
 let test_checker_independent_locations () =
-  let log = Coherence.create () in
-  Coherence.record log ~time:1.0 ~host:0 ~loc:0 ~kind:Coherence.Write ~value:1;
-  Coherence.record log ~time:2.0 ~host:0 ~loc:1 ~kind:Coherence.Write ~value:2;
+  let hist = Spec.hist () in
+  Spec.record hist (Spec.Write { time = 1.0; host = 0; loc = 0; value = 1 });
+  Spec.record hist (Spec.Write { time = 2.0; host = 0; loc = 1; value = 2 });
   (* observing loc 1's newer write then loc 0's older one is fine *)
-  Coherence.record log ~time:3.0 ~host:1 ~loc:1 ~kind:Coherence.Read ~value:2;
-  Coherence.record log ~time:4.0 ~host:1 ~loc:0 ~kind:Coherence.Read ~value:1;
-  Alcotest.(check (list string)) "no cross-location coupling" [] (Coherence.check log)
+  Spec.record hist (Spec.Read { time = 3.0; host = 1; loc = 1; value = 2 });
+  Spec.record hist (Spec.Read { time = 4.0; host = 1; loc = 0; value = 1 });
+  Alcotest.(check (list string)) "no cross-location coupling" [] (coherence hist)
 
 (* ---------------- random programs on millipage ---------------- *)
 
@@ -57,8 +59,7 @@ let run_random_program ?(polling = Mp_net.Polling.Fast) ~seed ~hosts ~locs ~ops_
   let dsm = Dsm.create e ~hosts ~config () in
   let addrs = Dsm.malloc_array dsm ~count:locs ~size:64 in
   Array.iter (fun a -> Dsm.init_write_int dsm a 0) addrs;
-  let log = Coherence.create () in
-  let stamp = ref 0 in
+  let hist = Spec.hist () in
   let plans =
     Array.init hosts (fun _ ->
         Array.init ops_per_host (fun _ ->
@@ -75,21 +76,20 @@ let run_random_program ?(polling = Mp_net.Polling.Fast) ~seed ~hosts ~locs ~ops_
             match step with
             | `Write loc ->
               Dsm.lock ctx loc;
-              incr stamp;
-              let v = !stamp in
+              let v = Spec.fresh_value hist in
               Dsm.write_int ctx addrs.(loc) v;
-              Coherence.record log ~time:(Engine.now e) ~host:h ~loc
-                ~kind:Coherence.Write ~value:v;
+              Spec.record hist
+                (Spec.Write { time = Engine.now e; host = h; loc; value = v });
               Dsm.unlock ctx loc
             | `Read loc ->
               let v = Dsm.read_int ctx addrs.(loc) in
-              Coherence.record log ~time:(Engine.now e) ~host:h ~loc
-                ~kind:Coherence.Read ~value:v
+              Spec.record hist
+                (Spec.Read { time = Engine.now e; host = h; loc; value = v })
             | `Compute us -> Dsm.compute ctx us)
           plans.(h))
   done;
   Dsm.run dsm;
-  Coherence.check log
+  coherence hist
 
 let qcheck_millipage_coherent =
   QCheck.Test.make ~name:"random programs are coherent on millipage" ~count:25
