@@ -97,31 +97,22 @@ let exhausted a b = a.n >= b.max_schedules || now_s () -. a.t0 > b.max_wall_s
 
 (* Run index [i] of the walk: index 0 is always the unperturbed default
    schedule, index i > 0 the random schedule seeded [seed + i].  Each index
-   is deterministic in isolation, which is what makes the parallel walk's
-   fingerprint sets equal to the sequential walk's: the index space is
-   partitioned dynamically but every index computes the same run. *)
+   is deterministic in isolation, so the walk's fingerprint sets do not
+   depend on [jobs]: the index space is partitioned dynamically but every
+   index computes the same run. *)
 let walk_run scenario ~seed ~prob i =
   if i = 0 then Scenario.run_plan scenario Plan.empty
   else Scenario.run_random scenario ~seed:(seed + i) ~prob
 
-let random_walk_seq ?metrics ~prob scenario ~seed b =
-  let a = acc metrics in
-  let rec loop i =
-    if exhausted a b then finish a None
-    else begin
-      let o = walk_run scenario ~seed ~prob i in
-      note a o;
-      if o.violations <> [] then finish a (Some (o.taken, o)) else loop (i + 1)
-    end
-  in
-  loop 0
-
-let random_walk_par ?metrics ~prob ~jobs scenario ~seed b =
+(* [jobs] workers — the calling domain and [jobs - 1] spawned ones — claim
+   run indices from a shared counter.  With one worker the indices run in
+   order and the first failure ends the walk. *)
+let random_walk ?metrics ?(prob = 0.05) ?(jobs = 1) scenario ~seed b =
   let a = acc metrics in
   let next = Atomic.make 0 in
   let stop = Atomic.make false in
-  (* the failure reported is the one with the smallest run index — exactly
-     the failure the sequential walk stops at, whichever worker finds it *)
+  (* the failure reported is the one with the smallest run index, whichever
+     worker finds it *)
   let fail = Atomic.make None in
   let record_fail i (o : Scenario.outcome) =
     let rec cas () =
@@ -148,17 +139,13 @@ let random_walk_par ?metrics ~prob ~jobs scenario ~seed b =
     in
     loop ()
   in
-  let doms = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+  let doms = List.init (max 1 jobs - 1) (fun _ -> Domain.spawn worker) in
   worker ();
   List.iter Domain.join doms;
   finish a
     (match Atomic.get fail with
     | Some (_, plan, o) -> Some (plan, o)
     | None -> None)
-
-let random_walk ?metrics ?(prob = 0.05) ?(jobs = 1) scenario ~seed b =
-  if jobs <= 1 then random_walk_seq ?metrics ~prob scenario ~seed b
-  else random_walk_par ?metrics ~prob ~jobs scenario ~seed b
 
 (* ------------------- delay-bounded search with DPOR -------------------- *)
 
@@ -256,40 +243,15 @@ let expand ~sleep_sets ~bound a (node : node) (o : Scenario.outcome)
 
 let root = { plan = Plan.empty; sleep = []; from = 0 }
 
-let delay_bounded_seq ?metrics ~sleep_sets scenario ~bound b =
-  let a = acc metrics in
-  let frontier = Queue.create () in
-  Queue.add root frontier;
-  let seen = Hashtbl.create 257 in
-  Hashtbl.replace seen (Plan.to_string Plan.empty) ();
-  let enqueue node =
-    let key = Plan.to_string node.plan in
-    if (not (Hashtbl.mem seen key)) && Queue.length frontier < max_frontier
-    then begin
-      Hashtbl.replace seen key ();
-      Queue.add node frontier
-    end
-  in
-  let rec loop () =
-    if exhausted a b || Queue.is_empty frontier then finish a None
-    else begin
-      let node = Queue.pop frontier in
-      let o = Scenario.run_plan scenario node.plan in
-      note a o;
-      if o.violations <> [] then finish a (Some (o.taken, o))
-      else begin
-        expand ~sleep_sets ~bound a node o ~enqueue;
-        loop ()
-      end
-    end
-  in
-  loop ()
-
-(* The parallel search drains one shared frontier with a pool of domains:
-   claim a plan, replay it on a private engine, publish the children.  The
-   pool is quiescent — search over — when the frontier is empty and every
-   worker is idle. *)
-let delay_bounded_par ?metrics ~sleep_sets ~jobs scenario ~bound b =
+(* [jobs] workers — the calling domain and [jobs - 1] spawned ones — drain
+   one shared frontier: claim a plan, replay it on a private engine, publish
+   the children.  The pool is quiescent — search over — when the frontier
+   is empty and every worker is idle.  A plan is marked seen only when it
+   is enqueued, so a plan turned away by a full frontier can still be
+   enqueued once there is room.  With one worker the frontier drains in
+   breadth-first order and the first failure ends the search. *)
+let delay_bounded ?metrics ?(sleep_sets = true) ?(jobs = 1) scenario ~bound b =
+  let jobs = max 1 jobs in
   let a = acc metrics in
   let m = Mutex.create () in
   let nonempty = Condition.create () in
@@ -298,15 +260,17 @@ let delay_bounded_par ?metrics ~sleep_sets ~jobs scenario ~bound b =
   let idle = ref 0 in
   let stop = ref false in
   let fail = ref None in
-  let seen = Mp_util.Shardtbl.create ~size:256 () in
-  ignore (Mp_util.Shardtbl.add_new seen (Plan.to_string Plan.empty) ());
+  let seen = Hashtbl.create 257 in
+  Hashtbl.replace seen (Plan.to_string Plan.empty) ();
   let enqueue node =
-    if Mp_util.Shardtbl.add_new seen (Plan.to_string node.plan) () then
-      Mutex.protect m (fun () ->
-          if Queue.length frontier < max_frontier then begin
-            Queue.add node frontier;
-            Condition.signal nonempty
-          end)
+    let key = Plan.to_string node.plan in
+    Mutex.protect m (fun () ->
+        if (not (Hashtbl.mem seen key)) && Queue.length frontier < max_frontier
+        then begin
+          Hashtbl.replace seen key ();
+          Queue.add node frontier;
+          Condition.signal nonempty
+        end)
   in
   let take () =
     Mutex.lock m;
@@ -360,10 +324,6 @@ let delay_bounded_par ?metrics ~sleep_sets ~jobs scenario ~bound b =
   worker ();
   List.iter Domain.join doms;
   finish a !fail
-
-let delay_bounded ?metrics ?(sleep_sets = true) ?(jobs = 1) scenario ~bound b =
-  if jobs <= 1 then delay_bounded_seq ?metrics ~sleep_sets scenario ~bound b
-  else delay_bounded_par ?metrics ~sleep_sets ~jobs scenario ~bound b
 
 (* ------------------------------ shrinking ------------------------------ *)
 

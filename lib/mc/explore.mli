@@ -18,19 +18,20 @@
          Sleepers are identified by (instant, label), which is stable under
          tie reordering.  See DESIGN.md §16.}}
 
-    Both modes run on a single domain by default; [~jobs:n] drains the work
-    (seed indices for the walk, the plan frontier for the bounded search)
-    with a pool of [n] domains, each replaying scenarios on its own private
-    engine.  Fingerprints dedupe through domain-safe sharded tables, and a
-    walk's fingerprint {e sets} are identical for any [jobs] on a clean
-    schedule-bounded run, because run index [i] computes the same schedule
-    no matter which worker claims it.
+    Both modes drain their work (seed indices for the walk, the plan
+    frontier for the bounded search) with a pool of [jobs] workers: the
+    calling domain and [jobs - 1] spawned ones, each replaying scenarios on
+    its own private engine, so [~jobs:1] (the default) spawns no domain.
+    Fingerprints dedupe through domain-safe sharded tables.  The
+    fingerprint {e sets} of a clean walk within its schedule budget are
+    identical for any [jobs], because run index [i] computes the same
+    schedule no matter which worker claims it; so are those of a bounded
+    search that empties its frontier, because every plan has one parent.
 
-    Both stop at the first violating schedule and return it ([~jobs] > 1:
-    the walk reports the smallest failing run index — the same failure the
-    sequential walk stops at); {!shrink} then greedily removes deviations
-    while the violation still reproduces, yielding the minimal replayable
-    plan. *)
+    Both stop at the first violating schedule and return it (the walk
+    reports the smallest failing run index, whatever [jobs] is); {!shrink}
+    then greedily removes deviations while the violation still reproduces,
+    yielding the minimal replayable plan. *)
 
 type budget = { max_schedules : int; max_wall_s : float }
 
@@ -62,7 +63,7 @@ val random_walk :
   result
 (** Runs the default schedule first, then random walks seeded [seed + i].
     [prob] is the per-choice-point deviation probability (default 0.05).
-    [jobs] (default 1) sizes the domain pool; workers claim run indices
+    [jobs] (default 1) sizes the worker pool; workers claim run indices
     from a shared counter.  When [metrics] is given, progress lands in the
     registry under ["mc.schedules"], ["mc.violations"],
     ["mc.choice_points"] (histogram). *)
@@ -78,8 +79,8 @@ val delay_bounded :
 (** [sleep_sets] (default [true]) enables the DPOR layer; pruning counts
     split into [pruned] (persistent-set) and [sleep_pruned] (sleep sets),
     and mirror into the metrics registry under ["mc.pruned.persistent"] /
-    ["mc.pruned.sleep"].  [jobs] (default 1) sizes the domain pool draining
-    the shared plan frontier. *)
+    ["mc.pruned.sleep"].  [jobs] (default 1) sizes the worker pool draining
+    the shared plan frontier, which holds at most 200,000 plans. *)
 
 val shrink : Scenario.t -> Plan.t -> Plan.t * Scenario.outcome
 (** Greedy fixpoint: repeatedly drop any single deviation whose removal

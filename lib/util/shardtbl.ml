@@ -21,25 +21,6 @@ let replace t k v =
   let i = stripe t k in
   locked t i (fun () -> Hashtbl.replace t.shards.(i) k v)
 
-let mem t k =
-  let i = stripe t k in
-  locked t i (fun () -> Hashtbl.mem t.shards.(i) k)
-
-let find_opt t k =
-  let i = stripe t k in
-  locked t i (fun () -> Hashtbl.find_opt t.shards.(i) k)
-
-(* Returns whether [k] was absent (and is now bound): a single atomic
-   test-and-set so concurrent claimants of one key see exactly one winner. *)
-let add_new t k v =
-  let i = stripe t k in
-  locked t i (fun () ->
-      if Hashtbl.mem t.shards.(i) k then false
-      else begin
-        Hashtbl.replace t.shards.(i) k v;
-        true
-      end)
-
 let length t =
   let n = ref 0 in
   Array.iteri

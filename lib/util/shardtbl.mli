@@ -1,12 +1,11 @@
 (** A striped hash table safe for concurrent use from multiple domains.
 
     Keys are hashed onto a fixed set of independently locked shards, so
-    domains touching different keys rarely contend.  Used by the parallel
-    mpcheck explorer to dedupe state/trace fingerprints and frontier plans
-    across a worker pool; the whole-table operations ({!length}, {!fold},
-    {!keys}) lock one shard at a time and therefore see a consistent
-    per-shard — not globally atomic — snapshot, which is all deduplication
-    needs. *)
+    domains touching different keys rarely contend.  Used by the mpcheck
+    explorer to dedupe state and trace fingerprints across a worker pool;
+    the whole-table operations ({!length}, {!keys}) lock one shard at a
+    time and therefore see a consistent per-shard — not globally atomic —
+    snapshot, which is all deduplication needs. *)
 
 type ('a, 'b) t
 
@@ -14,13 +13,5 @@ val create : ?size:int -> unit -> ('a, 'b) t
 (** [size] is the initial capacity of each shard (default 64). *)
 
 val replace : ('a, 'b) t -> 'a -> 'b -> unit
-val mem : ('a, 'b) t -> 'a -> bool
-val find_opt : ('a, 'b) t -> 'a -> 'b option
-
-val add_new : ('a, 'b) t -> 'a -> 'b -> bool
-(** Atomically bind [k] unless already present; [true] iff this call won.
-    The test-and-set other dedup schemes race on. *)
-
 val length : ('a, 'b) t -> int
-val fold : ('a, 'b) t -> ('a -> 'b -> 'acc -> 'acc) -> 'acc -> 'acc
 val keys : ('a, 'b) t -> 'a list
