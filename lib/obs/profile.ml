@@ -269,19 +269,10 @@ let feed t (e : Event.t) =
     end
   | Event.Fault { access; addr; view; vpage } ->
     let u = resolve t ~view ~vpage ~addr in
-    let sg = u.sg in
     bump_access u e.host;
-    Sharing.touch sg e.host ~lo:addr ~hi:(addr + 8);
-    (match access with
-    | Event.Read ->
-      sg.Sharing.reads <- sg.Sharing.reads + 1;
-      sg.Sharing.readers <- Mp_util.Host_set.add e.host sg.Sharing.readers
-    | Event.Write ->
-      sg.Sharing.writes <- sg.Sharing.writes + 1;
-      sg.Sharing.writers <- Mp_util.Host_set.add e.host sg.Sharing.writers;
-      if sg.Sharing.last_writer >= 0 && sg.Sharing.last_writer <> e.host then
-        sg.Sharing.writer_changes <- sg.Sharing.writer_changes + 1;
-      sg.Sharing.last_writer <- e.host)
+    Sharing.note_access u.sg e.host
+      ~write:(match access with Event.Write -> true | Event.Read -> false)
+      ~addr
   | Event.Reply { access = _; mp_id; bytes } ->
     let sg = (unit_by_id t mp_id).sg in
     sg.Sharing.transfers <- sg.Sharing.transfers + 1;

@@ -111,6 +111,22 @@ let touch s host ~lo ~hi =
   let f = Footprint.add ~lo ~hi (footprint s host) in
   s.footprints <- (host, f) :: List.remove_assoc host s.footprints
 
+(* One read or write of the 8 bytes at [addr] by [host]: the access rule
+   the offline profiler and the online governor share. *)
+let note_access s host ~write ~addr =
+  touch s host ~lo:addr ~hi:(addr + 8);
+  if write then begin
+    s.writes <- s.writes + 1;
+    s.writers <- Host_set.add host s.writers;
+    if s.last_writer >= 0 && s.last_writer <> host then
+      s.writer_changes <- s.writer_changes + 1;
+    s.last_writer <- host
+  end
+  else begin
+    s.reads <- s.reads + 1;
+    s.readers <- Host_set.add host s.readers
+  end
+
 let accesses s = s.reads + s.writes
 
 (* Exponential decay for windowed (online) classification: halve every

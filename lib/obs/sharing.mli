@@ -50,7 +50,13 @@ type signature_ = {
 
 val fresh : unit -> signature_
 val footprint : signature_ -> int -> Footprint.t
-val touch : signature_ -> int -> lo:int -> hi:int -> unit
+
+val note_access : signature_ -> int -> write:bool -> addr:int -> unit
+(** [note_access s host ~write ~addr]: [host] read ([write] false) or
+    wrote the 8 bytes at [addr].  Adds them to the host's footprint and
+    counts the access, its reader or writer, and a write by a host other
+    than the last writer. *)
+
 val accesses : signature_ -> int
 
 val decay : signature_ -> unit
