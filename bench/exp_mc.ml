@@ -29,8 +29,9 @@ let loss =
 
 (* Every cell checks refinement: the sweep doubles as a standing assertion
    that all explored schedules of these protocol corners simulate against
-   the memory spec.  Refinement histories are recorded outside the
-   coherence log, so coverage numbers are unchanged by it. *)
+   the memory spec.  Refinement reads the history the coherence check and
+   the state fingerprint read anyway, so coverage numbers are unchanged
+   by it. *)
 let cells =
   let open Scenario in
   let refine t = { t with refine = true } in

@@ -4,10 +4,12 @@
     workload, host count, home-assignment policy, injected network faults
     and crashes, seeds, and the scheduler's perturbation granularity.
     {!run} executes it under a {!Sched.t} and returns an {!outcome} that
-    bundles every check mpcheck knows: coherence ({!Mp_check.Coherence}),
-    the observability invariant checker, application-level verification,
-    deadlock/unrecoverable detection — plus fingerprints for coverage
-    accounting and replay validation.
+    bundles every check mpcheck knows: per-location coherence
+    ({!Spec.coherence}) and, with [refine], refinement ({!Spec.check}),
+    both over the run's one recorded history; the observability invariant
+    checker; application-level verification; deadlock/unrecoverable
+    detection — plus fingerprints for coverage accounting and replay
+    validation.
 
     Scenarios round-trip through {!to_string}/{!of_string} so failing
     schedules can be persisted as replayable artifacts. *)
@@ -21,14 +23,16 @@ type workload =
     }
       (** The adversarial workload: every host runs a seeded plan of
           lock-protected writes, unsynchronized reads and short computes
-          over [locs] shared words, all recorded to a coherence log.
-          Maximizes protocol races per simulated microsecond.
-          [barrier_every > 0] adds a global barrier every that many ops
-          (same op indices on every host): barriers produce the cross-host
-          same-instant tie groups DPOR sleep sets prune, and exercise the
-          refinement spec's barrier channel.  [0] — the default, and the
-          only shape that existed before refinement — keeps pre-existing
-          artifacts bit-identical. *)
+          over [locs] shared words.  Maximizes protocol races per
+          simulated microsecond.  Each read and write is recorded once,
+          with its completion time, into the run's {!Spec.hist}, beside
+          the acquires, releases and barriers.  [barrier_every > 0] adds
+          a global barrier every that many ops (same op indices on every
+          host): barriers produce the cross-host same-instant tie groups
+          DPOR sleep sets prune, and exercise the refinement spec's
+          barrier channel.  [0] — the default, and the only shape that
+          existed before refinement — keeps pre-existing artifacts
+          bit-identical. *)
   | App of string
       (** A real benchmark at miniature scale: ["sor"], ["lu"], ["water"],
           ["is"] or ["tsp"].  Checked by the application's own [verify]
@@ -51,8 +55,10 @@ type t = {
   refine : bool;
       (** simulate the run's read/write/sync history against the executable
           {!Spec} state machine; refinement violations join [violations].
-          Off by default — the history is recorded separately from the
-          coherence log, so turning refinement on changes no fingerprints. *)
+          Off by default.  The history is recorded either way (the
+          coherence check and [state_sig] read it), so turning refinement
+          on changes no schedule, and no fingerprint of a run the spec
+          passes. *)
   lockread : bool;
       (** racer variant: each critical section reads its location before
           writing, placing an observation above the lock's happens-before
@@ -81,10 +87,11 @@ type outcome = {
   taken : Plan.t;  (** non-default picks taken (replays this schedule) *)
   choice_points : int;
   state_sig : int;
-      (** fingerprint of the observed state: coherence history, end time,
+      (** fingerprint of the observed state: the history's reads and writes
+          (host, location, kind, value, in recording order), end time,
           message count, dead hosts — distinct-state coverage *)
   trace_sig : int;  (** fingerprint of the choice sequence itself *)
-  ops : int;  (** coherence operations recorded *)
+  ops : int;  (** reads and writes recorded ({!Spec.operations}) *)
   obs_events : int;  (** typed events captured by the recorder *)
   mutation_fired : bool;
   crashed : int list;  (** hosts declared dead *)

@@ -483,8 +483,8 @@ module Testonly : sig
         (** The [nth] data reply (counting every reply the run sends) serves
             the minipage's initial all-zero snapshot instead of the current
             bytes: a reader that already observed a newer write re-observes
-            an older one — the stale-supply bug {!Mp_check.Coherence.check}
-            flags. *)
+            an older one — the stale-supply bug mpcheck's coherence check
+            ([Mp_mc.Spec.coherence]) flags. *)
     | Drop_inval_ack of { nth : int }
         (** The [nth] invalidation processed by any host downgrades
             protection but never acknowledges: the writer's invalidation
