@@ -28,21 +28,21 @@ let run_millipage () =
   let t = Dsm.create e ~hosts:is_hosts () in
   let h = Is_mp.setup t is_p in
   Dsm.run t;
-  (Engine.now e, Dsm.messages_sent t, Is_mp.verify ~hosts:is_hosts h)
+  (Engine.now e, Dsm.messages_sent t, Is_mp.verify h)
 
 let run_ivy () =
   let e = Engine.create () in
   let t = Mp_baselines.Ivy.create e ~hosts:is_hosts () in
   let h = Is_ivy.setup t is_p in
   Mp_baselines.Ivy.run t;
-  (Engine.now e, Mp_baselines.Ivy.messages_sent t, Is_ivy.verify ~hosts:is_hosts h)
+  (Engine.now e, Mp_baselines.Ivy.messages_sent t, Is_ivy.verify h)
 
 let run_lrc () =
   let e = Engine.create () in
   let t = Mp_baselines.Lrc.create e ~hosts:is_hosts () in
   let h = Is_lrc.setup t is_p in
   Mp_baselines.Lrc.run t;
-  (Engine.now e, Mp_baselines.Lrc.messages_sent t, Is_lrc.verify ~hosts:is_hosts h)
+  (Engine.now e, Mp_baselines.Lrc.messages_sent t, Is_lrc.verify h)
 
 let granularity () =
   Harness.section
@@ -191,7 +191,7 @@ let rc_on_minipages () =
   let sc =
     List.map
       (fun (label, chunking) ->
-        let o = Apps_runner.water ~chunking ~p 8 in
+        let o = Apps_runner.run ~chunking (App.Water p) 8 in
         (label, o.Apps_runner.time_us, o.verified))
       levels
   in

@@ -31,7 +31,7 @@ let run ?(molecules = 512) ?(iterations = 3) () =
       let outcomes =
         List.map
           (fun (label, chunking) ->
-            (label, Apps_runner.water ~chunking ~p hosts))
+            (label, Apps_runner.run ~chunking (App.Water p) hosts))
           levels
       in
       let best =

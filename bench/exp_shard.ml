@@ -14,10 +14,8 @@
 
 open Mp_sim
 open Mp_millipage
-module M = Mp_dsm.Millipage_impl
-module Sor_m = Mp_apps.Sor.Make (M)
-module Lu_m = Mp_apps.Lu.Make (M)
-module Water_m = Mp_apps.Water.Make (M)
+module App = Mp_apps.App
+module A = App.Make (Mp_dsm.Millipage_impl)
 module Tab = Mp_util.Tab
 
 let sor_params = { Mp_apps.Sor.default_params with rows = 128; iterations = 3 }
@@ -26,20 +24,11 @@ let lu_params = { Mp_apps.Lu.default_params with n = 256; block = 32 }
 let water_params =
   { Mp_apps.Water.default_params with molecules = 128; iterations = 2 }
 
-let apps : (string * (Dsm.t -> unit -> bool)) list =
+let apps =
   [
-    ( "sor",
-      fun dsm ->
-        let h = Sor_m.setup dsm sor_params in
-        fun () -> Sor_m.verify h );
-    ( "lu",
-      fun dsm ->
-        let h = Lu_m.setup dsm lu_params in
-        fun () -> Lu_m.verify h );
-    ( "water",
-      fun dsm ->
-        let h = Water_m.setup dsm water_params in
-        fun () -> Water_m.verify h );
+    ("sor", App.Sor sor_params);
+    ("lu", App.Lu lu_params);
+    ("water", App.Water water_params);
   ]
 
 let policies =
@@ -67,7 +56,7 @@ let run_one ~app ~hosts ~homes =
   let obs = Dsm.obs dsm in
   Mp_obs.Recorder.set_capacity obs (1 lsl 21);
   Mp_obs.Recorder.set_enabled obs true;
-  let verify = (List.assoc app apps) dsm in
+  let verify = A.setup dsm (List.assoc app apps) in
   Dsm.run dsm;
   let by_home = Dsm.max_queue_depth_by_home dsm in
   {

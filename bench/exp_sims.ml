@@ -50,33 +50,7 @@ let words () =
   { minor; direct = major -. promoted }
 
 module Line (D : Mp_dsm.Dsm_intf.S) = struct
-  let run_app (t : D.t) = function
-    | "sor" ->
-      let module A = Sor.Make (D) in
-      let h = A.setup t Sor.default_params in
-      D.run t;
-      A.verify h
-    | "is" ->
-      let module A = Is.Make (D) in
-      let h = A.setup t Is.default_params in
-      D.run t;
-      A.verify ~hosts:(D.hosts t) h
-    | "water" ->
-      let module A = Water.Make (D) in
-      let h = A.setup t Water.default_params in
-      D.run t;
-      A.verify h
-    | "lu" ->
-      let module A = Lu.Make (D) in
-      let h = A.setup t Lu.default_params in
-      D.run t;
-      A.verify h
-    | "tsp" ->
-      let module A = Tsp.Make (D) in
-      let h = A.setup t Tsp.default_params in
-      D.run t;
-      A.verify h
-    | other -> invalid_arg ("Exp_sims: unknown app " ^ other)
+  module A = App.Make (D)
 
   (* A traced run arms the recorder as [mprun --trace-out] does, and its
      verdict adds the invariant checker's, which the word counts leave out. *)
@@ -89,7 +63,11 @@ module Line (D : Mp_dsm.Dsm_intf.S) = struct
       Recorder.set_enabled obs true
     end;
     let verdict =
-      match run_app t app with
+      match
+        let verify = A.setup t app in
+        D.run t;
+        verify ()
+      with
       | true -> "verified"
       | false -> if degraded t then "degraded" else "MISMATCH"
       | exception Dsm.Deadlock _ -> "deadlock"
@@ -141,7 +119,7 @@ let millipage ~name ?(hosts = 8) ?(faults = Mp_net.Fabric.no_faults) ?(net_seed 
   Millipage_line.run ~name ~traced
     ~degraded:(fun t -> Dsm.declared_dead t <> [])
     (fun () -> Dsm.create (Engine.create ()) ~hosts ~config ())
-    app
+    (App.of_name app)
 
 let soak app seed =
   let faults =
@@ -154,26 +132,26 @@ let soak app seed =
 let runs =
   List.map
     (fun app -> millipage ~name:("millipage/" ^ app ^ "/h8") app)
-    [ "sor"; "is"; "water"; "lu"; "tsp" ]
+    App.names
   @ [
       (fun () ->
         Ivy_line.run ~name:"ivy/water/h8"
           (fun () ->
             Mp_baselines.Ivy.create (Engine.create ()) ~hosts:8
               ~polling:Mp_net.Polling.nt_mode ())
-          "water");
+          (App.of_name "water"));
       (fun () ->
         Lrc_line.run ~name:"lrc/water/h8"
           (fun () ->
             Mp_baselines.Lrc.create (Engine.create ()) ~hosts:8
               ~polling:Mp_net.Polling.nt_mode ())
-          "water");
+          (App.of_name "water"));
       (fun () ->
         Mrc_line.run ~name:"mrc/water/h8"
           (fun () ->
             Mp_baselines.Mrc.create (Engine.create ()) ~hosts:8
               ~chunking:(Mp_multiview.Allocator.Fine 1) ~polling:Mp_net.Polling.nt_mode ())
-          "water");
+          (App.of_name "water"));
       soak "sor" 42;
       soak "lu" 42;
       soak "sor" 7;

@@ -17,7 +17,8 @@ let run () =
           (* Table 2 describes the natural (unchunked) layout, so WATER runs
              at chunking level 1 here, unlike the Figure 6 runs *)
           if row.name = "WATER" then
-            Apps_runner.water ~chunking:(Mp_multiview.Allocator.Fine 1) 8
+            Apps_runner.run ~chunking:(Mp_multiview.Allocator.Fine 1)
+              (App.of_name "water") 8
           else Apps_runner.by_name row.name 8
         in
         [

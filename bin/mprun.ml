@@ -30,40 +30,7 @@ module Obs_opts = struct
 end
 
 module Runner (D : Mp_dsm.Dsm_intf.S) = struct
-  let run (t : D.t) app paper =
-    let hosts = D.hosts t in
-    match app with
-    | "sor" ->
-      let module A = Sor.Make (D) in
-      let p = if paper then Sor.paper_params else Sor.default_params in
-      let h = A.setup t p in
-      D.run t;
-      A.verify h
-    | "is" ->
-      let module A = Is.Make (D) in
-      let p = if paper then Is.paper_params else Is.default_params in
-      let h = A.setup t p in
-      D.run t;
-      A.verify ~hosts h
-    | "water" ->
-      let module A = Water.Make (D) in
-      let p = if paper then Water.paper_params else Water.default_params in
-      let h = A.setup t p in
-      D.run t;
-      A.verify h
-    | "lu" ->
-      let module A = Lu.Make (D) in
-      let p = if paper then Lu.paper_params else Lu.default_params in
-      let h = A.setup t p in
-      D.run t;
-      A.verify h
-    | "tsp" ->
-      let module A = Tsp.Make (D) in
-      let p = if paper then Tsp.paper_params else Tsp.default_params in
-      let h = A.setup t p in
-      D.run t;
-      A.verify h
-    | other -> invalid_arg (Printf.sprintf "unknown app %S (sor|is|water|lu|tsp)" other)
+  module A = App.Make (D)
 
   let report (t : D.t) engine verified ~degraded =
     Printf.printf "system:       %s\n" D.name;
@@ -158,7 +125,7 @@ module Runner (D : Mp_dsm.Dsm_intf.S) = struct
           exit 1
 
   (* Full pipeline: arm the recorder, run the app, print every report. *)
-  let exec (t : D.t) engine app paper (o : Obs_opts.t) ?(extra = fun () -> ())
+  let exec (t : D.t) engine app (o : Obs_opts.t) ?(extra = fun () -> ())
       ?(degraded = fun () -> false) () =
     if Obs_opts.active o then begin
       let obs = D.obs t in
@@ -166,8 +133,9 @@ module Runner (D : Mp_dsm.Dsm_intf.S) = struct
       Mp_obs.Recorder.set_enabled obs true;
       if Obs_opts.profiling o then ignore (Mp_obs.Profile.attach obs)
     end;
-    let ok = run t app paper in
-    report t engine ok ~degraded:(degraded ());
+    let verify = A.setup t app in
+    D.run t;
+    report t engine (verify ()) ~degraded:(degraded ());
     extra ();
     report_breakdown t;
     if Obs_opts.active o then report_obs t o
@@ -246,9 +214,10 @@ let report_ft (t : Mp_millipage.Dsm.t) =
         s.tail_repairs s.rolled_back_minipages
   end
 
-let execute app system hosts chunking polling paper trace_out perfetto metrics
-    profile profile_out loss dup reorder net_seed ft crash stall crash_seed
-    crash_horizon homes home_block consistency adapt_interval =
+let execute app (system, sys) hosts (chunking, chunking_mode)
+    (polling, polling_mode) paper trace_out perfetto metrics profile profile_out
+    loss dup reorder net_seed ft crash stall crash_seed crash_horizon
+    (homes, policy) home_block (consistency, mode) adapt_interval =
   let meta =
     [
       ("app", app);
@@ -267,20 +236,11 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
   in
   let homes_config =
     let module H = Mp_millipage.Dsm.Config.Homes in
-    match H.policy_of_string homes with
-    | Some H.Block -> H.block home_block
-    | Some policy -> { H.default with policy }
-    | None ->
-      invalid_arg (Printf.sprintf "unknown homes policy %S (central|rr|block|ft)" homes)
+    if policy = H.Block then H.block home_block else { H.default with policy }
   in
   let consistency_config =
     let module C = Mp_millipage.Dsm.Config.Consistency in
-    match C.mode_of_string consistency with
-    | Some mode ->
-      C.with_adapt_interval { C.default with mode } adapt_interval
-    | None ->
-      invalid_arg
-        (Printf.sprintf "unknown consistency %S (sc|rc|adaptive)" consistency)
+    C.with_adapt_interval { C.default with mode } adapt_interval
   in
   if consistency <> "sc" && system <> "millipage" then
     invalid_arg
@@ -319,20 +279,10 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
          "crash-fault tolerance (--ft/--crash/--stall) requires --system \
           millipage; %s has no failure detector"
          system);
-  let polling_mode =
-    match polling with
-    | "nt" -> Mp_net.Polling.nt_mode
-    | "fast" -> Mp_net.Polling.Fast
-    | other -> invalid_arg (Printf.sprintf "unknown polling %S (nt|fast)" other)
-  in
-  let chunking_mode =
-    match chunking with
-    | "none" -> Mp_multiview.Allocator.Page_grain
-    | s -> Mp_multiview.Allocator.Fine (int_of_string s)
-  in
+  let app = App.of_name ~paper app in
   let engine = Engine.create () in
-  match system with
-  | "millipage" -> (
+  match sys with
+  | `Millipage -> (
     let config =
       {
         Mp_millipage.Dsm.Config.default with
@@ -348,7 +298,7 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
     let t = Mp_millipage.Dsm.create engine ~hosts ~config () in
     let module R = Runner (Mp_dsm.Millipage_impl) in
     let exec () =
-      R.exec t engine app paper obs_opts
+      R.exec t engine app obs_opts
         ~extra:(fun () ->
           let stats = Mp_millipage.Dsm.stats t in
           Printf.printf "views used:   %d, competing requests: %d\n"
@@ -404,27 +354,27 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
       (* a home and its backup both dying under injected crashes is a
          designed fail-stop, not a harness failure *)
       exit (if crashes <> [] then 0 else 3))
-  | "ivy" ->
+  | `Ivy ->
     let t = Mp_baselines.Ivy.create engine ~hosts ~polling:polling_mode () in
     let module R = Runner (Mp_baselines.Ivy) in
-    R.exec t engine app paper obs_opts ()
-  | "lrc" ->
+    R.exec t engine app obs_opts ()
+  | `Lrc ->
     let t = Mp_baselines.Lrc.create engine ~hosts ~polling:polling_mode () in
     let module R = Runner (Mp_baselines.Lrc) in
-    R.exec t engine app paper obs_opts
+    R.exec t engine app obs_opts
       ~extra:(fun () ->
         Printf.printf "diffs:        %d (%d bytes), twins: %d\n"
           (Mp_baselines.Lrc.diffs_created t)
           (Mp_baselines.Lrc.diff_bytes t)
           (Mp_baselines.Lrc.twins_created t))
       ()
-  | "mrc" ->
+  | `Mrc ->
     let t =
       Mp_baselines.Mrc.create engine ~hosts ~chunking:chunking_mode
         ~polling:polling_mode ()
     in
     let module R = Runner (Mp_baselines.Mrc) in
-    R.exec t engine app paper obs_opts
+    R.exec t engine app obs_opts
       ~extra:(fun () ->
         Printf.printf "diffs:        %d (%d bytes), twins: %d, views: %d\n"
           (Mp_baselines.Mrc.diffs_created t)
@@ -432,17 +382,24 @@ let execute app system hosts chunking polling paper trace_out perfetto metrics
           (Mp_baselines.Mrc.twins_created t)
           (Mp_baselines.Mrc.views_used t))
       ()
-  | other -> invalid_arg (Printf.sprintf "unknown system %S (millipage|ivy|lrc|mrc)" other)
+
+(* An enumerated flag: a value outside [choices] is a usage error.  The
+   flag's value keeps its spelling, which [meta] records. *)
+let named choices = Arg.enum (List.map (fun ((name, _) as c) -> (name, c)) choices)
 
 let app_arg =
   Arg.(
     required
-    & opt (some string) None
+    & opt (some (enum (List.map (fun a -> (a, a)) App.names))) None
     & info [ "a"; "app" ] ~docv:"APP" ~doc:"Application: sor, is, water, lu or tsp.")
 
 let system_arg =
+  let systems =
+    [ ("millipage", `Millipage); ("ivy", `Ivy); ("lrc", `Lrc); ("mrc", `Mrc) ]
+  in
   Arg.(
-    value & opt string "millipage"
+    value
+    & opt (named systems) (List.hd systems)
     & info
         [ "s"; "system"; "dsm" ]
         ~docv:"SYS"
@@ -452,14 +409,28 @@ let hosts_arg =
   Arg.(value & opt int 8 & info [ "n"; "hosts" ] ~docv:"N" ~doc:"Number of hosts (1-8+).")
 
 let chunking_arg =
+  let parse = function
+    | "none" -> Ok ("none", Mp_multiview.Allocator.Page_grain)
+    | s -> (
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok (s, Mp_multiview.Allocator.Fine n)
+      | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid value '%s', expected 'none' or an integer >= 1" s)))
+  in
+  let print ppf (name, _) = Format.pp_print_string ppf name in
   Arg.(
-    value & opt string "1"
+    value
+    & opt (conv (parse, print)) ("1", Mp_multiview.Allocator.Fine 1)
     & info [ "c"; "chunking" ] ~docv:"LEVEL"
         ~doc:"Chunking level (integer) or 'none' for page-grain (millipage only).")
 
 let polling_arg =
+  let pollings = [ ("nt", Mp_net.Polling.nt_mode); ("fast", Mp_net.Polling.Fast) ] in
   Arg.(
-    value & opt string "nt"
+    value
+    & opt (named pollings) (List.hd pollings)
     & info [ "p"; "polling" ] ~docv:"MODE" ~doc:"Polling model: nt or fast.")
 
 let paper_arg =
@@ -579,8 +550,15 @@ let crash_horizon_arg =
         ~doc:"Latest time (µs) a rand:P crash may fire.")
 
 let homes_arg =
+  let policies =
+    let module H = Mp_millipage.Dsm.Config.Homes in
+    List.map
+      (fun name -> (name, Option.get (H.policy_of_string name)))
+      [ "central"; "rr"; "round-robin"; "block"; "ft"; "first-toucher" ]
+  in
   Arg.(
-    value & opt string "central"
+    value
+    & opt (named policies) (List.hd policies)
     & info [ "homes" ] ~docv:"POLICY"
         ~doc:
           "Home-assignment policy for minipage directory shards: central \
@@ -595,8 +573,14 @@ let home_block_arg =
         ~doc:"Run length of consecutive minipage ids per home under --homes block.")
 
 let consistency_arg =
+  let modes =
+    List.map
+      (fun m -> (Mp_millipage.Dsm.Config.Consistency.mode_name m, m))
+      [ `Sc; `Rc; `Adaptive ]
+  in
   Arg.(
-    value & opt string "sc"
+    value
+    & opt (named modes) (List.hd modes)
     & info [ "consistency" ] ~docv:"MODE"
         ~doc:
           "Per-minipage consistency protocol: sc (the paper's Figure-3 \

@@ -39,6 +39,7 @@ module Make (D : Mp_dsm.Dsm_intf.S) = struct
   type handle = {
     region_addr : int array;  (** one shared region per host *)
     buckets_per_region : int;
+    hosts : int;
     p : params;
     result : int array;
   }
@@ -57,7 +58,9 @@ module Make (D : Mp_dsm.Dsm_intf.S) = struct
     let region_addr =
       Array.init hosts (fun r -> D.malloc t (4 * max 1 (region_buckets r)))
     in
-    let h = { region_addr; buckets_per_region; p; result = Array.make p.max_key 0 } in
+    let h =
+      { region_addr; buckets_per_region; hosts; p; result = Array.make p.max_key 0 }
+    in
     for b = 0 to p.max_key - 1 do
       D.init_write_i32 t (bucket_addr h b) 0l
     done;
@@ -101,7 +104,5 @@ module Make (D : Mp_dsm.Dsm_intf.S) = struct
 
   let result h = h.result
 
-  let verify ~hosts h =
-    let expect = reference h.p ~hosts in
-    expect = h.result
+  let verify h = reference h.p ~hosts:h.hosts = h.result
 end

@@ -54,22 +54,7 @@ let reference_uncached p =
   done;
   m
 
-let reference_cache : (params, float array array) Hashtbl.t = Hashtbl.create 4
-
-(* the cache is shared by every domain of a parallel mpcheck exploration *)
-let reference_mutex = Mutex.create ()
-
-let reference p =
-  Mutex.lock reference_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock reference_mutex)
-    (fun () ->
-      match Hashtbl.find_opt reference_cache p with
-      | Some r -> r
-      | None ->
-        let r = reference_uncached p in
-        Hashtbl.add reference_cache p r;
-        r)
+let reference = Memo.memo reference_uncached
 
 module Make (D : Mp_dsm.Dsm_intf.S) = struct
   type handle = { rows_addr : int array; p : params; result : float array array }

@@ -91,8 +91,6 @@ let finish a failure =
     failure;
   }
 
-let exhausted a b = a.n >= b.max_schedules || now_s () -. a.t0 > b.max_wall_s
-
 (* ---------------------------- random walk ------------------------------ *)
 
 (* Run index [i] of the walk: index 0 is always the unperturbed default
@@ -248,8 +246,10 @@ let root = { plan = Plan.empty; sleep = []; from = 0 }
    the children.  The pool is quiescent — search over — when the frontier
    is empty and every worker is idle.  A plan is marked seen only when it
    is enqueued, so a plan turned away by a full frontier can still be
-   enqueued once there is room.  With one worker the frontier drains in
-   breadth-first order and the first failure ends the search. *)
+   enqueued once there is room.  The budget counts plans as they are
+   claimed, not as their runs finish, so no pool size runs more than
+   [max_schedules].  With one worker the frontier drains in breadth-first
+   order and the first failure ends the search. *)
 let delay_bounded ?metrics ?(sleep_sets = true) ?(jobs = 1) scenario ~bound b =
   let jobs = max 1 jobs in
   let a = acc metrics in
@@ -258,6 +258,7 @@ let delay_bounded ?metrics ?(sleep_sets = true) ?(jobs = 1) scenario ~bound b =
   let frontier = Queue.create () in
   Queue.add root frontier;
   let idle = ref 0 in
+  let claimed = ref 0 in
   let stop = ref false in
   let fail = ref None in
   let seen = Hashtbl.create 257 in
@@ -275,10 +276,13 @@ let delay_bounded ?metrics ?(sleep_sets = true) ?(jobs = 1) scenario ~bound b =
   let take () =
     Mutex.lock m;
     let rec wait () =
-      if !stop || exhausted a b then None
+      if !stop || !claimed >= b.max_schedules || now_s () -. a.t0 > b.max_wall_s
+      then None
       else
         match Queue.take_opt frontier with
-        | Some node -> Some node
+        | Some node ->
+          incr claimed;
+          Some node
         | None ->
           incr idle;
           if !idle = jobs then begin

@@ -102,8 +102,6 @@ let to_string t =
     t.max_delay_steps;
   Buffer.contents b
 
-let apps = [ "sor"; "lu"; "water"; "is"; "tsp" ]
-
 let of_string s =
   let fail fmt = Printf.ksprintf failwith fmt in
   let tokens =
@@ -157,7 +155,7 @@ let of_string s =
           wseed = int "wseed" 7;
           barrier_every = int "barrier" 0;
         }
-    | Some a when List.mem a apps -> App a
+    | Some a when List.mem a Mp_apps.App.names -> App a
     | Some a -> fail "Scenario.of_string: unknown app %S" a
   in
   let homes =
@@ -300,55 +298,18 @@ let setup_racer e dsm hist ~locs ~ops_per_host ~wseed ~barrier_every
   done;
   fun () -> None
 
-let setup_app dsm app =
-  let module M = Mp_dsm.Millipage_impl in
-  let hosts = Dsm.hosts dsm in
-  match app with
-  | "sor" ->
-    let module A = Mp_apps.Sor.Make (M) in
-    let h =
-      A.setup dsm { Mp_apps.Sor.default_params with rows = 16; iterations = 2 }
-    in
-    fun () -> Some (A.verify h)
-  | "lu" ->
-    let module A = Mp_apps.Lu.Make (M) in
-    let h =
-      A.setup dsm
-        { Mp_apps.Lu.default_params with n = 32; block = 8; use_prefetch = false }
-    in
-    fun () -> Some (A.verify h)
-  | "water" ->
-    let module A = Mp_apps.Water.Make (M) in
-    let h =
-      A.setup dsm
-        {
-          Mp_apps.Water.default_params with
-          molecules = 8;
-          iterations = 2;
-          composed_read_phase = false;
-        }
-    in
-    fun () -> Some (A.verify h)
-  | "is" ->
-    let module A = Mp_apps.Is.Make (M) in
-    let h =
-      A.setup dsm
-        {
-          Mp_apps.Is.default_params with
-          keys = 256;
-          max_key = 64;
-          iterations = 2;
-          key_us = 0.05;
-        }
-    in
-    fun () -> Some (A.verify ~hosts h)
-  | "tsp" ->
-    let module A = Mp_apps.Tsp.Make (M) in
-    let h =
-      A.setup dsm { Mp_apps.Tsp.default_params with cities = 8; level = 2; batch = 4 }
-    in
-    fun () -> Some (A.verify h)
-  | other -> Printf.ksprintf invalid_arg "Scenario: unknown app %S" other
+module Apps = Mp_apps.App.Make (Mp_dsm.Millipage_impl)
+
+(* The benchmark named [app] at miniature scale. *)
+let miniature app =
+  let open Mp_apps in
+  match App.of_name app with
+  | App.Sor p -> App.Sor { p with rows = 16; iterations = 2 }
+  | App.Lu p -> App.Lu { p with n = 32; block = 8; use_prefetch = false }
+  | App.Water p ->
+    App.Water { p with molecules = 8; iterations = 2; composed_read_phase = false }
+  | App.Is p -> App.Is { p with keys = 256; max_key = 64; iterations = 2; key_us = 0.05 }
+  | App.Tsp p -> App.Tsp { p with cities = 8; level = 2; batch = 4 }
 
 (* ------------------------------ running -------------------------------- *)
 
@@ -403,7 +364,9 @@ let run ?(profile = false) t ~sched =
     | Racer { locs; ops_per_host; wseed; barrier_every } ->
       setup_racer e dsm hist ~locs ~ops_per_host ~wseed ~barrier_every
         ~lockread:t.lockread
-    | App a -> setup_app dsm a
+    | App a ->
+      let verify = Apps.setup dsm (miniature a) in
+      fun () -> Some (verify ())
   in
   Sched.install sched e;
   let failure =

@@ -34,9 +34,10 @@ type workload =
           existed before refinement — keeps pre-existing artifacts
           bit-identical. *)
   | App of string
-      (** A real benchmark at miniature scale: ["sor"], ["lu"], ["water"],
-          ["is"] or ["tsp"].  Checked by the application's own [verify]
-          plus the obs invariant checker. *)
+      (** A real benchmark at miniature scale, named as in
+          {!Mp_apps.App.names}, and set up through {!Mp_apps.App.Make}.
+          Checked by the application's own verifier plus the obs invariant
+          checker. *)
 
 type t = {
   workload : workload;

@@ -268,59 +268,16 @@ let test_rc_crash_with_replication () =
 
 (* ---------------- equivalence on the applications ---------------------- *)
 
-let run_app_with ~app ~hosts config =
-  let e = Engine.create () in
-  let dsm = Dsm.create e ~hosts ~config () in
-  let module M = Mp_dsm.Millipage_impl in
-  let verify =
-    match app with
-    | `Sor ->
-      let module A = Mp_apps.Sor.Make (M) in
-      let h = A.setup dsm { Mp_apps.Sor.default_params with rows = 32; iterations = 2 } in
-      fun () -> A.verify h
-    | `Lu ->
-      let module A = Mp_apps.Lu.Make (M) in
-      let h =
-        A.setup dsm
-          { Mp_apps.Lu.default_params with n = 64; block = 16; use_prefetch = false }
-      in
-      fun () -> A.verify h
-    | `Water ->
-      let module A = Mp_apps.Water.Make (M) in
-      let h =
-        A.setup dsm
-          { Mp_apps.Water.default_params with
-            molecules = 24; iterations = 2; composed_read_phase = false }
-      in
-      fun () -> A.verify h
-    | `Is ->
-      let module A = Mp_apps.Is.Make (M) in
-      let h =
-        A.setup dsm
-          { Mp_apps.Is.default_params with
-            keys = 512; max_key = 64; iterations = 2; key_us = 0.05 }
-      in
-      fun () -> A.verify ~hosts h
-    | `Tsp ->
-      let module A = Mp_apps.Tsp.Make (M) in
-      let h =
-        A.setup dsm { Mp_apps.Tsp.default_params with cities = 9; level = 3; batch = 4 }
-      in
-      fun () -> A.verify h
-  in
-  Dsm.run dsm;
-  verify ()
-
 let qcheck_mode_equivalence =
   QCheck.Test.make ~name:"rc and adaptive compute sc's results" ~count:10
     QCheck.(
       triple
         (oneofl [ Consistency.rc; Consistency.adaptive; eager ])
-        (oneofl [ `Sor; `Lu; `Water; `Is; `Tsp ])
+        (oneofl Small_apps.all)
         (pair (int_range 2 6) (oneofl [ Homes.central; Homes.round_robin ])))
     (fun (consistency, app, (hosts, homes)) ->
       let config = { Dsm.Config.default with consistency; homes } in
-      if not (run_app_with ~app ~hosts config) then
+      if not (snd (Small_apps.run ~hosts config app)) then
         QCheck.Test.fail_report "verification failed";
       true)
 

@@ -89,7 +89,7 @@ let test_is_correct () =
   let p = { Is.default_params with keys = 4096; iterations = 3; max_key = 64 } in
   let h = Is_m.setup dsm p in
   Dsm.run dsm;
-  Alcotest.(check bool) "histogram matches" true (Is_m.verify ~hosts h)
+  Alcotest.(check bool) "histogram matches" true (Is_m.verify h)
 
 let test_is_barrier_count () =
   let hosts = 8 in

@@ -217,6 +217,16 @@ let delay_bounded_pools_agree =
      && a.Explore.trace_sigs = b.Explore.trace_sigs
      && a.Explore.state_sigs = b.Explore.state_sigs)
 
+(* The budget caps the schedules a pool claims, not the ones it has
+   finished: a worker that finds the count one short must not start a run
+   beside one still in flight.  The barrier racer's complete search is 139
+   schedules, so a budget of 50 cuts it short. *)
+let test_delay_bounded_budget_on_two_workers () =
+  let barriers = Scenario.of_string "app=racer locs=2 ops=3 wseed=7 hosts=3 barrier=2" in
+  let budget = Explore.budget ~max_schedules:50 ~max_wall_s:60.0 () in
+  let r = Explore.delay_bounded ~jobs:2 barriers ~bound:1 budget in
+  Alcotest.(check int) "schedules" 50 r.Explore.schedules
+
 let qcheck_parallel_walk_equivalence =
   QCheck.Test.make ~name:"explore: -j1 and -j2 reach identical fingerprint sets"
     ~count:6
@@ -568,4 +578,6 @@ let suite =
     Alcotest.test_case "schedule allocation" `Quick test_schedule_allocation;
     Alcotest.test_case "steps: logging order, no minor collection" `Quick
       test_steps_no_minor_collection;
+    Alcotest.test_case "delay bounding keeps its budget on two workers" `Quick
+      test_delay_bounded_budget_on_two_workers;
   ]

@@ -88,19 +88,19 @@ let test_is_on_all_systems () =
    let module A = Mp_apps.Is.Make (Mp_baselines.Lrc) in
    let h = A.setup t p in
    Mp_baselines.Lrc.run t;
-   check_app "is on lrc" (A.verify ~hosts h));
+   check_app "is on lrc" (A.verify h));
   (let e = Engine.create () in
    let t = Mp_baselines.Mrc.create e ~hosts ~polling:Mp_net.Polling.Fast () in
    let module A = Mp_apps.Is.Make (Mp_baselines.Mrc) in
    let h = A.setup t p in
    Mp_baselines.Mrc.run t;
-   check_app "is on mrc" (A.verify ~hosts h));
+   check_app "is on mrc" (A.verify h));
   let e = Engine.create () in
   let t = Mp_baselines.Ivy.create e ~hosts ~polling:Mp_net.Polling.Fast () in
   let module A = Mp_apps.Is.Make (Mp_baselines.Ivy) in
   let h = A.setup t p in
   Mp_baselines.Ivy.run t;
-  check_app "is on ivy" (A.verify ~hosts h)
+  check_app "is on ivy" (A.verify h)
 
 let test_tsp_on_mrc_and_ivy () =
   let p = { Mp_apps.Tsp.default_params with cities = 8; level = 3 } in

@@ -27,57 +27,36 @@ module Mrc_sys = struct
 end
 
 module Runs (D : SYS) = struct
-  module Sor = Mp_apps.Sor.Make (D)
-  module Is = Mp_apps.Is.Make (D)
-  module Water = Mp_apps.Water.Make (D)
-  module Lu = Mp_apps.Lu.Make (D)
-  module Tsp = Mp_apps.Tsp.Make (D)
+  module A = Mp_apps.App.Make (D)
 
   (* Run an app to completion: whether it verified, and the run's
      fingerprint. *)
-  let run ~hosts setup =
+  let run ~hosts app =
     let e = Engine.create () in
     let t = D.make e ~hosts in
-    let verify = setup t in
+    let verify = A.setup t app in
     D.run t;
     ( verify (),
       Printf.sprintf "%.3f us, %d msgs, %d bytes, %d/%d faults, %d diffs, %d twins"
         (Engine.now e) (D.messages_sent t) (D.bytes_sent t) (D.read_faults t)
         (D.write_faults t) (D.diffs_created t) (D.twins_created t) )
 
-  let lu ~hosts p =
-    run ~hosts (fun t ->
-        let h = Lu.setup t p in
-        fun () -> Lu.verify h)
-
   let apps () =
-    let hosts = 4 in
-    [
-      ( "sor",
-        run ~hosts (fun t ->
-            let h = Sor.setup t { Mp_apps.Sor.default_params with rows = 64; iterations = 3 } in
-            fun () -> Sor.verify h) );
-      ( "is",
-        run ~hosts (fun t ->
-            let p =
-              { Mp_apps.Is.default_params with keys = 2048; iterations = 2; max_key = 64 }
-            in
-            let h = Is.setup t p in
-            fun () -> Is.verify ~hosts h) );
-      ( "water",
-        run ~hosts (fun t ->
-            let p = { Mp_apps.Water.default_params with molecules = 36; iterations = 2 } in
-            let h = Water.setup t p in
-            fun () -> Water.verify h) );
-      ("lu", lu ~hosts { Mp_apps.Lu.default_params with n = 64; block = 32 });
-      (* 3 hosts: from 4 on, Lrc answers 221 for 207, because an acquire
-         keeps a dirty page that also holds the bound, so a host can read
-         a stale bound *)
-      ( "tsp",
-        run ~hosts:3 (fun t ->
-            let h = Tsp.setup t { Mp_apps.Tsp.default_params with cities = 8; level = 3 } in
-            fun () -> Tsp.verify h) );
-    ]
+    List.map
+      (fun (name, hosts, app) -> (name, run ~hosts app))
+      Mp_apps.
+        [
+          ("sor", 4, App.Sor { Sor.default_params with rows = 64; iterations = 3 });
+          ( "is",
+            4,
+            App.Is { Is.default_params with keys = 2048; iterations = 2; max_key = 64 } );
+          ("water", 4, App.Water { Water.default_params with molecules = 36; iterations = 2 });
+          ("lu", 4, App.Lu { Lu.default_params with n = 64; block = 32 });
+          (* 3 hosts: from 4 on, Lrc answers 221 for 207, because an acquire
+             keeps a dirty page that also holds the bound, so a host can read
+             a stale bound *)
+          ("tsp", 3, App.Tsp { Tsp.default_params with cities = 8; level = 3 });
+        ]
 end
 
 module Lrc_runs = Runs (Lrc_sys)
@@ -90,7 +69,8 @@ let test_lu_same_run () =
   List.iter
     (fun hosts ->
       let p = { Mp_apps.Lu.default_params with n = 128; block = 32 } in
-      let ok_l, lrc = Lrc_runs.lu ~hosts p and ok_m, mrc = Mrc_runs.lu ~hosts p in
+      let ok_l, lrc = Lrc_runs.run ~hosts (Mp_apps.App.Lu p)
+      and ok_m, mrc = Mrc_runs.run ~hosts (Mp_apps.App.Lu p) in
       Alcotest.(check bool) "lrc verifies" true ok_l;
       Alcotest.(check bool) "mrc verifies" true ok_m;
       Alcotest.(check string) (Printf.sprintf "%d hosts" hosts) lrc mrc)

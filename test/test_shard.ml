@@ -174,52 +174,8 @@ let test_barrier_latency_off_manager () =
 (* ---------------- policy equivalence on the real applications ---------- *)
 
 let run_app_with ~app ~hosts homes =
-  let e = Engine.create () in
-  let config = { Dsm.Config.default with homes } in
-  let dsm = Dsm.create e ~hosts ~config () in
-  let module M = Mp_dsm.Millipage_impl in
-  let verify =
-    match app with
-    | `Sor ->
-      let module A = Mp_apps.Sor.Make (M) in
-      let h = A.setup dsm { Mp_apps.Sor.default_params with rows = 32; iterations = 2 } in
-      fun () -> A.verify h
-    | `Lu ->
-      (* prefetch off: whether an asynchronous prefetch lands before the
-         demand access is latency-dependent, so fault counts would only be
-         comparable between policies without it *)
-      let module A = Mp_apps.Lu.Make (M) in
-      let h =
-        A.setup dsm
-          { Mp_apps.Lu.default_params with n = 64; block = 16; use_prefetch = false }
-      in
-      fun () -> A.verify h
-    | `Water ->
-      (* composed-view fetch off, for the same reason as LU's prefetch *)
-      let module A = Mp_apps.Water.Make (M) in
-      let h =
-        A.setup dsm
-          { Mp_apps.Water.default_params with
-            molecules = 24; iterations = 2; composed_read_phase = false }
-      in
-      fun () -> A.verify h
-    | `Is ->
-      let module A = Mp_apps.Is.Make (M) in
-      let h =
-        A.setup dsm
-          { Mp_apps.Is.default_params with
-            keys = 512; max_key = 64; iterations = 2; key_us = 0.05 }
-      in
-      fun () -> A.verify ~hosts h
-    | `Tsp ->
-      let module A = Mp_apps.Tsp.Make (M) in
-      let h =
-        A.setup dsm { Mp_apps.Tsp.default_params with cities = 9; level = 3; batch = 4 }
-      in
-      fun () -> A.verify h
-  in
-  Dsm.run dsm;
-  (verify (), Dsm.read_faults dsm, Dsm.write_faults dsm, Dsm.messages_sent dsm)
+  let dsm, ok = Small_apps.run ~hosts { Dsm.Config.default with homes } app in
+  (ok, Dsm.read_faults dsm, Dsm.write_faults dsm)
 
 let qcheck_policy_equivalence =
   QCheck.Test.make ~name:"any home policy computes central's results"
@@ -228,10 +184,10 @@ let qcheck_policy_equivalence =
       pair
         (oneofl
            [ Homes.round_robin; Homes.block 2; Homes.block 5; Homes.first_toucher ])
-        (pair (oneofl [ `Sor; `Lu; `Water; `Is; `Tsp ]) (int_range 2 6)))
+        (pair (oneofl Small_apps.all) (int_range 2 6)))
     (fun (homes, (app, hosts)) ->
-      let c_ok, c_rf, c_wf, _ = run_app_with ~app ~hosts Homes.central in
-      let ok, rf, wf, _ = run_app_with ~app ~hosts homes in
+      let c_ok, c_rf, c_wf = run_app_with ~app ~hosts Homes.central in
+      let ok, rf, wf = run_app_with ~app ~hosts homes in
       if not (c_ok && ok) then QCheck.Test.fail_report "verification failed";
       (* sharding relocates directory work but must not change the coherence
          transitions the application provokes.  First_toucher is exempt:
@@ -242,7 +198,7 @@ let qcheck_policy_equivalence =
          the access pattern itself shifts between policies. *)
       if
         homes.Homes.policy <> Homes.First_toucher
-        && app <> `Tsp
+        && (match app with Mp_apps.App.Tsp _ -> false | _ -> true)
         && (rf <> c_rf || wf <> c_wf)
       then
         QCheck.Test.fail_reportf "fault counts diverged: %d/%d vs central %d/%d"
