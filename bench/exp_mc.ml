@@ -10,12 +10,11 @@
     A parallel deep-dive then runs one racer scenario under [-j 1] and
     [-j N] (N = min 8 available cores), asserts the two walks reach
     identical deduped fingerprint sets, and records schedules/sec and the
-    speedup.  The whole trajectory lands in [BENCH_mc.json] (set
-    MP_BENCH_DIR to relocate); [--check] re-runs the sweep and diffs the
-    deterministic lines against the committed baseline with the checker
-    [bench scale --check] uses ({!Harness.trajectory}).  Machine-speed
-    lines (wall, rates, speedup, jobs) sit on their own lines and are
-    excluded from the diff. *)
+    speedup.  The whole trajectory lands in [BENCH_mc.json]; [--check]
+    re-runs the sweep and diffs the deterministic lines against the
+    committed baseline with the checker [bench scale --check] uses
+    ({!Harness.trajectory}).  Machine-speed lines (wall, rates, speedup,
+    jobs) sit on their own lines and are excluded from the diff. *)
 
 open Mp_mc
 module Metrics = Mp_obs.Metrics

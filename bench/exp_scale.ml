@@ -2,8 +2,7 @@
     attached.  For each host count the sweep records the wall-clock time,
     the profiled event count, simulated completion time, and the per-host
     protocol-cost account, then writes the whole trajectory to
-    [BENCH_scale.json] (set MP_BENCH_DIR to relocate it) so CI can diff the
-    cost curve PR-over-PR. *)
+    [BENCH_scale.json] so CI can diff the cost curve PR-over-PR. *)
 
 open Mp_sim
 open Mp_millipage

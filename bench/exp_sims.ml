@@ -1,7 +1,8 @@
 (** Simulated results that a change to the simulator's own cost must leave
-    untouched: one line per run, with its end time as a hex float (so
-    sub-µs drift shows), its message and byte counts, its read and write
-    faults, the words it allocated and its verdict.
+    untouched: one line per [mprun] command, starting with the command,
+    with its end time as a hex float (so sub-µs drift shows), its message
+    and byte counts, its read and write faults, the words it allocated,
+    its verdict and the MD5 of the report [mprun] prints for it.
 
     Allocation is as deterministic as simulated time, so each line also
     holds the exact words the run allocated, from building the DSM through
@@ -9,24 +10,69 @@
     less promoted, the blocks over 256 words made straight in the major
     heap).  These two columns depend on the compiler and the build profile.
 
-    The runs are the [mprun] invocations the CI jobs make: every app at 8
-    hosts on Millipage, WATER at 8 hosts on the three baselines, the four
-    fault-soak runs and the WATER crash run, the last five traced and
-    checked by the invariant checker as [--trace-out] does.  Each is built
-    here the way [mprun] builds it from those flags.  A traced run's line
-    ends with the MD5 of its event trace, serialized as [--trace-out]
-    writes it, so a renamed label or a moved event shows too.
+    The commands are the [mprun] runs CI relies on.  Each is parsed with
+    [mprun]'s own term and run and reported with its own code
+    ({!Mp_run}).  A run that injects network faults, crashes or stalls,
+    arms crash-fault tolerance or shards its homes is traced as
+    [--trace-out] traces it, and checked by the invariant checker; its line
+    adds the MD5 of the trace, serialized as [--trace-out] writes it, so a
+    renamed label or a moved event shows too.
 
     [bench sims > test/golden/sims.txt] regenerates the golden after an
-    intended change; [bench sims --check] names every run whose line moved
-    and fails. *)
-
-open Mp_sim
-open Mp_apps
-module Dsm = Mp_millipage.Dsm
-module Recorder = Mp_obs.Recorder
+    intended change; [bench sims --check] names every run whose line moved,
+    prints the current report of each whose [stdout=] moved, and fails. *)
 
 let golden = "test/golden/sims.txt"
+
+let commands =
+  List.map
+    (fun app -> "--app " ^ app ^ " --hosts 8")
+    Mp_apps.App.names
+  @ List.map
+      (fun sys -> "--system " ^ sys ^ " --app water --hosts 8")
+      [ "ivy"; "lrc"; "mrc" ]
+  @ List.map
+      (fun (app, seed) ->
+        Printf.sprintf "--app %s --hosts 4 --loss 0.1 --dup 0.05 --reorder 0.1 --net-seed %d"
+          app seed)
+      [ ("sor", 42); ("lu", 42); ("sor", 7); ("water", 42) ]
+  @ [
+      "--app water --hosts 4 --homes rr --crash 3@2000000";
+      (* crash-fault tolerance *)
+      "--app sor --hosts 4 --ft";
+      "--app sor --hosts 4 --crash 3@279500";
+      "--app sor --hosts 4 --ft --stall 2@200000+5000";
+      "--app sor --hosts 4 --crash rand:0.5 --crash-seed 13 --crash-horizon 1500000";
+      "--app sor --hosts 4 --homes rr --ft";
+      "--app sor --hosts 4 --homes rr --crash 2@150000";
+      "--app sor --hosts 4 --homes rr --crash 2@150000 --loss 0.02 --net-seed 42";
+      "--app sor --hosts 4 --homes rr --crash rand:0.5 --crash-seed 13 --crash-horizon \
+       1500000";
+      "--app sor --hosts 4 --homes rr --ft --loss 0.05 --net-seed 1";
+      (* sharded homes *)
+      "--app water --hosts 8 --homes rr";
+      "--app lu --hosts 8 --homes block --home-block 4";
+      "--app sor --hosts 4 --homes ft";
+      "--app sor --hosts 4 --homes rr --crash 2@150000 --loss 0.05 --net-seed 42";
+      (* release and adaptive consistency *)
+      "--app sor --hosts 4 --homes rr --consistency rc";
+      "--app water --hosts 4 --homes rr --consistency rc";
+      "--app tsp --hosts 4 --homes rr --consistency rc";
+      "--app sor --hosts 4 --consistency adaptive --loss 0.02 --net-seed 42";
+      "--app sor --hosts 4 --homes rr --consistency rc --crash 2@150000";
+    ]
+  @ List.concat_map
+      (fun sys ->
+        List.map
+          (fun app -> Printf.sprintf "--system %s --app %s --hosts 8" sys app)
+          [ "sor"; "is"; "lu"; "tsp" ])
+      [ "lrc"; "mrc" ]
+
+(* The commands whose runs are traced. *)
+let traced (o : Mp_run.options) =
+  o.loss > 0.0 || o.dup > 0.0 || o.reorder > 0.0 || o.crash <> [] || o.stall <> []
+  || o.ft
+  || snd o.homes <> Mp_millipage.Dsm.Config.Homes.Central
 
 (* The MD5 of [events] as [mprun --trace-out] writes them.  The trace goes
    through a temporary file: the fault-soak WATER run records about a
@@ -49,171 +95,149 @@ let words () =
   let _, promoted, major = Gc.counters () in
   { minor; direct = major -. promoted }
 
-module Line (D : Mp_dsm.Dsm_intf.S) = struct
-  module A = App.Make (D)
+type result = { command : string; line : string; report : string }
 
-  (* A traced run arms the recorder as [mprun --trace-out] does, and its
-     verdict adds the invariant checker's, which the word counts leave out. *)
-  let run ~name ?(traced = false) ?(degraded = fun _ -> false) create app =
-    let w0 = words () in
-    let t : D.t = create () in
-    let obs = D.obs t in
-    if traced then begin
-      Recorder.set_capacity obs (1 lsl 22);
-      Recorder.set_enabled obs true
-    end;
-    let verdict =
-      match
-        let verify = A.setup t app in
-        D.run t;
-        verify ()
-      with
-      | true -> "verified"
-      | false -> if degraded t then "degraded" else "MISMATCH"
-      | exception Dsm.Deadlock _ -> "deadlock"
-      | exception Dsm.Crash_unrecoverable _ -> "unrecoverable"
-    in
-    let w1 = words () in
-    let verdict =
-      if not traced then verdict
-      else
-        let events = Recorder.events obs in
-        let checked =
-          if Recorder.dropped obs > 0 then "invariants-skipped"
-          else
-            match Mp_obs.Invariants.check events with
-            | [] -> "invariants-ok"
-            | v -> Printf.sprintf "invariants-%d" (List.length v)
-        in
-        Printf.sprintf "%s,%s trace=%s" verdict checked (trace_digest events)
-    in
-    Printf.sprintf "%s end_us=%h msgs=%d bytes=%d rf=%d wf=%d minor_w=%.0f direct_w=%.0f %s"
-      name (Engine.now (D.engine t)) (D.messages_sent t) (D.bytes_sent t)
-      (D.read_faults t) (D.write_faults t) (w1.minor -. w0.minor)
-      (w1.direct -. w0.direct) verdict
-end
-
-module Millipage_line = Line (Mp_dsm.Millipage_impl)
-module Ivy_line = Line (Mp_baselines.Ivy)
-module Lrc_line = Line (Mp_baselines.Lrc)
-module Mrc_line = Line (Mp_baselines.Mrc)
-
-(* [mprun]'s Millipage configuration for its default flags, with the given
-   faults, net seed, homes and crashes. *)
-let millipage ~name ?(hosts = 8) ?(faults = Mp_net.Fabric.no_faults) ?(net_seed = 9)
-    ?(homes = Dsm.Config.Homes.default) ?(crashes = []) app () =
-  let config =
-    {
-      Dsm.Config.default with
-      polling = Mp_net.Polling.nt_mode;
-      chunking = Mp_multiview.Allocator.Fine 1;
-      net = { Dsm.Config.Net.default with faults; seed = net_seed };
-      ft =
-        (if crashes = [] then None
-         else Some { Dsm.Config.Ft.default with crashes; stalls = [] });
-      homes;
-      consistency = Dsm.Config.Consistency.sc;
-    }
+let sim command =
+  let o =
+    match Mp_run.parse (String.split_on_char ' ' command) with
+    | Ok o -> o
+    | Error msg -> failwith (Printf.sprintf "bench sims: mprun %s: %s" command msg)
   in
-  let traced = Mp_net.Fabric.faults_active faults || crashes <> [] in
-  Millipage_line.run ~name ~traced
-    ~degraded:(fun t -> Dsm.declared_dead t <> [])
-    (fun () -> Dsm.create (Engine.create ()) ~hosts ~config ())
-    (App.of_name app)
-
-let soak app seed =
-  let faults =
-    { Mp_net.Fabric.no_faults with drop = 0.1; duplicate = 0.05; reorder = 0.1 }
+  let setup = Mp_run.setup o in
+  let trace = traced o in
+  let w0 = words () in
+  let r = Mp_run.run ~trace o setup in
+  let w1 = words () in
+  let report = Buffer.create 4096 in
+  ignore (Mp_run.report report o r);
+  let report = Buffer.contents report in
+  let (Mp_run.Run { sys = (module S); dsm = t; outcome; _ }) = r in
+  let verdict =
+    match outcome with
+    | Verified -> "verified"
+    | Degraded -> "degraded"
+    | Mismatch -> "MISMATCH"
+    | Deadlock _ -> "deadlock"
+    | Unrecoverable _ -> "unrecoverable"
   in
-  millipage
-    ~name:(Printf.sprintf "soak/%s/h4/seed%d" app seed)
-    ~hosts:4 ~faults ~net_seed:seed app
+  (* The invariant checker's verdict, which the word counts leave out. *)
+  let verdict =
+    if not trace then verdict
+    else
+      let obs = S.obs t in
+      let events = Mp_obs.Recorder.events obs in
+      let checked =
+        if Mp_obs.Recorder.dropped obs > 0 then "invariants-skipped"
+        else
+          match Mp_obs.Invariants.check events with
+          | [] -> "invariants-ok"
+          | v -> Printf.sprintf "invariants-%d" (List.length v)
+      in
+      Printf.sprintf "%s,%s trace=%s" verdict checked (trace_digest events)
+  in
+  let command = "mprun " ^ command in
+  let line =
+    Printf.sprintf
+      "%s end_us=%h msgs=%d bytes=%d rf=%d wf=%d minor_w=%.0f direct_w=%.0f %s stdout=%s"
+      command
+      (Mp_sim.Engine.now (S.engine t))
+      (S.messages_sent t) (S.bytes_sent t) (S.read_faults t) (S.write_faults t)
+      (w1.minor -. w0.minor) (w1.direct -. w0.direct) verdict
+      (Digest.to_hex (Digest.string report))
+  in
+  { command; line; report }
 
-let runs =
-  List.map
-    (fun app -> millipage ~name:("millipage/" ^ app ^ "/h8") app)
-    App.names
-  @ [
-      (fun () ->
-        Ivy_line.run ~name:"ivy/water/h8"
-          (fun () ->
-            Mp_baselines.Ivy.create (Engine.create ()) ~hosts:8
-              ~polling:Mp_net.Polling.nt_mode ())
-          (App.of_name "water"));
-      (fun () ->
-        Lrc_line.run ~name:"lrc/water/h8"
-          (fun () ->
-            Mp_baselines.Lrc.create (Engine.create ()) ~hosts:8
-              ~polling:Mp_net.Polling.nt_mode ())
-          (App.of_name "water"));
-      (fun () ->
-        Mrc_line.run ~name:"mrc/water/h8"
-          (fun () ->
-            Mp_baselines.Mrc.create (Engine.create ()) ~hosts:8
-              ~chunking:(Mp_multiview.Allocator.Fine 1) ~polling:Mp_net.Polling.nt_mode ())
-          (App.of_name "water"));
-      soak "sor" 42;
-      soak "lu" 42;
-      soak "sor" 7;
-      soak "water" 42;
-      millipage ~name:"crash/water/h4/rr/3@2000000" ~hosts:4
-        ~homes:{ Dsm.Config.Homes.default with policy = Dsm.Config.Homes.Round_robin }
-        ~crashes:[ (3, 2000000.0) ] "water";
-    ]
+(* The index of the first [sub] in [s]. *)
+let index s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i =
+    if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
+  in
+  go 0
 
-let name_of line =
-  match String.index_opt line ' ' with Some i -> String.sub line 0 i | None -> line
+(* A line's command: everything before its first column. *)
+let command_of line =
+  match index line " end_us=" with
+  | Some i -> String.sub line 0 i
+  | None -> line
+
+let column name line =
+  List.find_map
+    (fun w -> if String.starts_with ~prefix:(name ^ "=") w then Some w else None)
+    (String.split_on_char ' ' line)
+
+(* LRC and MRC are one twin/diff protocol over pages and over minipages,
+   and LU's 4 KB blocks make the two grains coincide: their LU runs must
+   agree in end time, faults, messages, bytes, diffs and twins. *)
+let rc_agreement got =
+  let find sys =
+    List.find
+      (fun r -> r.command = Printf.sprintf "mprun --system %s --app lu --hosts 8" sys)
+      got
+  in
+  let compared r =
+    List.map (fun c -> column c r.line) [ "end_us"; "msgs"; "bytes"; "rf"; "wf" ]
+    @ List.map
+        (fun l ->
+          match index l ", views:" with
+          | Some i -> Some (String.sub l 0 i)
+          | None -> Some l)
+        (List.filter
+           (String.starts_with ~prefix:"diffs:")
+           (String.split_on_char '\n' r.report))
+  in
+  let lrc = find "lrc" and mrc = find "mrc" in
+  if compared lrc = compared mrc then []
+  else begin
+    Printf.printf "disagree: lrc and mrc on lu\n  %s\n  %s\n%s%s" lrc.line mrc.line
+      lrc.report mrc.report;
+    [ "lrc/mrc lu agreement" ]
+  end
 
 let read_golden () =
-  match open_in golden with
+  match In_channel.with_open_text golden In_channel.input_all with
   | exception Sys_error msg ->
     failwith
       (Printf.sprintf "bench sims --check: cannot read %s (%s); run from the repo root"
          golden msg)
-  | ic ->
-    let rec lines acc =
-      match input_line ic with
-      | l -> lines (if String.trim l = "" then acc else l :: acc)
-      | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-    in
-    lines []
+  | text -> List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' text)
 
 let run ?(check = false) () =
-  let got = List.map (fun f -> f ()) runs in
-  if not check then List.iter print_endline got
+  let got = List.map sim commands in
+  if not check then List.iter (fun r -> print_endline r.line) got
   else begin
     let want = read_golden () in
     let moved =
       List.filter_map
-        (fun line ->
-          let name = name_of line in
-          match List.find_opt (fun w -> name_of w = name) want with
-          | Some w when w = line -> None
+        (fun r ->
+          match List.find_opt (fun w -> command_of w = r.command) want with
+          | Some w when w = r.line -> None
           | Some w ->
-            Printf.printf "moved: %s\n  golden:  %s\n  current: %s\n" name w line;
-            Some name
+            Printf.printf "moved: %s\n  golden:  %s\n  current: %s\n" r.command w r.line;
+            if column "stdout" w <> column "stdout" r.line then
+              Printf.printf "  current report:\n%s" r.report;
+            Some r.command
           | None ->
-            Printf.printf "moved: %s is not in %s\n  current: %s\n" name golden line;
-            Some name)
+            Printf.printf "moved: %s is not in %s\n  current: %s\n" r.command golden r.line;
+            Some r.command)
         got
       @ List.filter_map
           (fun w ->
-            let name = name_of w in
-            if List.exists (fun l -> name_of l = name) got then None
+            let command = command_of w in
+            if List.exists (fun r -> r.command = command) got then None
             else begin
-              Printf.printf "moved: %s is in %s but was not run\n" name golden;
-              Some name
+              Printf.printf "moved: %s is in %s but was not run\n" command golden;
+              Some command
             end)
           want
+      @ rc_agreement got
     in
     if moved = [] then
       Printf.printf "sims: all %d runs match %s\n%!" (List.length got) golden
     else
       failwith
         (Printf.sprintf
-           "bench sims: %d run(s) moved (%s); if the change is intended, \
-            regenerate with 'bench sims > %s'"
+           "bench sims: %d run(s) moved (%s); if the change is intended, regenerate \
+            with 'bench sims > %s'"
            (List.length moved) (String.concat ", " moved) golden)
   end

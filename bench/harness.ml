@@ -44,19 +44,13 @@ let rec strip_commas l =
   if String.ends_with ~suffix:"," l then strip_commas (String.sub l 0 (String.length l - 1))
   else l
 
-(* [bench <bench>] writes its trajectory [json] to BENCH_<bench>.json, in
-   $MP_BENCH_DIR or the working directory.  With [check] it compares
-   instead: the lines [keep] retains of the committed file and of [json],
+(* [bench <bench>] writes its trajectory [json] to BENCH_<bench>.json in
+   the working directory.  With [check] it compares instead: the lines [keep] retains of the committed file and of [json],
    trailing commas stripped (a run that [keep] drops can leave the last
    one kept without its separator), must be equal; each line that drifted
    is named before the check fails. *)
 let trajectory ~bench ~check ~keep json =
-  let name = "BENCH_" ^ bench ^ ".json" in
-  let file =
-    match Sys.getenv_opt "MP_BENCH_DIR" with
-    | None -> name
-    | Some dir -> Filename.concat dir name
-  in
+  let file = "BENCH_" ^ bench ^ ".json" in
   if not check then begin
     Out_channel.with_open_bin file (fun oc -> output_string oc json);
     note "wrote %s" file

@@ -213,15 +213,7 @@ let test_rc_crash_with_replication () =
      mid-run; its backup must adopt the shard and force the orphaned rc
      minipages back to sc before serving them again.  The workload's values
      must still come out right on the survivors. *)
-  let fast_ft =
-    {
-      Dsm.Config.Ft.default with
-      hb_interval_us = 200.0;
-      suspect_after_us = 700.0;
-      declare_after_us = 1600.0;
-      crashes = [ (2, 9000.0) ];
-    }
-  in
+  let fast_ft = { Fixture.fast_ft with crashes = [ (2, 9000.0) ] } in
   let config =
     {
       Dsm.Config.default with
@@ -266,6 +258,40 @@ let test_rc_crash_with_replication () =
   Alcotest.(check bool) "recovery forced demotions" true
     ((Dsm.stats dsm).rc_demotes >= 1)
 
+(* A recovery fence that finds a twin: host 2, the home of [x], dies at
+   500 µs while host 1 holds an unreleased write to [x].  The backup's
+   promotion demotes [x] to sc, and the fence that reaches host 1's copy
+   must send its diff before dropping the twin, or the write is lost. *)
+let test_recovery_fence_flushes_twin () =
+  let config =
+    {
+      Dsm.Config.default with
+      consistency = Consistency.rc;
+      homes = Homes.round_robin;
+      polling = Mp_net.Polling.Fast;
+      ft = Some { Fixture.fast_ft with crashes = [ (2, 500.0) ] };
+    }
+  in
+  let dsm = Dsm.create (Engine.create ()) ~hosts:3 ~config () in
+  let cells = Dsm.malloc_array dsm ~count:3 ~size:64 in
+  let x = cells.(2) in
+  Alcotest.(check int) "x is homed at host 2" 2 (Dsm.home_of dsm ~addr:x);
+  let seen = ref nan in
+  Dsm.spawn dsm ~host:1 (fun ctx ->
+      Dsm.write_f64 ctx x 42.0;
+      Dsm.compute ctx 20_000.0;
+      Dsm.barrier ctx;
+      seen := Dsm.read_f64 ctx x);
+  Dsm.spawn dsm ~host:0 (fun ctx -> Dsm.barrier ctx);
+  Dsm.spawn dsm ~host:2 (fun ctx -> Dsm.compute ctx 60_000.0);
+  Dsm.run dsm;
+  Alcotest.(check (float 0.0)) "host 1's write survives the fence" 42.0 !seen;
+  let s = Dsm.stats dsm in
+  Alcotest.(check int) "one twin" 1 s.rc_twins;
+  Alcotest.(check int) "the fence sent its diff" 1 s.rc_diffs;
+  Alcotest.(check (list int)) "host 2 declared dead" [ 2 ] (Dsm.declared_dead dsm);
+  Alcotest.(check int) "one promotion" 1 s.backup_promotions
+
 (* ---------------- equivalence on the applications ---------------------- *)
 
 let qcheck_mode_equivalence =
@@ -298,4 +324,6 @@ let suite =
     Alcotest.test_case "rc crash with replication" `Quick
       test_rc_crash_with_replication;
     QCheck_alcotest.to_alcotest qcheck_mode_equivalence;
+    Alcotest.test_case "recovery fence flushes a twin" `Quick
+      test_recovery_fence_flushes_twin;
   ]

@@ -5,18 +5,8 @@
 
 open Mp_sim
 open Mp_millipage
+open Fixture
 module Fabric = Mp_net.Fabric
-
-(* Small timeouts so detection fits in microsecond-scale scenarios:
-   200 µs heartbeats, suspect after 700 µs of silence, declare after
-   1600 µs.  Individual tests override crashes/stalls. *)
-let fast_ft =
-  {
-    Dsm.Config.Ft.default with
-    hb_interval_us = 200.0;
-    suspect_after_us = 700.0;
-    declare_after_us = 1600.0;
-  }
 
 let ft_config ?(crashes = []) ?(stalls = []) ?(deadlock_ticks = 500)
     ?(homes = Dsm.Config.Homes.default) () =
@@ -27,26 +17,13 @@ let ft_config ?(crashes = []) ?(stalls = []) ?(deadlock_ticks = 500)
     homes;
   }
 
-let scenario ?(hosts = 3) ~config setup =
-  let e = Engine.create () in
-  let dsm = Dsm.create e ~hosts ~config () in
-  let obs = Dsm.obs dsm in
-  Mp_obs.Recorder.set_capacity obs (1 lsl 20);
-  Mp_obs.Recorder.set_enabled obs true;
-  setup dsm;
-  Dsm.run dsm;
-  Alcotest.(check (list string))
-    "no invariant violations" []
-    (Mp_obs.Invariants.check (Mp_obs.Recorder.events obs));
-  dsm
-
 (* ---------------- fault-free runs with the subsystem armed ------------- *)
 
 let test_ft_fault_free () =
   (* heartbeats flow, nobody is suspected, results are untouched *)
   let seen = ref 0.0 in
   let dsm =
-    scenario ~config:(ft_config ()) (fun dsm ->
+    traced_scenario ~config:(ft_config ()) (fun dsm ->
         let x = Dsm.malloc dsm 64 in
         Dsm.init_write_f64 dsm x 7.25;
         Dsm.spawn dsm ~host:1 (fun ctx ->
@@ -68,7 +45,7 @@ let busy_pair ~us dsm =
 let test_short_stall_unnoticed () =
   (* a 400 µs stall keeps silence under the 700 µs suspicion threshold *)
   let dsm =
-    scenario
+    traced_scenario
       ~config:(ft_config ~stalls:[ (1, 500.0, 400.0) ] ())
       (busy_pair ~us:4000.0)
   in
@@ -79,7 +56,7 @@ let test_stall_suspected_then_recovers () =
   (* an 800 µs stall crosses the suspicion threshold but resumes well before
      the 1600 µs declaration deadline: suspicion must be retracted *)
   let dsm =
-    scenario
+    traced_scenario
       ~config:(ft_config ~stalls:[ (1, 500.0, 800.0) ] ())
       (busy_pair ~us:5000.0)
   in
@@ -90,7 +67,7 @@ let test_stall_suspected_then_recovers () =
 
 let test_crash_declared_dead () =
   let dsm =
-    scenario
+    traced_scenario
       ~config:(ft_config ~crashes:[ (1, 500.0) ] ())
       (busy_pair ~us:6000.0)
   in
@@ -116,7 +93,7 @@ let test_crash_declared_dead () =
 let test_lease_revoked_to_next_waiter () =
   let survivor_got_lock = ref false in
   let dsm =
-    scenario
+    traced_scenario
       ~config:(ft_config ~crashes:[ (2, 1000.0) ] ())
       (fun dsm ->
         Dsm.spawn dsm ~host:2 (fun ctx ->
@@ -141,7 +118,7 @@ let test_shadow_recovery_after_barrier () =
      so the survivor reads the exact last value *)
   let seen = ref 0.0 in
   let dsm =
-    scenario
+    traced_scenario
       ~config:(ft_config ~crashes:[ (2, 1500.0) ] ())
       (fun dsm ->
         let x = Dsm.malloc dsm 64 in
@@ -172,7 +149,7 @@ let test_shadow_recovery_after_barrier () =
 let test_barriers_degrade_to_survivors () =
   let phases = Array.make 4 0 in
   let dsm =
-    scenario ~hosts:4
+    traced_scenario ~hosts:4
       ~config:(ft_config ~crashes:[ (3, 2000.0) ] ())
       (fun dsm ->
         for h = 1 to 3 do
@@ -330,7 +307,7 @@ let test_acceptance_stencil_survives_crash () =
   let observed = Array.make 4 [] (* per-survivor reads of the victim cell *)
   and final_own = Array.make 4 0.0 in
   let dsm =
-    scenario ~hosts:4
+    traced_scenario ~hosts:4
       (* t=4500 is mid-compute for the survivors in phase 2: the victim has
          written its phase-2 value, invalidated the survivors' copies, and
          is parked at the barrier — the exclusive-owner recovery path *)
@@ -401,7 +378,7 @@ let test_acceptance_stencil_survives_crash () =
 let test_rehoming_after_home_crash () =
   let final = Array.make 2 0.0 in
   let dsm =
-    scenario
+    traced_scenario
       ~config:
         (ft_config ~homes:Dsm.Config.Homes.round_robin ~crashes:[ (2, 3000.0) ] ())
       (fun dsm ->
@@ -442,7 +419,7 @@ let test_rehoming_under_first_toucher () =
      survivors whose hints still name the dead host *)
   let seen = ref 0.0 and x_addr = ref 0 in
   let dsm =
-    scenario
+    traced_scenario
       ~config:
         (ft_config ~homes:Dsm.Config.Homes.first_toucher ~crashes:[ (2, 3000.0) ] ())
       (fun dsm ->

@@ -133,6 +133,36 @@ let test_summary_merge_with_empty () =
   Alcotest.(check int) "count" 1 (Summary.count m);
   Alcotest.(check (float 1e-9)) "mean" 5.0 (Summary.mean m)
 
+(* mprun's term answers each bad argument set with a Cmdliner usage
+   message, never an exception; [parse] lets an exception through. *)
+let test_mprun_usage_errors () =
+  (match Mp_run.parse [ "--app"; "sor"; "--hosts"; "4" ] with
+  | Ok o -> Alcotest.(check int) "--app sor --hosts 4 parses" 4 o.hosts
+  | Error msg -> Alcotest.failf "--app sor --hosts 4: %s" msg);
+  List.iter
+    (fun args ->
+      match Mp_run.parse ("--app" :: "sor" :: String.split_on_char ' ' args) with
+      | Ok _ -> Alcotest.failf "%s parsed" args
+      | Error msg ->
+        Alcotest.(check bool) (args ^ " is a usage error") true
+          (String.starts_with ~prefix:"mprun: " msg))
+    [
+      "--adapt-interval 0";
+      "--crash 3x";
+      "--crash rand:2";
+      "--stall 2@1";
+      "--system ivy --consistency rc";
+      "--system lrc --homes rr";
+      "--system mrc --loss 0.1";
+      "--system ivy --ft";
+      "--hosts 4 --crash 0@100";
+      "--hosts 4 --crash 9@100";
+      "--hosts 4 --stall 0@10+5";
+      "--hosts 0";
+      "--homes block --home-block 0";
+      "--loss 1.5";
+    ]
+
 let suite =
   [
     Alcotest.test_case "malloc after start" `Quick test_malloc_after_start_rejected;
@@ -148,4 +178,5 @@ let suite =
     Alcotest.test_case "single host clean" `Quick test_single_host_runs_without_network_faults;
     Alcotest.test_case "schedule clamped" `Quick test_engine_schedule_in_past_clamped;
     Alcotest.test_case "summary merge empty" `Quick test_summary_merge_with_empty;
+    Alcotest.test_case "mprun usage errors" `Quick test_mprun_usage_errors;
   ]

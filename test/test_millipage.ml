@@ -1,15 +1,6 @@
 open Mp_sim
 open Mp_millipage
-
-let fast_config =
-  { Dsm.Config.default with polling = Mp_net.Polling.Fast }
-
-let scenario ?(hosts = 2) ?(config = fast_config) setup =
-  let e = Engine.create () in
-  let dsm = Dsm.create e ~hosts ~config () in
-  setup dsm;
-  Dsm.run dsm;
-  dsm
+open Fixture
 
 let test_read_sharing () =
   let seen = ref 0.0 in

@@ -1,17 +1,8 @@
 (* Deeper protocol coverage: queued operations, multi-vpage minipages,
    multiple threads per host, lock fairness, push serialization. *)
 
-open Mp_sim
 open Mp_millipage
-
-let fast_config = { Dsm.Config.default with polling = Mp_net.Polling.Fast }
-
-let scenario ?(hosts = 2) ?(config = fast_config) setup =
-  let e = Engine.create () in
-  let dsm = Dsm.create e ~hosts ~config () in
-  setup dsm;
-  Dsm.run dsm;
-  dsm
+open Fixture
 
 let test_large_minipage_spans_vpages () =
   (* a 2.5-page minipage: one fault brings the whole region, protection is

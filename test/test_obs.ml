@@ -408,13 +408,7 @@ let test_recorder_passive () =
       homes = Dsm.Config.Homes.round_robin;
       ft =
         Some
-          {
-            Dsm.Config.Ft.default with
-            hb_interval_us = 200.0;
-            suspect_after_us = 700.0;
-            declare_after_us = 1600.0;
-            crashes = [ (3, 20_000.0) ];
-          };
+          { Fixture.fast_ft with crashes = [ (3, 20_000.0) ] };
     }
   in
   let dsm, _, _ = check_passive "crash" ~hosts:4 ~config (sor 64) in

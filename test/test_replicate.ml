@@ -6,16 +6,9 @@
 
 open Mp_sim
 open Mp_millipage
+open Fixture
 module Fabric = Mp_net.Fabric
 module Event = Mp_obs.Event
-
-let fast_ft =
-  {
-    Dsm.Config.Ft.default with
-    hb_interval_us = 200.0;
-    suspect_after_us = 700.0;
-    declare_after_us = 1600.0;
-  }
 
 let rr = Dsm.Config.Homes.round_robin
 
@@ -29,19 +22,6 @@ let config ?(crashes = []) ?(homes = Dsm.Config.Homes.default) ?net () =
     }
   in
   match net with None -> base | Some net -> { base with net }
-
-let scenario ?(hosts = 3) ~config setup =
-  let e = Engine.create () in
-  let dsm = Dsm.create e ~hosts ~config () in
-  let obs = Dsm.obs dsm in
-  Mp_obs.Recorder.set_capacity obs (1 lsl 20);
-  Mp_obs.Recorder.set_enabled obs true;
-  setup dsm;
-  Dsm.run dsm;
-  Alcotest.(check (list string))
-    "no invariant violations" []
-    (Mp_obs.Invariants.check (Mp_obs.Recorder.events obs));
-  dsm
 
 (* The shared workload: two workers interleave writes and reads over cells
    homed round-robin across every host, with barrier-separated phases, while
@@ -76,7 +56,7 @@ let test_promotion_after_home_crash () =
      under the same home id: no minipage moves to host 0. *)
   let final = ref [||] in
   let dsm =
-    scenario ~hosts:4
+    traced_scenario ~hosts:4
       ~config:(config ~homes:rr ~crashes:[ (2, 3000.0) ] ())
       (fun dsm -> final := stencil ~victims:[ 2 ] ~phases:6 dsm)
   in
@@ -124,7 +104,7 @@ let test_promotion_under_loss () =
      shard must move to the backup. *)
   let final = ref [||] in
   let dsm =
-    scenario ~hosts:4
+    traced_scenario ~hosts:4
       ~config:(config ~homes:rr ~net:lossy_net ~crashes:[ (2, 3000.0) ] ())
       (fun dsm -> final := stencil ~victims:[ 2 ] ~phases:6 dsm)
   in
@@ -145,7 +125,7 @@ let test_unsynced_write_rolls_back () =
      to the release-consistent shadow and the survivor's read completes *)
   let seen = ref 0.0 in
   let dsm =
-    scenario ~hosts:3
+    traced_scenario ~hosts:3
       ~config:(config ~crashes:[ (2, 1000.0) ] ())
       (fun dsm ->
         let x = Dsm.malloc dsm 64 in
@@ -192,7 +172,7 @@ let test_dead_backup_of_empty_shard () =
      finish. *)
   let final = ref [||] in
   let dsm =
-    scenario ~hosts:4
+    traced_scenario ~hosts:4
       ~config:(config ~crashes:[ (2, 3000.0); (3, 3050.0) ] ())
       (fun dsm -> final := stencil ~victims:[ 2; 3 ] ~phases:6 dsm)
   in
@@ -262,7 +242,7 @@ let test_fault_free_results_unchanged () =
   let run ft =
     let final = ref [||] in
     let config = { (config ~homes:rr ()) with Dsm.Config.ft } in
-    let dsm = scenario ~hosts:4 ~config (fun dsm -> final := stencil ~phases:4 dsm) in
+    let dsm = traced_scenario ~hosts:4 ~config (fun dsm -> final := stencil ~phases:4 dsm) in
     (dsm, Array.to_list !final)
   in
   let off, off_finals = run None in
@@ -290,7 +270,7 @@ let test_lossy_fabric_declares_nobody () =
         { Dsm.Config.Net.default with faults = { Fabric.no_faults with drop = 0.05 }; seed = 1 };
     }
   in
-  let dsm = scenario ~hosts:4 ~config (fun dsm -> final := stencil ~phases:12 dsm) in
+  let dsm = traced_scenario ~hosts:4 ~config (fun dsm -> final := stencil ~phases:12 dsm) in
   Alcotest.(check (list int)) "nobody declared dead" [] (Dsm.declared_dead dsm);
   Array.iteri
     (fun h v ->
@@ -309,7 +289,7 @@ let test_orphan_resend_targets_repaired_home () =
      out. *)
   let seen = ref 0.0 in
   let dsm =
-    scenario ~hosts:3
+    traced_scenario ~hosts:3
       ~config:
         (config ~homes:rr ~net:lossy_net
            ~crashes:[ (2, 3000.0) ] ())
@@ -447,7 +427,7 @@ let test_duplicate_suppressed_across_promotion () =
      fresh ids, which the backup has not seen. *)
   let final = ref [||] in
   let dsm =
-    scenario ~hosts:4
+    traced_scenario ~hosts:4
       ~config:
         (config ~homes:rr
            ~net:{ lossy_net with Dsm.Config.Net.seed = 23 }
@@ -473,7 +453,7 @@ let test_orphaned_faults_resent_oldest_first () =
   let got = Array.make 2 0.0 in
   let cells = ref [||] in
   let dsm =
-    scenario ~hosts:4
+    traced_scenario ~hosts:4
       ~config:(config ~homes:rr ~crashes:[ (2, 50.0) ] ())
       (fun dsm ->
         cells := Dsm.malloc_array dsm ~count:8 ~size:64;
